@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +78,7 @@ class BoostedModel:
         return len(self.feature_names)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -199,7 +201,7 @@ def train_gbt(
     losses = [_logloss(margins, y)]
     stages: list[RegNode] = []
     for _ in range(params.n_rounds):
-        p_hat = _sigmoid(margins)
+        p_hat = sigmoid(margins)
         g = p_hat - y
         h = p_hat * (1.0 - p_hat)
         stage = _grow_reg_tree(X, g, h, params)
@@ -217,7 +219,13 @@ def train_gbt(
     )
 
 
-def predict_margin_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
+def staged_margin_gbt(model: BoostedModel, X: np.ndarray) -> Iterator[np.ndarray]:
+    """Log-odds after the first i stages, for i = 1 .. len(model.stages).
+
+    One running sum from base_score in stage order: stage i equals
+    predict_margin_gbt of an i-round prefix bit for bit. Each yield is a
+    copy, so callers may keep it.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise DimensionMismatch(
@@ -227,12 +235,16 @@ def predict_margin_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     margins = np.full(X.shape[0], model.base_score, dtype=np.float64)
     for stage in model.stages:
         margins += model.params.learning_rate * _reg_predict(stage, X)
-    return margins
+        yield margins.copy()
+
+
+def predict_margin_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
+    return deque(staged_margin_gbt(model, X), maxlen=1).pop()
 
 
 def predict_proba_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     """Vector of P(high) = sigmoid(accumulated log-odds)."""
-    return _sigmoid(predict_margin_gbt(model, X))
+    return sigmoid(predict_margin_gbt(model, X))
 
 
 def predict_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +106,13 @@ def train_forest(
     )
 
 
-def predict_proba_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Soft vote: mean of per-tree leaf P(high) over all trees."""
+def staged_proba_forest(model: ForestModel, X: np.ndarray) -> Iterator[np.ndarray]:
+    """Soft vote of the first i trees, for i = 1 .. len(model.trees).
+
+    One running sum of per-tree leaf P(high) in tree order, divided by i at
+    each stage: stage i equals predict_proba_forest of an i-tree prefix
+    bit for bit.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise DimensionMismatch(
@@ -113,9 +120,14 @@ def predict_proba_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
             f"{X.shape[1] if X.ndim == 2 else X.ndim}"
         )
     acc = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in model.trees:
+    for i, tree in enumerate(model.trees, start=1):
         acc += tree_predict_proba(tree, X)
-    return acc / len(model.trees)
+        yield acc / i
+
+
+def predict_proba_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Soft vote: mean of per-tree leaf P(high) over all trees."""
+    return deque(staged_proba_forest(model, X), maxlen=1).pop()
 
 
 def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:

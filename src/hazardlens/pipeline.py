@@ -4,16 +4,16 @@ A run walks every present (county, hazard) pair through split -> CV ->
 refit -> test metrics, then assembles the performance table, the model
 comparison, dispersion statistics, importance rankings, and transfer
 matrices, writing everything under one output directory with a hashed
-manifest. Jobs are independent: their seeds derive from
-(master seed, county, hazard), so any worker count produces byte-identical
-output for the same seed.
+manifest. Jobs, one per (county, hazard, model family), are independent:
+their seeds derive from (master seed, county, hazard), so any worker count
+produces byte-identical output for the same seed.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,7 @@ from .selection import (
     FAMILIES,
     CvSpec,
     SplitSpec,
+    check_grid,
     cross_validate,
     stratified_split,
 )
@@ -120,6 +121,11 @@ class RunConfig:
             raise InvalidConfig("workers must be >= 1")
         if self.top_k < 1:
             raise InvalidConfig("top_k must be >= 1")
+        for family, grid in (("forest", self.forest_grid), ("gbt", self.gbt_grid)):
+            try:
+                check_grid(family, grid)
+            except ValueError as exc:
+                raise InvalidConfig(str(exc)) from None
         if self.hazards is not None:
             for hazard in self.hazards:
                 if "__" in hazard:
@@ -326,8 +332,27 @@ def execute_job(
     )
 
 
-def _execute_job_star(args):
-    return execute_job(*args)
+def _execute_unit(args):
+    """One (pair, family) unit of work; a HazardLensError is returned, not raised."""
+    try:
+        return execute_job(*args)
+    except HazardLensError as exc:
+        return exc
+
+
+def _merge_units(parts: list[JobResult]) -> JobResult:
+    """One pair's result from its per-family units, in config order."""
+    merged = replace(parts[0], outcomes={})
+    for part in parts:
+        merged.outcomes.update(part.outcomes)
+        if "forest" in part.outcomes:
+            merged.importance = part.importance
+            merged.importance_note = part.importance_note
+    return merged
+
+
+def _model_from_json(family: str, text: str):
+    return forest_from_json(text) if family == "forest" else gbt_from_json(text)
 
 
 # -- run assembly -------------------------------------------------------------
@@ -467,47 +492,45 @@ def run(config: RunConfig) -> RunReport:
             else:
                 absent.append((county, hazard))
 
+    # The unit of work is one (pair, family): every family of a pair
+    # replays the pair's split from the same job seed, so even a single
+    # pair keeps two workers busy. Results come back in unit order.
+    families = job_cfg.families
+    units = [
+        (
+            by_county[county],
+            hazard,
+            replace(job_cfg, families=(family,)),
+            child_seed(config.seed, "job", county, hazard),
+        )
+        for county, hazard in pairs
+        for family in families
+    ]
+    if config.workers > 1 and len(units) > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            done = list(pool.map(_execute_unit, units))
+    else:
+        done = list(map(_execute_unit, units))
+
     results: dict[tuple[str, str], JobResult] = {}
     failures: list[dict] = []
-
-    def record(county, hazard, outcome):
-        if isinstance(outcome, JobResult):
-            results[(county, hazard)] = outcome
-        elif isinstance(outcome, HazardAbsent):
+    for i, (county, hazard) in enumerate(pairs):
+        parts = done[i * len(families):(i + 1) * len(families)]
+        # a pair fails with its first failing family in config order
+        failed = next((p for p in parts if not isinstance(p, JobResult)), None)
+        if failed is None:
+            results[(county, hazard)] = _merge_units(parts)
+        elif isinstance(failed, HazardAbsent):
             absent.append((county, hazard))
         else:
             failures.append(
                 {
                     "county": county,
                     "hazard": hazard,
-                    "error": type(outcome).__name__,
-                    "message": str(outcome),
+                    "error": type(failed).__name__,
+                    "message": str(failed),
                 }
             )
-
-    job_args = [
-        (by_county[county], hazard, job_cfg, child_seed(config.seed, "job", county, hazard))
-        for county, hazard in pairs
-    ]
-    if config.workers > 1 and len(job_args) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                pool.submit(_execute_job_star, args): (args[0].county_id, args[1])
-                for args in job_args
-            }
-            for future in as_completed(futures):
-                county, hazard = futures[future]
-                try:
-                    record(county, hazard, future.result())
-                except HazardLensError as exc:
-                    record(county, hazard, exc)
-    else:
-        for args in job_args:
-            county, hazard = args[0].county_id, args[1]
-            try:
-                record(county, hazard, execute_job(*args))
-            except HazardLensError as exc:
-                record(county, hazard, exc)
 
     absent = sorted(set(absent))
     failures.sort(key=lambda f: (f["county"], f["hazard"]))
@@ -639,7 +662,7 @@ def run(config: RunConfig) -> RunReport:
         eval_on=config.transfer_eval_on,
     )
     rf_models = {
-        key: forest_from_json(res.outcomes[canonical].model_json)
+        key: _model_from_json(canonical, res.outcomes[canonical].model_json)
         for key, res in ordered.items()
         if canonical in res.outcomes
     }
@@ -786,9 +809,8 @@ def load_run_models(run_dir) -> dict[tuple[str, str, str], object]:
     models = {}
     for path in sorted(Path(run_dir, "models").glob("*.json")):
         county, hazard, family = path.stem.split("__")
-        text = path.read_text("utf-8")
-        models[(county, hazard, family)] = (
-            forest_from_json(text) if family == "forest" else gbt_from_json(text)
+        models[(county, hazard, family)] = _model_from_json(
+            family, path.read_text("utf-8")
         )
     return models
 

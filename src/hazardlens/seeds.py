@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def child_seed(seed: int, *labels) -> int:
     """Derive a 64-bit seed from a parent seed and a path of labels.
@@ -16,8 +14,3 @@ def child_seed(seed: int, *labels) -> int:
     text = repr(int(seed)) + "/" + "/".join(str(part) for part in labels)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def rng_for(seed: int, *labels) -> np.random.Generator:
-    """Generator seeded from (seed, *labels) via child_seed."""
-    return np.random.default_rng(child_seed(seed, *labels))

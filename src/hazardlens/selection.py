@@ -5,6 +5,8 @@ Per-class train counts follow round-half-to-even on the exact fraction
 Grid points are scored by mean validation F-beta across stratified folds;
 ties go to the lexicographically smallest point, where a point's sort key
 is its tuple of value indices over alphabetically ordered parameter names.
+Points that differ only in tree / round count are prefixes of one model, so
+CV fits each such ladder once per fold, at its largest size.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boosting import BoostParams, predict_gbt, train_gbt
+from .boosting import BoostParams, predict_gbt, sigmoid, staged_margin_gbt, train_gbt
 from .cart import TreeParams
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import ClassTooSmall, DegenerateLabels, NoPositives, TooFewSamples
-from .forest import predict_forest, train_forest
+from .forest import predict_forest, staged_proba_forest, train_forest
 from .metrics import confusion, f_beta
 from .seeds import child_seed
 
@@ -114,30 +116,56 @@ def stratified_folds(labels: np.ndarray, k: int, rng: np.random.Generator) -> li
     return [np.array(sorted(f), dtype=np.intp) for f in folds]
 
 
-def _forest_family(data: LabeledDataset, point: dict, seed: int):
-    params = TreeParams(
+DEFAULT_SIZE = 100
+
+# Per family: the grid key that sets the number of trees / rounds, and every
+# key a grid may use.
+SIZE_KEYS = {"forest": "n_trees", "gbt": "n_rounds"}
+GRID_KEYS = {
+    "forest": frozenset({"n_trees", "max_depth", "min_samples_leaf", "features_per_split"}),
+    "gbt": frozenset({"n_rounds", "learning_rate", "l2_reg", "max_depth", "min_samples_leaf"}),
+}
+
+
+def _tree_params(point: dict) -> TreeParams:
+    return TreeParams(
         max_depth=point.get("max_depth"),
         min_samples_leaf=point.get("min_samples_leaf", 1),
         min_samples_split=max(2, 2 * point.get("min_samples_leaf", 1)),
         features_per_split=point.get("features_per_split"),
     )
-    return train_forest(data, params, n_trees=point.get("n_trees", 100), seed=seed)
 
 
-def _gbt_family(data: LabeledDataset, point: dict, seed: int):
-    params = BoostParams(
-        n_rounds=point.get("n_rounds", 100),
+def _boost_params(point: dict) -> BoostParams:
+    return BoostParams(
+        n_rounds=point.get("n_rounds", DEFAULT_SIZE),
         learning_rate=point.get("learning_rate", 0.1),
         l2_reg=point.get("l2_reg", 1.0),
         max_depth=point.get("max_depth", 3),
         min_samples_leaf=point.get("min_samples_leaf", 1),
     )
-    return train_gbt(data, params, seed=seed)
+
+
+def _forest_family(data: LabeledDataset, point: dict, seed: int):
+    return train_forest(
+        data, _tree_params(point), n_trees=point.get("n_trees", DEFAULT_SIZE), seed=seed
+    )
+
+
+def _gbt_family(data: LabeledDataset, point: dict, seed: int):
+    return train_gbt(data, _boost_params(point), seed=seed)
 
 
 FAMILIES = {
     "forest": (_forest_family, predict_forest, DEFAULT_FOREST_GRID),
     "gbt": (_gbt_family, predict_gbt, DEFAULT_GBT_GRID),
+}
+
+# P(high) after each tree / round of a fitted model; stage i matches the
+# family's predict function on an i-sized model bit for bit.
+_STAGED_PROBA = {
+    "forest": staged_proba_forest,
+    "gbt": lambda model, X: map(sigmoid, staged_margin_gbt(model, X)),
 }
 
 
@@ -153,6 +181,37 @@ def _grid_points(grid: dict[str, list]):
     for combo in itertools.product(*(range(len(grid[n])) for n in names)):
         point = {name: grid[name][i] for name, i in zip(names, combo)}
         yield combo, point
+
+
+def check_grid(model_family: str, grid) -> None:
+    """Raise ValueError unless every point of `grid` builds valid params.
+
+    Keys must come from the family's closed set, every key needs a
+    non-empty list of values, and the size key takes integers >= 1.
+    """
+    if not isinstance(grid, dict) or not grid:
+        raise ValueError(f"{model_family} grid must be a non-empty mapping")
+    unknown = sorted(set(grid) - GRID_KEYS[model_family])
+    if unknown:
+        raise ValueError(
+            f"unknown {model_family} grid keys {unknown}; "
+            f"allowed: {sorted(GRID_KEYS[model_family])}"
+        )
+    for name, values in grid.items():
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValueError(f"{model_family} grid {name!r} needs a non-empty list")
+    for size in grid.get(SIZE_KEYS[model_family], ()):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(
+                f"{model_family} grid {SIZE_KEYS[model_family]!r} values must be "
+                f"integers >= 1, got {size!r}"
+            )
+    build = _tree_params if model_family == "forest" else _boost_params
+    for _, point in _grid_points(grid):
+        try:
+            build(point)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{model_family} grid point {point}: {exc}") from None
 
 
 def cross_validate(
@@ -173,29 +232,56 @@ def cross_validate(
         raise TooFewSamples(f"{train.n} rows cannot fill {cv.k} folds")
     if model_family not in FAMILIES:
         raise ValueError(f"unknown model family {model_family!r}")
-    train_fn, predict_fn, _ = FAMILIES[model_family]
+    train_fn = FAMILIES[model_family][0]
+    staged_proba = _STAGED_PROBA[model_family]
+    size_key = SIZE_KEYS[model_family]
 
     fold_rng = np.random.default_rng(child_seed(seed, "folds"))
     folds = stratified_folds(train.labels, cv.k, fold_rng)
     fold_seeds = [child_seed(seed, "fold", f) for f in range(cv.k)]
     all_idx = np.arange(train.n, dtype=np.intp)
 
+    # Points that differ only in size share one fit at the group's largest
+    # size; each smaller size reads its labels off the staged predictions.
+    points = list(_grid_points(cv.grid))
+    names = sorted(cv.grid)
+    at = names.index(size_key) if size_key in names else None
+    groups: dict[tuple, list[int]] = {}
+    for n, (key, _) in enumerate(points):
+        rest = key if at is None else key[:at] + key[at + 1:]
+        groups.setdefault(rest, []).append(n)
+
+    fold_scores: dict[tuple[int, int], float] = {}  # (point, fold) -> score
+    for members in groups.values():
+        sizes = [points[n][1].get(size_key, DEFAULT_SIZE) for n in members]
+        fit_point = points[members[int(np.argmax(sizes))]][1]
+        for f, valid_idx in enumerate(folds):
+            fit_idx = np.setdiff1d(all_idx, valid_idx, assume_unique=True)
+            model = train_fn(train.take(fit_idx), fit_point, fold_seeds[f])
+            valid_labels = train.labels[valid_idx]
+            stages = staged_proba(model, train.features[valid_idx])
+            for size, proba in enumerate(stages, start=1):
+                if size not in sizes:
+                    continue
+                preds = np.where(proba > 0.5, HIGH, LOW).astype(np.int64)
+                try:
+                    score = f_beta(confusion(valid_labels, preds), cv.beta)
+                except NoPositives:
+                    continue
+                for n, s in zip(members, sizes):
+                    if s == size:
+                        fold_scores[n, f] = score
+
     best_key = None
     best_params: dict = {}
     best_score = -np.inf
     table: list[CvRecord] = []
-    for key, point in _grid_points(cv.grid):
+    for n, (key, point) in enumerate(points):
         scores = []
-        for f, valid_idx in enumerate(folds):
-            fit_idx = np.setdiff1d(all_idx, valid_idx, assume_unique=True)
-            model = train_fn(train.take(fit_idx), point, fold_seeds[f])
-            preds = predict_fn(model, train.features[valid_idx])
-            try:
-                score = f_beta(confusion(train.labels[valid_idx], preds), cv.beta)
-            except NoPositives:
-                continue
-            scores.append(score)
-            table.append(CvRecord(params=dict(point), fold=f, score=score))
+        for f in range(cv.k):
+            if (n, f) in fold_scores:
+                scores.append(fold_scores[n, f])
+                table.append(CvRecord(params=dict(point), fold=f, score=fold_scores[n, f]))
         if not scores:
             raise NoPositives("every fold had an undefined F-score")
         mean = float(np.mean(scores))

@@ -1,12 +1,19 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
-These re-derive quantities from serialized JSON documents only, touching
-none of the library's accumulation code paths.
+The importance oracles re-derive quantities from serialized JSON documents
+only, touching none of the library's accumulation code paths. The CV oracle
+fits every grid point from scratch, with no sharing between tree counts.
 """
 
+import itertools
 import json
 
 import numpy as np
+
+from hazardlens.metrics import confusion, f_beta
+from hazardlens.errors import NoPositives
+from hazardlens.selection import FAMILIES, stratified_folds
+from hazardlens.seeds import child_seed
 
 
 def forest_importance_from_json(text: str, mode: str) -> np.ndarray:
@@ -69,3 +76,35 @@ def kendall_tau(a, b) -> float:
                 discordant += 1
     total = n * (n - 1) / 2
     return (concordant - discordant) / total
+
+
+def cross_validate_brute(train, family, cv, seed):
+    """Grid search that fits and predicts every (point, fold) on its own.
+
+    Same fold layout, fold seeds, score rule and tie rule as
+    selection.cross_validate; returns (best_params, [(params, fold, score)]).
+    """
+    fit, predict, _ = FAMILIES[family]
+    folds = stratified_folds(
+        train.labels, cv.k, np.random.default_rng(child_seed(seed, "folds"))
+    )
+    names = sorted(cv.grid)
+    best = None  # (-mean, value-index tuple, params)
+    table = []
+    for combo in itertools.product(*(range(len(cv.grid[n])) for n in names)):
+        point = {name: cv.grid[name][i] for name, i in zip(names, combo)}
+        scores = []
+        for f, valid in enumerate(folds):
+            keep = np.setdiff1d(np.arange(train.n), valid)
+            model = fit(train.take(keep), point, child_seed(seed, "fold", f))
+            preds = predict(model, train.features[valid])
+            try:
+                score = f_beta(confusion(train.labels[valid], preds), cv.beta)
+            except NoPositives:
+                continue
+            scores.append(score)
+            table.append((point, f, score))
+        candidate = (-float(np.mean(scores)), combo, point)
+        if best is None or candidate[:2] < best[:2]:
+            best = candidate
+    return best[2], table

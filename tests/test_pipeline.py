@@ -386,3 +386,107 @@ def test_job_seed_independent_of_other_pairs(tiny_run):
     full = report.results[("ash", "heat")]
     assert solo.outcomes["forest"].model_json == full.outcomes["forest"].model_json
     assert solo.outcomes["gbt"].fbeta == full.outcomes["gbt"].fbeta
+
+def two_county_config(out_dir, **overrides):
+    settings = dict(
+        seed=6,
+        out_dir=str(out_dir),
+        synth={
+            "counties": [
+                {"name": "ash", "n_tracts": 60, "hazards": ["heat"]},
+                {"name": "oak", "n_tracts": 70, "hazards": ["heat"]},
+            ],
+            "n_features": 6,
+            "informative_count": 2,
+            "noise": 0.2,
+        },
+        forest_grid={"n_trees": [2, 4], "max_depth": [3]},
+        gbt_grid={"n_rounds": [1, 3], "max_depth": [2], "learning_rate": [0.3],
+                  "l2_reg": [1.0]},
+        cv_k=3,
+        top_k=2,
+    )
+    settings.update(overrides)
+    return RunConfig(**settings)
+
+
+def test_gbt_only_run_writes_transfer(tmp_path):
+    report = run(two_county_config(tmp_path / "g", families=["gbt"]))
+    assert not report.failures
+    out = tmp_path / "g"
+    assert (out / "models/ash__heat__gbt.json").is_file()
+    assert not (out / "models/ash__heat__forest.json").exists()
+    assert (out / "transfer/cross_county_heat.csv").is_file()
+    assert (out / "transfer/cross_county_heat.svg").is_file()
+    assert "transfer/cross_county_heat.csv" in report.manifest
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [
+        {"forest_grid": {"n_tree": [2], "max_depth": [3]}},  # misspelt size key
+        {"forest_grid": {"n_trees": [2], "min_samples_leaf": [0]}},
+        {"gbt_grid": {"n_rounds": [], "max_depth": [2]}},
+        {"gbt_grid": {"n_rounds": [0]}},
+    ],
+)
+def test_bad_grid_rejected_before_anything_is_written(tmp_path, grids):
+    out = tmp_path / "out"
+    with pytest.raises(InvalidConfig):
+        two_county_config(out, **grids)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "seed": 1, "out_dir": str(out), "synth": {"preset": "synth6x3"}, "cv": grids,
+    }))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert not out.exists()
+
+
+def one_pair_config(out_dir, workers, families=("forest", "gbt")):
+    return two_county_config(
+        out_dir,
+        workers=workers,
+        families=list(families),
+        synth={
+            "counties": [{"name": "ash", "n_tracts": 80, "hazards": ["heat"]}],
+            "n_features": 6,
+            "informative_count": 2,
+            "noise": 0.2,
+        },
+    )
+
+
+def test_one_pair_pool_matches_inline(tmp_path):
+    # one pair, two families: workers=2 runs the families in the pool
+    inline = run(one_pair_config(tmp_path / "w1", workers=1))
+    pooled = run(one_pair_config(tmp_path / "w2", workers=2))
+    assert not inline.failures and len(inline.results) == 1
+    assert (tmp_path / "w1/manifest.json").read_bytes() == (
+        tmp_path / "w2/manifest.json"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("families", [("forest", "gbt"), ("gbt", "forest")])
+def test_pair_fails_with_first_family_error(tmp_path, monkeypatch, workers, families):
+    from hazardlens import selection
+    from hazardlens.errors import ClassTooSmall, TooFewSamples
+
+    raised = {"forest": TooFewSamples, "gbt": ClassTooSmall}
+
+    def failing(family):
+        def fit(data, point, seed):
+            raise raised[family](f"{family} failed")
+        return fit
+
+    for family, (_, predict, grid) in list(selection.FAMILIES.items()):
+        monkeypatch.setitem(selection.FAMILIES, family, (failing(family), predict, grid))
+    out = tmp_path / "out"
+    report = run(one_pair_config(out, workers=workers, families=families))
+    expected = raised[families[0]].__name__
+    assert [f["error"] for f in report.failures] == [expected]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failures"] == [
+        {"county": "ash", "hazard": "heat", "error": expected,
+         "message": f"{families[0]} failed"}
+    ]

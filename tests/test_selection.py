@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import labeled_from_arrays
+from oracles import cross_validate_brute
+from hazardlens.boosting import predict_gbt, predict_margin_gbt, sigmoid, staged_margin_gbt
+from hazardlens.forest import predict_proba_forest, staged_proba_forest
 from hazardlens.dataset import HIGH, LOW
 from hazardlens.errors import ClassTooSmall, DegenerateLabels, TooFewSamples
 from hazardlens.selection import (
+    FAMILIES,
     CvSpec,
     SplitSpec,
+    check_grid,
     cross_validate,
     stratified_folds,
     stratified_split,
@@ -151,3 +158,95 @@ def test_cv_spec_validation():
         CvSpec(k=1, grid={"a": [1]})
     with pytest.raises(ValueError):
         CvSpec(k=5, grid={})
+
+
+@st.composite
+def tied_datasets(draw, k):
+    """Small matrices over a three-value alphabet, so split ties are common,
+    with at least k rows of each class so every fold holds a positive."""
+    n = draw(st.integers(min_value=3 * k, max_value=24))
+    n_features = draw(st.integers(min_value=2, max_value=3))
+    cells = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]),
+                          min_size=n * n_features, max_size=n * n_features))
+    n_high = draw(st.integers(min_value=k, max_value=n - k))
+    order = draw(st.permutations(range(n)))
+    y = np.zeros(n, dtype=np.int64)
+    y[list(order[:n_high])] = 1
+    return labeled_from_arrays(np.array(cells).reshape(n, n_features), y)
+
+
+def assert_same_cv(shared, brute):
+    best, table = shared
+    brute_best, brute_table = brute
+    assert best == brute_best
+    assert [(r.params, r.fold) for r in table] == [(p, f) for p, f, _ in brute_table]
+    # bit-equal scores, not approximately equal
+    assert [np.float64(r.score).tobytes() for r in table] == [
+        np.float64(s).tobytes() for _, _, s in brute_table
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=tied_datasets(k=3),
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    depths=st.sampled_from([[None], [None, 1], [2, 1]]),
+    seed=st.integers(0, 2**32),
+)
+def test_cv_prefix_sharing_matches_brute_force_forest(data, sizes, depths, seed):
+    cv = CvSpec(k=3, grid={"n_trees": sizes, "max_depth": depths})
+    assert_same_cv(
+        cross_validate(data, "forest", cv, seed),
+        cross_validate_brute(data, "forest", cv, seed),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=tied_datasets(k=2),
+    rounds=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    rates=st.sampled_from([[0.3], [0.3, 1.0], [1.0, 0.1]]),
+    seed=st.integers(0, 2**32),
+)
+def test_cv_prefix_sharing_matches_brute_force_gbt(data, rounds, rates, seed):
+    cv = CvSpec(k=2, grid={"n_rounds": rounds, "learning_rate": rates, "max_depth": [2]})
+    assert_same_cv(
+        cross_validate(data, "gbt", cv, seed),
+        cross_validate_brute(data, "gbt", cv, seed),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=tied_datasets(k=2), size=st.integers(1, 6), seed=st.integers(0, 2**32))
+def test_staged_last_stage_equals_predict(data, size, seed):
+    forest = FAMILIES["forest"][0](data, {"n_trees": size, "max_depth": 3}, seed)
+    stages = list(staged_proba_forest(forest, data.features))
+    assert len(stages) == size
+    assert stages[-1].tobytes() == predict_proba_forest(forest, data.features).tobytes()
+
+    gbt = FAMILIES["gbt"][0](data, {"n_rounds": size, "learning_rate": 0.3}, seed)
+    margins = list(staged_margin_gbt(gbt, data.features))
+    assert len(margins) == size
+    assert margins[-1].tobytes() == predict_margin_gbt(gbt, data.features).tobytes()
+    labels = np.where(sigmoid(margins[-1]) > 0.5, HIGH, LOW)
+    assert labels.tolist() == predict_gbt(gbt, data.features).tolist()
+
+
+def test_check_grid_accepts_defaults_and_rejects_bad_grids():
+    for family, (_, _, grid) in FAMILIES.items():
+        check_grid(family, grid)
+    for family, grid in (
+        ("forest", {"n_tree": [2]}),  # misspelt size key
+        ("forest", {"min_samples_leaf": [0]}),
+        ("forest", {"n_trees": []}),
+        ("forest", {"n_trees": [2.0]}),
+        ("forest", {"n_trees": [0]}),
+        ("gbt", {"n_rounds": [True]}),
+        ("gbt", {"learning_rate": [0.0]}),
+        ("gbt", {"max_depth": [None]}),
+        ("gbt", {"features_per_split": [2]}),
+        ("gbt", {}),
+        ("gbt", [1, 2]),
+    ):
+        with pytest.raises(ValueError):
+            check_grid(family, grid)
