@@ -97,6 +97,52 @@ def _leaf_weight(g_sum: float, h_sum: float, l2: float) -> float:
     return 0.0 if denom <= 0.0 else -g_sum / denom
 
 
+def _best_reg_split(
+    X: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    g_sum: float,
+    h_sum: float,
+    l2: float,
+    min_leaf: int,
+) -> tuple[float, int, float] | None:
+    """(gain, feature, threshold) of a node's best positive-gain split.
+
+    X, g and h hold the node's rows only. Every feature is scanned in one
+    array pass, one sorted row per feature. The sort is stable and the
+    running sums add each row's values in sorted order, so G_l / H_l are the
+    bits a per-feature scan computes. Ties go to the lowest feature, then
+    the lowest threshold. A feature whose admissible gains include a NaN is
+    skipped. Returns None when no admissible split has gain > 0.
+    """
+    n = X.shape[0]
+    parent_score = g_sum * g_sum / (h_sum + l2)
+    block = X.T
+    order = np.argsort(block, axis=1, kind="stable")
+    sv = np.take_along_axis(block, order, axis=1)
+    g_l = np.cumsum(g[order], axis=1)[:, :-1]
+    h_l = np.cumsum(h[order], axis=1)[:, :-1]
+
+    valid = sv[:, 1:] != sv[:, :-1]
+    if min_leaf > 1:
+        pos = np.arange(1, n)  # the left side takes the first pos sorted values
+        valid &= (pos >= min_leaf) & (n - pos >= min_leaf)
+    if not valid.any():
+        return None
+    g_r = g_sum - g_l
+    h_r = h_sum - h_l
+    gains = 0.5 * (g_l * g_l / (h_l + l2) + g_r * g_r / (h_r + l2) - parent_score)
+    gains[~valid] = -np.inf
+    gains[np.isnan(gains).any(axis=1)] = -np.inf
+
+    # first maximum in feature-major order: lowest feature, then threshold
+    j, r = divmod(int(np.argmax(gains)), n - 1)
+    gain = float(gains[j, r])
+    if not gain > 0.0:
+        return None
+    return gain, j, float(0.5 * (sv[j, r] + sv[j, r + 1]))
+
+
 def _grow_reg_tree(
     X: np.ndarray,
     g: np.ndarray,
@@ -113,34 +159,9 @@ def _grow_reg_tree(
         if depth >= params.max_depth or n < 2 * min_leaf:
             return RegLeaf(weight=_leaf_weight(g_sum, h_sum, l2), n=n)
 
-        parent_score = g_sum * g_sum / (h_sum + l2)
-        best = None  # (gain, feature, threshold)
-        for j in range(X.shape[1]):
-            values = X[idx, j]
-            order = np.argsort(values, kind="stable")
-            sv = values[order]
-            g_cum = np.cumsum(g[idx][order])
-            h_cum = np.cumsum(h[idx][order])
-
-            pos = np.arange(1, n)
-            valid = sv[1:] != sv[:-1]
-            if min_leaf > 1:
-                valid &= (pos >= min_leaf) & (n - pos >= min_leaf)
-            if not valid.any():
-                continue
-            g_l = g_cum[pos[valid] - 1]
-            h_l = h_cum[pos[valid] - 1]
-            g_r = g_sum - g_l
-            h_r = h_sum - h_l
-            gains = 0.5 * (
-                g_l * g_l / (h_l + l2) + g_r * g_r / (h_r + l2) - parent_score
-            )
-            k = int(np.argmax(gains))
-            gain = float(gains[k])
-            if gain > 0.0 and (best is None or gain > best[0]):
-                i = pos[valid][k]
-                best = (gain, j, float(0.5 * (sv[i - 1] + sv[i])))
-
+        # a separate call, so the scan's (rows x features) temporaries are
+        # freed before the children are built
+        best = _best_reg_split(X[idx], g[idx], h[idx], g_sum, h_sum, l2, min_leaf)
         if best is None:
             return RegLeaf(weight=_leaf_weight(g_sum, h_sum, l2), n=n)
         gain, feature, threshold = best
@@ -154,21 +175,24 @@ def _grow_reg_tree(
             right=build(idx[~go_left], depth + 1),
         )
 
-    return build(np.arange(g.shape[0], dtype=np.intp), 0)
+    root = build(np.arange(g.shape[0], dtype=np.intp), 0)
+    del build  # breaks build's self-reference, as in cart.grow_tree
+    return root
 
 
 def _reg_predict(node: RegNode, X: np.ndarray) -> np.ndarray:
+    """Leaf weight of every row of X; an explicit stack, as in
+    cart.tree_predict_proba."""
     out = np.empty(X.shape[0], dtype=np.float64)
-
-    def route(nd: RegNode, idx: np.ndarray):
+    todo = [(node, np.arange(X.shape[0], dtype=np.intp))]
+    while todo:
+        nd, idx = todo.pop()
         if isinstance(nd, RegLeaf):
             out[idx] = nd.weight
-            return
+            continue
         go_left = X[idx, nd.feature] <= nd.threshold
-        route(nd.left, idx[go_left])
-        route(nd.right, idx[~go_left])
-
-    route(node, np.arange(X.shape[0], dtype=np.intp))
+        todo.append((nd.left, idx[go_left]))
+        todo.append((nd.right, idx[~go_left]))
     return out
 
 

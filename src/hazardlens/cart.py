@@ -80,6 +80,18 @@ def gini_impurity(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+def _gini(low: int, high: int) -> float:
+    """gini_impurity([low, high]) of a non-empty node, in scalar floats.
+
+    Same operations as gini_impurity: total, p = c / total, then
+    1 - (p0^2 + p1^2), so the result is bit-identical.
+    """
+    total = float(low + high)
+    p0 = low / total
+    p1 = high / total
+    return 1.0 - (p0 * p0 + p1 * p1)
+
+
 def best_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -97,49 +109,48 @@ def best_split(
     A node that is impure but where every admissible split has zero gain
     still returns a (zero-gain) split: parity patterns need such splits to
     become separable one level down.
+
+    All candidate features are scanned in one array pass over the node's
+    finite feature values, one sorted row per feature.
     """
     n = y.shape[0]
-    parent_counts = np.array([np.sum(y == 0), np.sum(y == 1)], dtype=np.float64)
-    parent_gini = gini_impurity(parent_counts)
+    if n == 0:
+        raise EmptyDistribution("class distribution has zero total count")
+    high = int(np.count_nonzero(y))
+    parent_gini = _gini(n - high, high)
     if parent_gini == 0.0:
         return None
 
-    best: tuple[float, int, float] | None = None  # (gain, feature, threshold)
-    for j in sorted(int(f) for f in candidate_features):
-        values = X[:, j]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sy = y[order]
+    # one row per candidate feature, in ascending feature order
+    features = np.array(sorted(candidate_features), dtype=np.intp)
+    block = X[:, features].T
+    sv = np.sort(block, axis=1)
+    # Counts left of a threshold do not depend on the order of tied rows,
+    # so the row order need not be stable.
+    cum_high = np.cumsum(y[np.argsort(block, axis=1)], axis=1)
 
-        cum_high = np.cumsum(sy)
-        pos = np.arange(1, n)  # left side takes sv[:pos]
-        valid = sv[1:] != sv[:-1]
-        if min_samples_leaf > 1:
-            valid &= (pos >= min_samples_leaf) & (n - pos >= min_samples_leaf)
-        if not valid.any():
-            continue
-
-        n_l = pos[valid].astype(np.float64)
-        n_r = n - n_l
-        high_l = cum_high[pos[valid] - 1].astype(np.float64)
-        low_l = n_l - high_l
-        high_r = parent_counts[1] - high_l
-        low_r = parent_counts[0] - low_l
-        g_l = 1.0 - (high_l * high_l + low_l * low_l) / (n_l * n_l)
-        g_r = 1.0 - (high_r * high_r + low_r * low_r) / (n_r * n_r)
-        gains = parent_gini - (n_l * g_l + n_r * g_r) / n
-
-        k = int(np.argmax(gains))  # first max = lowest threshold
-        gain = float(gains[k])
-        if best is None or gain > best[0]:
-            i = pos[valid][k]
-            threshold = float(0.5 * (sv[i - 1] + sv[i]))
-            best = (gain, j, threshold)
-
-    if best is None:
+    pos = np.arange(1, n)  # the left side takes the first pos sorted values
+    valid = sv[:, 1:] != sv[:, :-1]
+    if min_samples_leaf > 1:
+        valid &= (pos >= min_samples_leaf) & (n - pos >= min_samples_leaf)
+    if not valid.any():
         return None
-    gain, feature, threshold = best
-    return feature, threshold, gain
+
+    n_l = pos.astype(np.float64)
+    n_r = n - n_l
+    high_l = cum_high[:, :-1].astype(np.float64)
+    low_l = n_l - high_l
+    high_r = high - high_l
+    low_r = (n - high) - low_l
+    g_l = 1.0 - (high_l * high_l + low_l * low_l) / (n_l * n_l)
+    g_r = 1.0 - (high_r * high_r + low_r * low_r) / (n_r * n_r)
+    gains = parent_gini - (n_l * g_l + n_r * g_r) / n
+    gains[~valid] = -np.inf
+
+    # first maximum in feature-major order: lowest feature, then threshold
+    j, r = divmod(int(np.argmax(gains)), n - 1)
+    threshold = float(0.5 * (sv[j, r] + sv[j, r + 1]))
+    return int(features[j]), threshold, float(gains[j, r])
 
 
 def grow_tree(
@@ -165,52 +176,52 @@ def grow_tree(
     if m is not None and m > n_features:
         m = n_features
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
-        sub_y = y[idx]
-        counts = np.array([np.sum(sub_y == 0), np.sum(sub_y == 1)], dtype=np.int64)
+    def build(idx: np.ndarray, high: int, depth: int) -> TreeNode:
         n = idx.shape[0]
+        low = n - high
         if (
-            counts[0] == 0
-            or counts[1] == 0
+            low == 0
+            or high == 0
             or (params.max_depth is not None and depth >= params.max_depth)
             or n < params.min_samples_split
         ):
-            return Leaf(counts=counts, n=n)
+            return Leaf(counts=np.array([low, high], dtype=np.int64), n=n)
 
         if m is None or m == n_features:
             candidates = range(n_features)
         else:
             candidates = rng.choice(n_features, size=m, replace=False)
+        sub_y = y[idx]
         found = best_split(X[idx], sub_y, candidates, params.min_samples_leaf)
         if found is None:
-            return Leaf(counts=counts, n=n)
+            return Leaf(counts=np.array([low, high], dtype=np.int64), n=n)
         feature, threshold, _ = found
 
         go_left = X[idx, feature] <= threshold
         left_idx = idx[go_left]
         right_idx = idx[~go_left]
-        left = build(left_idx, depth + 1)
-        right = build(right_idx, depth + 1)
+        n_left = left_idx.shape[0]
+        n_right = n - n_left
+        high_left = int(np.count_nonzero(sub_y[go_left]))
+        high_right = high - high_left
         return Split(
             feature=feature,
             threshold=threshold,
-            impurity=gini_impurity(counts),
+            impurity=_gini(low, high),
             n=n,
-            left_impurity=gini_impurity(_node_counts(left)),
-            right_impurity=gini_impurity(_node_counts(right)),
-            n_left=left_idx.shape[0],
-            n_right=right_idx.shape[0],
-            left=left,
-            right=right,
+            left_impurity=_gini(n_left - high_left, high_left),
+            right_impurity=_gini(n_right - high_right, high_right),
+            n_left=n_left,
+            n_right=n_right,
+            left=build(left_idx, high_left, depth + 1),
+            right=build(right_idx, high_right, depth + 1),
         )
 
-    return build(np.arange(y.shape[0], dtype=np.intp), 0)
-
-
-def _node_counts(node: TreeNode) -> np.ndarray:
-    if isinstance(node, Leaf):
-        return node.counts
-    return _node_counts(node.left) + _node_counts(node.right)
+    root = build(np.arange(y.shape[0], dtype=np.intp), int(np.count_nonzero(y)), 0)
+    # build refers to itself, a reference cycle that would keep X and y
+    # alive until the next garbage collection; clearing the name breaks it
+    del build
+    return root
 
 
 def predict_proba_tree(tree: TreeNode, x, n_features: int | None = None) -> np.ndarray:
@@ -232,19 +243,22 @@ def predict_proba_tree(tree: TreeNode, x, n_features: int | None = None) -> np.n
 
 
 def tree_predict_proba(tree: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Vector of P(high) for every row of X, routed in bulk."""
+    """Vector of P(high) for every row of X, routed in bulk.
+
+    The walk keeps an explicit stack: a recursive closure would form a
+    reference cycle that holds `out` until the next garbage collection.
+    """
     X = np.asarray(X, dtype=np.float64)
     out = np.empty(X.shape[0], dtype=np.float64)
-
-    def route(node: TreeNode, idx: np.ndarray):
+    todo = [(tree, np.arange(X.shape[0], dtype=np.intp))]
+    while todo:
+        node, idx = todo.pop()
         if isinstance(node, Leaf):
             out[idx] = node.counts[1] / node.n
-            return
+            continue
         go_left = X[idx, node.feature] <= node.threshold
-        route(node.left, idx[go_left])
-        route(node.right, idx[~go_left])
-
-    route(tree, np.arange(X.shape[0], dtype=np.intp))
+        todo.append((node.left, idx[go_left]))
+        todo.append((node.right, idx[~go_left]))
     return out
 
 

@@ -27,6 +27,7 @@ from .importance import (
 from .pipeline import (
     PRESETS,
     RunConfig,
+    canonical_family,
     load_run_models,
     load_run_summary,
     rebuild_eval_splits,
@@ -154,12 +155,20 @@ def _transfer_policy(summary: dict) -> TransferPolicy:
     )
 
 
+def _finished_run(path: str) -> tuple[Path, dict]:
+    """The run directory and its summary; checked before anything is written."""
+    run_dir = Path(path)
+    if not (run_dir / "summary.json").is_file():
+        raise InvalidConfig(f"{run_dir} is not a finished run: no summary.json")
+    return run_dir, load_run_summary(run_dir)
+
+
 def _cmd_transfer(args) -> int:
-    run_dir = Path(args.run)
+    run_dir, summary = _finished_run(args.run)
     out = Path(args.out) if args.out else run_dir / "transfer_recomputed"
     out.mkdir(parents=True, exist_ok=True)
-    summary = load_run_summary(run_dir)
     policy = _transfer_policy(summary)
+    canonical = canonical_family(summary["config"]["families"])
     models = load_run_models(run_dir)
     splits = rebuild_eval_splits(run_dir)
 
@@ -171,7 +180,7 @@ def _cmd_transfer(args) -> int:
     hazards = tuple(summary["hazards"])
     counties = tuple(summary["counties"])
     for hazard in hazards:
-        ms = {c: m for (c, h, fam), m in models.items() if h == hazard and fam == "forest"}
+        ms = {c: m for (c, h, fam), m in models.items() if h == hazard and fam == canonical}
         evals = {c: s for (c, h), s in splits.items() if h == hazard}
         if len(set(ms) & set(evals)) < 2:
             continue
@@ -182,7 +191,7 @@ def _cmd_transfer(args) -> int:
         else:
             emit(outcome, f"cross_county_{hazard}")
     for county in counties:
-        ms = {h: m for (c, h, fam), m in models.items() if c == county and fam == "forest"}
+        ms = {h: m for (c, h, fam), m in models.items() if c == county and fam == canonical}
         evals = {h: s for (c, h), s in splits.items() if c == county}
         if len(set(ms) & set(evals)) < 2:
             continue
@@ -196,10 +205,9 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_importance(args) -> int:
-    run_dir = Path(args.run)
+    run_dir, summary = _finished_run(args.run)
     out = Path(args.out) if args.out else run_dir / "importance_recomputed"
     out.mkdir(parents=True, exist_ok=True)
-    summary = load_run_summary(run_dir)
     mode = args.mode or summary["config"]["importance_mode"]
     top_k = summary["config"]["top_k"]
     models = load_run_models(run_dir)

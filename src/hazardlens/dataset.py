@@ -10,7 +10,6 @@ is high-risk, everything else (ties included) is low-risk.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -51,14 +50,6 @@ class FeatureSchema:
     @property
     def feature_count(self) -> int:
         return len(self.feature_names)
-
-    def fingerprint(self) -> str:
-        """Stable digest of the ordered feature names."""
-        joined = "\x1f".join(self.feature_names)
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
-
-    def index_of(self, name: str) -> int:
-        return self.feature_names.index(name)
 
 
 @dataclass

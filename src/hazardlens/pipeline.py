@@ -121,11 +121,13 @@ class RunConfig:
             raise InvalidConfig("workers must be >= 1")
         if self.top_k < 1:
             raise InvalidConfig("top_k must be >= 1")
-        for family, grid in (("forest", self.forest_grid), ("gbt", self.gbt_grid)):
-            try:
+        try:
+            SplitSpec(train_fraction=self.train_fraction, stratified=self.stratified)
+            for family, grid in (("forest", self.forest_grid), ("gbt", self.gbt_grid)):
                 check_grid(family, grid)
-            except ValueError as exc:
-                raise InvalidConfig(str(exc)) from None
+                CvSpec(k=self.cv_k, grid=grid, beta=self.beta)
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from None
         if self.hazards is not None:
             for hazard in self.hazards:
                 if "__" in hazard:
@@ -142,6 +144,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """Config from its to_dict form; keys to_dict never emits are rejected."""
+        _reject_unknown_keys(raw, _CONFIG_KEYS, "config")
+        for section, allowed in _SECTION_KEYS.items():
+            _reject_unknown_keys(raw.get(section, {}), allowed, section)
         data = dict(raw)
         split = data.pop("split", {})
         cv = data.pop("cv", {})
@@ -203,6 +209,27 @@ class RunConfig:
             "missing_feature_policy": self.missing_feature_policy,
             "feature_groups": self.feature_groups,
         }
+
+
+# The keys to_dict emits: the only ones from_dict accepts.
+_CONFIG_KEYS = {
+    "seed", "out_dir", "counties", "synth", "hazards", "beta", "split", "cv",
+    "families", "importance_mode", "transfer", "top_k", "workers",
+    "missing_feature_policy", "feature_groups",
+}
+_SECTION_KEYS = {
+    "split": {"train_fraction", "stratified"},
+    "cv": {"k", "forest_grid", "gbt_grid"},
+    "transfer": {"threshold", "baseline", "eval_on"},
+}
+
+
+def _reject_unknown_keys(section: dict, allowed: set, label: str) -> None:
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"{label} must be a JSON object")
+    unknown = sorted(map(str, set(section) - allowed))
+    if unknown:
+        raise InvalidConfig(f"unknown {label} keys: {', '.join(unknown)}")
 
 
 def synth6x3_config(seed: int, out_dir: str, workers: int = 1) -> RunConfig:
@@ -349,6 +376,11 @@ def _merge_units(parts: list[JobResult]) -> JobResult:
             merged.importance = part.importance
             merged.importance_note = part.importance_note
     return merged
+
+
+def canonical_family(families) -> str:
+    """The family behind the performance table, dispersion and transfer."""
+    return CANONICAL_FAMILY if CANONICAL_FAMILY in families else families[0]
 
 
 def _model_from_json(family: str, text: str):
@@ -564,7 +596,7 @@ def run(config: RunConfig) -> RunReport:
             path.write_text(outcome.model_json, "utf-8")
             track(path)
 
-    canonical = CANONICAL_FAMILY if CANONICAL_FAMILY in config.families else config.families[0]
+    canonical = canonical_family(config.families)
 
     # performance table (canonical family) and long-form metric CSVs
     path = reports_dir / "performance.csv"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .boosting import BoostedModel, predict_gbt
 from .dataset import LabeledDataset
-from .errors import SchemaMismatch
+from .errors import DimensionMismatch, SchemaMismatch
 from .forest import ForestModel, predict_forest
 from .metrics import confusion, f_beta
 
@@ -86,9 +86,21 @@ def predict_labels(model, X: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot predict with {type(model).__name__}")
 
 
-def _score(model, data: LabeledDataset, beta: float) -> float:
-    preds = predict_labels(model, data.features)
-    return f_beta(confusion(data.labels, preds), beta)
+def _score(model, stack: np.ndarray, evals: list[LabeledDataset], beta: float) -> list[float]:
+    """F-beta of one model on each evaluation set.
+
+    `stack` holds the sets' feature rows one after another, so the model
+    predicts once; rows are predicted independently, so each slice equals
+    the labels of predicting its set alone.
+    """
+    preds = predict_labels(model, stack)
+    scores = []
+    start = 0
+    for data in evals:
+        stop = start + data.n
+        scores.append(f_beta(confusion(data.labels, preds[start:stop]), beta))
+        start = stop
+    return scores
 
 
 def _check_schema(model, data: LabeledDataset, label: str) -> None:
@@ -103,11 +115,11 @@ def _build_matrix(
     fixed_id: str,
     ids: tuple[str, ...],
     present: list[str],
-    models: dict[str, object],
-    evals: dict[str, LabeledDataset],
+    scores: dict[tuple[str, str], float],
     policy: TransferPolicy,
     baseline: str,
 ) -> TransferMatrix:
+    """Matrix of score differences; scores[(src, tgt)] is src's model on tgt."""
     matrix = TransferMatrix(
         axis=axis,
         fixed_id=fixed_id,
@@ -115,15 +127,13 @@ def _build_matrix(
         baseline=baseline,
         threshold=policy.threshold,
     )
-    native = {i: _score(models[i], evals[i], policy.beta) for i in present}
     for src in present:
         for tgt in present:
             if src == tgt:
                 delta = 0.0
             else:
-                transferred = _score(models[src], evals[tgt], policy.beta)
-                base = native[tgt] if baseline == BASELINE_TARGET else native[src]
-                delta = (transferred - base) * 100.0
+                base = scores[(tgt, tgt)] if baseline == BASELINE_TARGET else scores[(src, src)]
+                delta = (scores[(src, tgt)] - base) * 100.0
             matrix.delta[(src, tgt)] = delta
             matrix.transferable[(src, tgt)] = classify(delta, policy)
     return matrix
@@ -147,18 +157,20 @@ def _run_axis(
         if key not in ids:
             raise ValueError(f"{key!r} not in the supplied registry")
         _check_schema(models[key], evals[key], key)
+    targets = [evals[key] for key in present]
+    if len({data.features.shape[1] for data in targets}) > 1:
+        raise DimensionMismatch(f"evaluation sets over {axis} differ in feature count")
+    stack = np.concatenate([data.features for data in targets])
+    scores = {}
+    for src in present:
+        row = _score(models[src], stack, targets, policy.beta)
+        scores.update(((src, tgt), value) for tgt, value in zip(present, row))
     if policy.baseline == BASELINE_BOTH:
         return {
-            BASELINE_TARGET: _build_matrix(
-                axis, fixed_id, ids, present, models, evals, policy, BASELINE_TARGET
-            ),
-            BASELINE_SOURCE: _build_matrix(
-                axis, fixed_id, ids, present, models, evals, policy, BASELINE_SOURCE
-            ),
+            name: _build_matrix(axis, fixed_id, ids, present, scores, policy, name)
+            for name in (BASELINE_TARGET, BASELINE_SOURCE)
         }
-    return _build_matrix(
-        axis, fixed_id, ids, present, models, evals, policy, policy.baseline
-    )
+    return _build_matrix(axis, fixed_id, ids, present, scores, policy, policy.baseline)
 
 
 def cross_county(

@@ -3,6 +3,9 @@
 The importance oracles re-derive quantities from serialized JSON documents
 only, touching none of the library's accumulation code paths. The CV oracle
 fits every grid point from scratch, with no sharing between tree counts.
+The split oracles score one (feature, threshold) at a time in scalar floats,
+with the same operations as the column-wise kernels, so results compare bit
+for bit.
 """
 
 import itertools
@@ -10,6 +13,7 @@ import json
 
 import numpy as np
 
+from hazardlens.cart import Leaf, gini_impurity
 from hazardlens.metrics import confusion, f_beta
 from hazardlens.errors import NoPositives
 from hazardlens.selection import FAMILIES, stratified_folds
@@ -108,3 +112,79 @@ def cross_validate_brute(train, family, cv, seed):
         if best is None or candidate[:2] < best[:2]:
             best = candidate
     return best[2], table
+
+
+def _thresholds(column):
+    """Midpoints between adjacent distinct values, ascending."""
+    values = sorted(set(float(v) for v in column))
+    return [0.5 * (a + b) for a, b in zip(values, values[1:])]
+
+
+def best_split_enumeration(X, y, candidates, min_samples_leaf=1):
+    """cart.best_split by enumeration; (feature, threshold, gain) or None.
+
+    Counts come from the rows with X[:, j] <= threshold; the gain uses the
+    kernel's count-based formula. The first strictly larger gain wins, over
+    features then thresholds in ascending order.
+    """
+    n = len(y)
+    high = float(sum(1 for v in y if v == 1))
+    low = n - high
+    parent = gini_impurity([low, high])
+    if parent == 0.0:
+        return None
+    best = None
+    for j in sorted(int(f) for f in candidates):
+        for t in _thresholds(X[:, j]):
+            left = X[:, j] <= t
+            n_l = float(np.count_nonzero(left))
+            n_r = n - n_l
+            if n_l < min_samples_leaf or n_r < min_samples_leaf:
+                continue
+            high_l = float(np.count_nonzero(y[left] == 1))
+            low_l = n_l - high_l
+            high_r = high - high_l
+            low_r = low - low_l
+            g_l = 1.0 - (high_l * high_l + low_l * low_l) / (n_l * n_l)
+            g_r = 1.0 - (high_r * high_r + low_r * low_r) / (n_r * n_r)
+            gain = parent - (n_l * g_l + n_r * g_r) / n
+            if best is None or gain > best[2]:
+                best = (j, t, gain)
+    return best
+
+
+def reg_split_enumeration(X, g, h, l2, min_leaf=1):
+    """Root split of a boosted tree by enumeration; (feature, threshold,
+    gain) or None when no admissible split has positive gain.
+
+    G_l / H_l add the left rows one at a time in stable sorted order, as a
+    running sum does; G / H are the node totals as the tree grower sums them.
+    """
+    n = len(g)
+    g_sum = float(g.sum())
+    h_sum = float(h.sum())
+    parent = g_sum * g_sum / (h_sum + l2)
+    best = None
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        for t in _thresholds(X[:, j]):
+            rows = [i for i in order if X[i, j] <= t]
+            if len(rows) < min_leaf or n - len(rows) < min_leaf:
+                continue
+            g_l = h_l = 0.0
+            for i in rows:
+                g_l += float(g[i])
+                h_l += float(h[i])
+            g_r = g_sum - g_l
+            h_r = h_sum - h_l
+            gain = 0.5 * (g_l * g_l / (h_l + l2) + g_r * g_r / (h_r + l2) - parent)
+            if gain > 0.0 and (best is None or gain > best[2]):
+                best = (j, t, gain)
+    return best
+
+
+def subtree_counts(node):
+    """Per-class counts summed over a cart subtree's leaves."""
+    if isinstance(node, Leaf):
+        return node.counts
+    return subtree_counts(node.left) + subtree_counts(node.right)

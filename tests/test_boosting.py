@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import labeled_from_arrays
+from oracles import reg_split_enumeration
 from hazardlens.boosting import (
     BoostedModel,
     BoostParams,
     RegLeaf,
+    RegSplit,
+    _grow_reg_tree,
     gbt_from_json,
     gbt_to_json,
     predict_proba_gbt,
@@ -130,3 +135,44 @@ def test_serialization_round_trip(rng):
     np.testing.assert_array_equal(
         predict_proba_gbt(model, X), predict_proba_gbt(rebuilt, X)
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 16),
+    n_features=st.integers(1, 4),
+    min_leaf=st.integers(1, 3),
+    l2=st.sampled_from([0.0, 1.0]),
+    data=st.data(),
+)
+def test_root_split_bit_equal_to_enumeration(n, n_features, min_leaf, l2, data):
+    cells = data.draw(st.lists(st.sampled_from([-1.5, 0.25, 2.0]),
+                               min_size=n * n_features, max_size=n * n_features))
+    X = np.array(cells).reshape(n, n_features)
+    probs = st.lists(st.sampled_from([0.25, 0.5, 0.75]), min_size=n, max_size=n)
+    p = np.array(data.draw(probs))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    g, h = p - y, p * (1.0 - p)
+    root = _grow_reg_tree(X, g, h, BoostParams(max_depth=1, l2_reg=l2,
+                                               min_samples_leaf=min_leaf))
+    expected = reg_split_enumeration(X, g, h, l2, min_leaf)
+    if expected is None:
+        assert isinstance(root, RegLeaf)
+    else:
+        assert isinstance(root, RegSplit)
+        got = (root.feature, root.threshold.hex(), root.gain.hex())
+        assert got == (expected[0], expected[1].hex(), expected[2].hex())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_feature_with_undefined_gain_is_skipped():
+    # l2 = 0 and zero hessians on the rows with x0 = 0: the first threshold
+    # of feature 0 scores 0/0. The whole feature is skipped, so feature 1
+    # wins although feature 0 has a larger finite gain at its next threshold.
+    X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
+    g = np.array([0.0, 0.0, -0.5, 0.4, 0.4])
+    h = np.array([0.0, 0.0, 0.25, 0.24, 0.24])
+    root = _grow_reg_tree(X, g, h, BoostParams(max_depth=1, l2_reg=0.0))
+    assert isinstance(root, RegSplit)
+    assert root.feature == 1
+    assert root.threshold == 0.5

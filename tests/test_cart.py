@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import best_split_enumeration, subtree_counts
 from hazardlens.cart import (
     Leaf,
     PAPER_LITERAL,
@@ -287,3 +290,58 @@ def test_tree_params_invariant():
         TreeParams(min_samples_leaf=3, min_samples_split=4)
     with pytest.raises(ValueError):
         TreeParams(features_per_split=0)
+
+
+@st.composite
+def tied_blocks(draw, max_rows=16, max_features=4):
+    """(X, y) with 3 distinct feature values, so thresholds tie heavily."""
+    n = draw(st.integers(min_value=2, max_value=max_rows))
+    n_features = draw(st.integers(min_value=1, max_value=max_features))
+    cells = draw(st.lists(st.sampled_from([-1.5, 0.25, 2.0]),
+                          min_size=n * n_features, max_size=n * n_features))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return (np.array(cells, dtype=np.float64).reshape(n, n_features),
+            np.array(labels, dtype=np.int64))
+
+
+def _bits(found):
+    return None if found is None else (found[0], found[1].hex(), found[2].hex())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=tied_blocks(), picks=st.data(), min_leaf=st.integers(1, 3))
+def test_best_split_bit_equal_to_enumeration(data, picks, min_leaf):
+    X, y = data
+    candidates = picks.draw(
+        st.lists(st.integers(0, X.shape[1] - 1), min_size=1, unique=True)
+    )
+    assert _bits(best_split(X, y, candidates, min_leaf)) == _bits(
+        best_split_enumeration(X, y, candidates, min_leaf)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=tied_blocks(max_rows=40, max_features=5),
+    depth=st.sampled_from([None, 1, 3]),
+    min_leaf=st.integers(1, 3),
+    width=st.integers(1, 5),
+    seed=st.integers(0, 2**32),
+)
+def test_split_child_impurities_match_subtree_counts(data, depth, min_leaf, width, seed):
+    X, y = data
+    params = TreeParams(max_depth=depth, min_samples_leaf=min_leaf,
+                        min_samples_split=2 * min_leaf, features_per_split=width)
+    root = grow_tree(X, y, params, np.random.default_rng(seed))
+    np.testing.assert_array_equal(subtree_counts(root), np.bincount(y, minlength=2))
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Leaf):
+            continue
+        left, right = subtree_counts(node.left), subtree_counts(node.right)
+        assert node.impurity == gini_impurity(left + right)
+        assert node.left_impurity == gini_impurity(left)
+        assert node.right_impurity == gini_impurity(right)
+        assert (node.n_left, node.n_right) == (left.sum(), right.sum())
+        todo += [node.left, node.right]

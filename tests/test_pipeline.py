@@ -237,6 +237,44 @@ def test_config_validation():
         RunConfig(seed=1, out_dir="x", synth={}, workers=0)
     with pytest.raises(InvalidConfig):
         RunConfig(seed=1, out_dir="x", synth={}, transfer_threshold=5.0)
+    with pytest.raises(InvalidConfig):
+        RunConfig(seed=1, out_dir="x", synth={}, train_fraction=1.5)
+    with pytest.raises(InvalidConfig):
+        RunConfig(seed=1, out_dir="x", synth={}, cv_k=1)
+
+
+def test_from_dict_accepts_exactly_the_keys_to_dict_emits():
+    raw = RunConfig(seed=1, out_dir="x", synth={"preset": "synth6x3"}).to_dict()
+    assert RunConfig.from_dict(raw).to_dict() == raw
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"split": {"train_fraction": 1.5}},
+        {"cv": {"k": 1}},
+        {"worker": 4},  # misspelt top-level key
+        {"split": {"train_frac": 0.6}},
+        {"cv": {"folds": 3}},
+        {"transfer": {"treshold": -10.0}},
+        {"split": 0.7},
+    ],
+)
+def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {"seed": 1, "out_dir": str(out), "synth": {"preset": "synth6x3"}, **bad}
+    ))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["transfer", "importance"])
+def test_cli_recompute_missing_run_fails_cleanly(tmp_path, command):
+    missing = tmp_path / "missing"
+    assert main([command, "--run", str(missing)]) == 2
+    assert not missing.exists()
 
 
 def test_cli_run_and_recompute(tmp_path, capsys):
@@ -419,6 +457,19 @@ def test_gbt_only_run_writes_transfer(tmp_path):
     assert (out / "transfer/cross_county_heat.csv").is_file()
     assert (out / "transfer/cross_county_heat.svg").is_file()
     assert "transfer/cross_county_heat.csv" in report.manifest
+
+
+def test_cli_transfer_recomputes_gbt_only_run(tmp_path):
+    out = tmp_path / "g"
+    run(two_county_config(out, families=["gbt"]))
+    assert main(["transfer", "--run", str(out)]) == 0
+    written = sorted(p.name for p in (out / "transfer").iterdir())
+    assert written
+    assert sorted(p.name for p in (out / "transfer_recomputed").iterdir()) == written
+    for name in written:
+        assert (out / "transfer_recomputed" / name).read_bytes() == (
+            out / "transfer" / name
+        ).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import labeled_from_arrays
+from hazardlens.boosting import BoostParams, predict_gbt, predict_proba_gbt, train_gbt
 from hazardlens.cart import TreeParams
 from hazardlens.dataset import make_labeled
 from hazardlens.errors import SchemaMismatch
-from hazardlens.forest import train_forest
+from hazardlens.forest import predict_forest, predict_proba_forest, train_forest
 from hazardlens.selection import SplitSpec, stratified_split
 from hazardlens.synth import CountyPlan, ScenarioSpec, build_scenario, generate_county
 from hazardlens.transfer import (
@@ -168,3 +172,27 @@ def test_needs_two_present_entries():
     only = {"c0": models["c0"]}
     with pytest.raises(ValueError):
         cross_county("heat", only, {"c0": evals["c0"]})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+)
+def test_stacked_prediction_equals_per_block_prediction(sizes, seed):
+    # transfer scoring predicts each source model once on all targets' rows
+    rng = np.random.default_rng(seed)
+    values = np.array([-1.5, 0.25, 2.0])
+    X = rng.choice(values, size=(40, 3))
+    y = (X[:, 0] + rng.choice(values, size=40) > 0.5).astype(np.int64)
+    y[:2] = [0, 1]
+    train = labeled_from_arrays(X, y)
+    forest = train_forest(train, TreeParams(max_depth=4), n_trees=5, seed=seed)
+    gbt = train_gbt(train, BoostParams(n_rounds=3, max_depth=2), seed=seed)
+    blocks = [rng.choice(values, size=(n, 3)) for n in sizes]
+    stack = np.concatenate(blocks)
+    for model, predict in ((forest, predict_forest), (forest, predict_proba_forest),
+                           (gbt, predict_gbt), (gbt, predict_proba_gbt)):
+        whole = predict(model, stack)
+        parts = np.concatenate([predict(model, block) for block in blocks])
+        assert whole.tobytes() == parts.tobytes()
