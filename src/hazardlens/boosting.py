@@ -113,8 +113,11 @@ def _best_reg_split(
     running sums add each row's values in sorted order, so G_l / H_l are the
     bits a per-feature scan computes. Ties go to the lowest feature, then
     the lowest threshold. A feature whose admissible gains include a NaN is
-    skipped. Returns None when no admissible split has gain > 0.
+    skipped. Returns None when no admissible split has gain > 0, and when
+    h_sum + l2 <= 0 (the node's score is undefined; it becomes a 0.0 leaf).
     """
+    if h_sum + l2 <= 0.0:
+        return None
     n = X.shape[0]
     parent_score = g_sum * g_sum / (h_sum + l2)
     block = X.T

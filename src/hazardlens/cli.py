@@ -13,29 +13,29 @@ import json
 import sys
 from pathlib import Path
 
-from . import report as rpt
 from .cart import IMPORTANCE_MODES
-from .dataset import write_county_csv
-from .errors import AllZeroImportance, HazardLensError, InvalidConfig
-from .importance import (
-    ImportanceVector,
-    build_rank_matrix,
-    forest_importance,
-    normalize,
-    overall_importance,
-)
+from .errors import HazardLensError, InvalidConfig
 from .pipeline import (
     PRESETS,
     RunConfig,
     canonical_family,
     load_run_models,
     load_run_summary,
+    pair_importance,
     rebuild_eval_splits,
     run,
+    scenario_specs,
+    transfer_policy,
+    write_importance,
+    write_scenario,
+    write_transfer,
 )
-from .seeds import child_seed
-from .synth import generate_county, planted_oracle, synth6x3_feature_groups, synth6x3_specs
-from .transfer import BASELINE_BOTH, TransferPolicy, cross_county, cross_hazard
+
+# Not called here: the recompute commands reach them through pipeline's
+# writers. perfbench/spans.py wraps these names in this module as well as in
+# pipeline, so they stay bound.
+from .importance import forest_importance  # noqa: F401
+from .transfer import cross_county, cross_hazard  # noqa: F401
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -77,7 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     if args.config:
-        raw = json.loads(Path(args.config).read_text("utf-8"))
+        try:
+            raw = json.loads(Path(args.config).read_text("utf-8"))
+        except (OSError, ValueError) as exc:
+            raise InvalidConfig(f"cannot read config {args.config}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise InvalidConfig("config must be a JSON object")
         if args.seed is not None:
             raw["seed"] = args.seed
         if args.out:
@@ -118,41 +123,14 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _print_written(path: Path) -> None:
+    print(f"wrote {path.name}")
+
+
 def _cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    specs = synth6x3_specs(child_seed(args.seed, "synth"), noise=args.noise)
-    oracle = {}
-    for spec in specs:
-        county = generate_county(spec)
-        write_county_csv(county, out / f"{county.county_id}.csv")
-        told = planted_oracle(spec)
-        oracle[county.county_id] = {
-            "informative": list(told.top_features),
-            "per_hazard_informative": {
-                h: list(s) for h, s in zip(spec.hazards, told.per_hazard_informative)
-            },
-            "law": spec.law,
-            "coupling": spec.coupling,
-        }
-        print(f"wrote {county.county_id}.csv ({county.n} tracts)")
-    (out / "oracle.json").write_text(
-        json.dumps(oracle, sort_keys=True, indent=2) + "\n", "utf-8"
-    )
-    (out / "feature_groups.json").write_text(
-        json.dumps(synth6x3_feature_groups(), sort_keys=True, indent=2) + "\n", "utf-8"
-    )
+    specs, groups = scenario_specs({"preset": args.preset, "noise": args.noise}, args.seed)
+    write_scenario(specs, groups, Path(args.out), _print_written)
     return EXIT_OK
-
-
-def _transfer_policy(summary: dict) -> TransferPolicy:
-    cfg = summary["config"]
-    return TransferPolicy(
-        threshold=cfg["transfer"]["threshold"],
-        beta=cfg["beta"],
-        baseline=cfg["transfer"]["baseline"],
-        eval_on=cfg["transfer"]["eval_on"],
-    )
 
 
 def _finished_run(path: str) -> tuple[Path, dict]:
@@ -165,70 +143,40 @@ def _finished_run(path: str) -> tuple[Path, dict]:
 
 def _cmd_transfer(args) -> int:
     run_dir, summary = _finished_run(args.run)
-    out = Path(args.out) if args.out else run_dir / "transfer_recomputed"
-    out.mkdir(parents=True, exist_ok=True)
-    policy = _transfer_policy(summary)
     canonical = canonical_family(summary["config"]["families"])
-    models = load_run_models(run_dir)
-    splits = rebuild_eval_splits(run_dir)
-
-    def emit(matrix, stem):
-        rpt.write_transfer_csv(out / f"{stem}.csv", matrix)
-        rpt.write_heatmap(out / f"{stem}.svg", matrix)
-        print(f"wrote {stem}.csv / {stem}.svg")
-
-    hazards = tuple(summary["hazards"])
-    counties = tuple(summary["counties"])
-    for hazard in hazards:
-        ms = {c: m for (c, h, fam), m in models.items() if h == hazard and fam == canonical}
-        evals = {c: s for (c, h), s in splits.items() if h == hazard}
-        if len(set(ms) & set(evals)) < 2:
-            continue
-        outcome = cross_county(hazard, ms, evals, policy, registry=counties)
-        if policy.baseline == BASELINE_BOTH:
-            for name, matrix in sorted(outcome.items()):
-                emit(matrix, f"cross_county_{hazard}__{name}")
-        else:
-            emit(outcome, f"cross_county_{hazard}")
-    for county in counties:
-        ms = {h: m for (c, h, fam), m in models.items() if c == county and fam == canonical}
-        evals = {h: s for (c, h), s in splits.items() if c == county}
-        if len(set(ms) & set(evals)) < 2:
-            continue
-        outcome = cross_hazard(county, ms, evals, policy, registry=hazards)
-        if policy.baseline == BASELINE_BOTH:
-            for name, matrix in sorted(outcome.items()):
-                emit(matrix, f"cross_hazard_{county}__{name}")
-        else:
-            emit(outcome, f"cross_hazard_{county}")
+    models = {
+        (county, hazard): model
+        for (county, hazard, family), model in load_run_models(run_dir).items()
+        if family == canonical
+    }
+    write_transfer(
+        Path(args.out) if args.out else run_dir / "transfer_recomputed",
+        models,
+        rebuild_eval_splits(run_dir),
+        tuple(summary["counties"]),
+        tuple(summary["hazards"]),
+        transfer_policy(summary["config"]),
+        _print_written,
+    )
     return EXIT_OK
 
 
 def _cmd_importance(args) -> int:
     run_dir, summary = _finished_run(args.run)
     out = Path(args.out) if args.out else run_dir / "importance_recomputed"
-    out.mkdir(parents=True, exist_ok=True)
     mode = args.mode or summary["config"]["importance_mode"]
-    top_k = summary["config"]["top_k"]
-    models = load_run_models(run_dir)
-
-    by_hazard: dict[str, dict[str, ImportanceVector]] = {}
-    skipped = []
-    for (county, hazard, family), model in sorted(models.items()):
+    vectors = {}
+    skipped = False
+    for (county, hazard, family), model in sorted(load_run_models(run_dir).items()):
         if family != "forest":
             continue
-        try:
-            vector = normalize(forest_importance(model, mode))
-        except AllZeroImportance as exc:
-            skipped.append((county, hazard))
-            print(f"skipping {county}/{hazard}: {exc}", file=sys.stderr)
-            continue
-        by_hazard.setdefault(hazard, {})[county] = vector
-    for hazard in sorted(by_hazard):
-        rpt.write_importance_csv(out / f"importance_{hazard}.csv", by_hazard[hazard])
-        overall = overall_importance(build_rank_matrix(by_hazard[hazard]), top_k)
-        rpt.write_overall_csv(out / f"overall_importance_{hazard}.csv", overall)
-        print(f"wrote importance_{hazard}.csv / overall_importance_{hazard}.csv")
+        vector, note = pair_importance(model, mode)
+        if vector is None:
+            skipped = True
+            print(f"skipping {county}/{hazard}: {note}", file=sys.stderr)
+        else:
+            vectors.setdefault(hazard, {})[county] = vector
+    write_importance(out, vectors, summary["config"]["top_k"], None, _print_written)
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 

@@ -1,12 +1,24 @@
 """Config-driven orchestration: per-pair training, evaluation, and reports.
 
-A run walks every present (county, hazard) pair through split -> CV ->
-refit -> test metrics, then assembles the performance table, the model
-comparison, dispersion statistics, importance rankings, and transfer
-matrices, writing everything under one output directory with a hashed
-manifest. Jobs, one per (county, hazard, model family), are independent:
-their seeds derive from (master seed, county, hazard), so any worker count
-produces byte-identical output for the same seed.
+`run` executes the experiment graph as named stages, in this order:
+
+1. `_prepare_datasets`: load the county CSVs, or generate a synthetic
+   scenario with `write_scenario` and load it back;
+2. `_train`: one unit per (county, hazard, model family) - split, CV,
+   refit, test metrics and forest importance - inline or in a process pool;
+3. `_write_models`: every trained model, serialized once, into `models/`;
+4. `_write_reports`: performance table, metric CSVs, model comparison,
+   dispersion and the CV audit table;
+5. `write_importance`: per-county importance and cross-county rankings;
+6. `write_transfer`: cross-county and cross-hazard transfer matrices;
+7. `_write_summary`, then the manifest of every file the run wrote.
+
+`write_scenario`, `write_importance` and `write_transfer` are also the whole
+implementation of the CLI's `synth`, `importance` and `transfer` commands,
+which recompute from a finished run's `models/` (`load_run_models`) and its
+re-derived evaluation splits (`rebuild_eval_splits`). Unit seeds derive from
+(master seed, county, hazard), so any worker count produces byte-identical
+output for the same seed.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from .forest import forest_from_json, forest_to_json
 from .boosting import gbt_from_json, gbt_to_json
 from .importance import (
     ImportanceVector,
+    OverallImportance,
     build_rank_matrix,
     forest_importance,
     normalize,
@@ -57,6 +70,7 @@ from .selection import (
 )
 from .synth import (
     CountyPlan,
+    ScenarioSpec,
     build_scenario,
     generate_county,
     planted_oracle,
@@ -65,6 +79,7 @@ from .synth import (
 )
 from .transfer import (
     BASELINE_BOTH,
+    TransferMatrix,
     TransferPolicy,
     cross_county,
     cross_hazard,
@@ -108,6 +123,8 @@ class RunConfig:
         for path in self.county_files:
             if not Path(path).is_file():
                 raise InvalidConfig(f"county file not found: {path}")
+        if self.feature_groups is not None and not Path(self.feature_groups).is_file():
+            raise InvalidConfig(f"feature groups file not found: {self.feature_groups}")
         if self.beta <= 0:
             raise InvalidConfig("beta must be positive")
         if not self.families:
@@ -121,24 +138,16 @@ class RunConfig:
             raise InvalidConfig("workers must be >= 1")
         if self.top_k < 1:
             raise InvalidConfig("top_k must be >= 1")
-        try:
-            SplitSpec(train_fraction=self.train_fraction, stratified=self.stratified)
-            for family, grid in (("forest", self.forest_grid), ("gbt", self.gbt_grid)):
-                check_grid(family, grid)
-                CvSpec(k=self.cv_k, grid=grid, beta=self.beta)
-        except ValueError as exc:
-            raise InvalidConfig(str(exc)) from None
         if self.hazards is not None:
             for hazard in self.hazards:
                 if "__" in hazard:
                     raise InvalidConfig("hazard ids must not contain '__'")
         try:
-            TransferPolicy(
-                threshold=self.transfer_threshold,
-                beta=self.beta,
-                baseline=self.transfer_baseline,
-                eval_on=self.transfer_eval_on,
-            )
+            SplitSpec(train_fraction=self.train_fraction, stratified=self.stratified)
+            for family, grid in (("forest", self.forest_grid), ("gbt", self.gbt_grid)):
+                check_grid(family, grid)
+                CvSpec(k=self.cv_k, grid=grid, beta=self.beta)
+            transfer_policy(self.to_dict())
         except ValueError as exc:
             raise InvalidConfig(str(exc)) from None
 
@@ -232,6 +241,17 @@ def _reject_unknown_keys(section: dict, allowed: set, label: str) -> None:
         raise InvalidConfig(f"unknown {label} keys: {', '.join(unknown)}")
 
 
+def transfer_policy(config: dict) -> TransferPolicy:
+    """The transfer policy of a config in its to_dict form, which is also
+    the form summary.json echoes."""
+    return TransferPolicy(
+        threshold=config["transfer"]["threshold"],
+        beta=config["beta"],
+        baseline=config["transfer"]["baseline"],
+        eval_on=config["transfer"]["eval_on"],
+    )
+
+
 def synth6x3_config(seed: int, out_dir: str, workers: int = 1) -> RunConfig:
     """Desk-scale configuration for the six-county benchmark scenario.
 
@@ -256,19 +276,94 @@ def synth6x3_config(seed: int, out_dir: str, workers: int = 1) -> RunConfig:
 PRESETS = {"synth6x3": synth6x3_config}
 
 
-# -- per-pair job ------------------------------------------------------------
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
 
-@dataclass(frozen=True)
-class JobConfig:
-    beta: float
-    train_fraction: float
-    stratified: bool
-    cv_k: int
-    forest_grid: dict
-    gbt_grid: dict
-    families: tuple[str, ...]
-    importance_mode: str
 
+# -- stage 1: datasets ----------------------------------------------------------
+
+def scenario_specs(synth: dict, seed: int) -> tuple[list[ScenarioSpec], dict | None]:
+    """County specs and feature groups of a config's `synth` block."""
+    synth = dict(synth)
+    preset = synth.pop("preset", None)
+    synth_seed = child_seed(seed, "synth")
+    if preset == "synth6x3":
+        return synth6x3_specs(synth_seed, **synth), synth6x3_feature_groups()
+    if preset is not None:
+        raise InvalidConfig(f"unknown synth preset {preset!r}")
+    plans = [
+        CountyPlan(
+            name=c["name"],
+            n_tracts=c["n_tracts"],
+            hazards=tuple(c.get("hazards", ("heat", "flood", "air"))),
+        )
+        for c in synth.pop("counties")
+    ]
+    return build_scenario(plans, seed=synth_seed, **synth), None
+
+
+def write_scenario(
+    specs: list[ScenarioSpec], groups: dict | None, out_dir: Path, track
+) -> list[Path]:
+    """Generate every county into `<county>.csv` under out_dir, with the
+    planted truth in `oracle.json` and the groups, if any, in
+    `feature_groups.json`; returns the CSV paths. `track` sees every file."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    oracle = {}
+    paths = []
+    for spec in specs:
+        county = generate_county(spec)
+        path = out_dir / f"{county.county_id}.csv"
+        write_county_csv(county, path)
+        track(path)
+        paths.append(path)
+        told = planted_oracle(spec)
+        oracle[county.county_id] = {
+            "informative": list(told.top_features),
+            "per_hazard_informative": {
+                h: list(s) for h, s in zip(spec.hazards, told.per_hazard_informative)
+            },
+            "law": spec.law,
+            "coupling": spec.coupling,
+        }
+    for name, payload in (("oracle.json", oracle), ("feature_groups.json", groups)):
+        if payload is not None:
+            _write_json(out_dir / name, payload)
+            track(out_dir / name)
+    return paths
+
+
+def _load_counties(paths, missing_feature_policy: str) -> list[CountyDataset]:
+    """Counties sorted by id, schemas aligned to the first one's order."""
+    datasets = [
+        load_county_csv(p, missing_feature_policy=missing_feature_policy) for p in paths
+    ]
+    for dataset in datasets:
+        if "__" in dataset.county_id:
+            raise InvalidConfig(
+                f"county id {dataset.county_id!r} must not contain '__'"
+            )
+    datasets.sort(key=lambda d: d.county_id)
+    align_schemas(datasets)
+    return datasets
+
+
+def _prepare_datasets(
+    config: RunConfig, out_dir: Path, track
+) -> tuple[list[CountyDataset], dict | None]:
+    """Load CSV counties, or generate + emit + reload synthetic ones."""
+    if config.synth is not None:
+        specs, groups = scenario_specs(config.synth, config.seed)
+        paths = write_scenario(specs, groups, out_dir / "data", track)
+    else:
+        paths = config.county_files
+        groups = None
+        if config.feature_groups:
+            groups = json.loads(Path(config.feature_groups).read_text("utf-8"))
+    return _load_counties(paths, config.missing_feature_policy), groups
+
+
+# -- stage 2: training units ------------------------------------------------------
 
 @dataclass
 class FamilyOutcome:
@@ -277,7 +372,7 @@ class FamilyOutcome:
     f1: float
     fbeta: float
     cells: tuple[int, int, int, int]  # tp, fp, fn, tn
-    model_json: str
+    model: object  # ForestModel or BoostedModel
 
 
 @dataclass
@@ -289,62 +384,50 @@ class JobResult:
     train_n: int
     test_n: int
     outcomes: dict[str, FamilyOutcome]
-    importance: np.ndarray | None
+    importance: ImportanceVector | None  # normalized; forest units only
     importance_note: str | None
     test: LabeledDataset
 
 
-def execute_job(
-    dataset: CountyDataset, hazard: str, cfg: JobConfig, job_seed: int
-) -> JobResult:
-    """Split, cross-validate, refit, and score one (county, hazard) pair."""
-    labeled = make_labeled(dataset, hazard)
-    train, test = stratified_split(
+def _pair_split(labeled: LabeledDataset, train_fraction, stratified, job_seed: int):
+    return stratified_split(
         labeled,
         SplitSpec(
-            train_fraction=cfg.train_fraction,
-            stratified=cfg.stratified,
+            train_fraction=train_fraction,
+            stratified=stratified,
             seed=child_seed(job_seed, "split"),
         ),
     )
 
-    outcomes: dict[str, FamilyOutcome] = {}
-    rf_model = None
-    for family in cfg.families:
-        grid = cfg.forest_grid if family == "forest" else cfg.gbt_grid
-        best, records = cross_validate(
-            train,
-            family,
-            CvSpec(k=cfg.cv_k, grid=grid, beta=cfg.beta),
-            seed=child_seed(job_seed, "cv", family),
-        )
-        train_fn, predict_fn, _ = FAMILIES[family]
-        model = train_fn(train, best, child_seed(job_seed, "fit", family))
-        preds = predict_fn(model, test.features)
-        cells = confusion(test.labels, preds)
-        outcomes[family] = FamilyOutcome(
-            best_params=best,
-            cv_records=records,
-            f1=f_beta(cells, 1.0),
-            fbeta=f_beta(cells, cfg.beta),
-            cells=(cells.tp, cells.fp, cells.fn, cells.tn),
-            model_json=(
-                forest_to_json(model) if family == "forest" else gbt_to_json(model)
-            ),
-        )
-        if family == "forest":
-            rf_model = model
 
-    importance_values = None
-    note = None
-    if rf_model is not None:
-        try:
-            importance_values = normalize(
-                forest_importance(rf_model, cfg.importance_mode)
-            ).values
-        except AllZeroImportance as exc:
-            note = str(exc)
+def pair_importance(model, mode: str) -> tuple[ImportanceVector | None, str | None]:
+    """Normalized forest importance, or None and why it cannot be normalized."""
+    try:
+        return normalize(forest_importance(model, mode)), None
+    except AllZeroImportance as exc:
+        return None, str(exc)
 
+
+def execute_job(
+    dataset: CountyDataset, hazard: str, config: RunConfig, family: str, job_seed: int
+) -> JobResult:
+    """Split, cross-validate, refit, and score one family on one (county,
+    hazard) pair; every family of a pair replays the same split."""
+    labeled = make_labeled(dataset, hazard)
+    train, test = _pair_split(labeled, config.train_fraction, config.stratified, job_seed)
+    grid = config.forest_grid if family == "forest" else config.gbt_grid
+    best, records = cross_validate(
+        train,
+        family,
+        CvSpec(k=config.cv_k, grid=grid, beta=config.beta),
+        seed=child_seed(job_seed, "cv", family),
+    )
+    train_fn, predict_fn, _ = FAMILIES[family]
+    model = train_fn(train, best, child_seed(job_seed, "fit", family))
+    cells = confusion(test.labels, predict_fn(model, test.features))
+    importance, note = None, None
+    if family == "forest":
+        importance, note = pair_importance(model, config.importance_mode)
     return JobResult(
         county=dataset.county_id,
         hazard=hazard,
@@ -352,8 +435,17 @@ def execute_job(
         threshold=labeled.threshold,
         train_n=train.n,
         test_n=test.n,
-        outcomes=outcomes,
-        importance=importance_values,
+        outcomes={
+            family: FamilyOutcome(
+                best_params=best,
+                cv_records=records,
+                f1=f_beta(cells, 1.0),
+                fbeta=f_beta(cells, config.beta),
+                cells=(cells.tp, cells.fp, cells.fn, cells.tn),
+                model=model,
+            )
+        },
+        importance=importance,
         importance_note=note,
         test=test,
     )
@@ -378,163 +470,24 @@ def _merge_units(parts: list[JobResult]) -> JobResult:
     return merged
 
 
-def canonical_family(families) -> str:
-    """The family behind the performance table, dispersion and transfer."""
-    return CANONICAL_FAMILY if CANONICAL_FAMILY in families else families[0]
-
-
-def _model_from_json(family: str, text: str):
-    return forest_from_json(text) if family == "forest" else gbt_from_json(text)
-
-
-# -- run assembly -------------------------------------------------------------
-
-@dataclass
-class RunReport:
-    out_dir: str
-    counties: tuple[str, ...]
-    hazards: tuple[str, ...]
-    absent: list[tuple[str, str]]
-    failures: list[dict]
-    results: dict[tuple[str, str], JobResult]
-    f1_tables: dict[str, MetricTable]
-    fbeta_tables: dict[str, MetricTable]
-    comparison: dict[str, dict[str, float]]
-    dispersion: dict
-    manifest: dict[str, str]
-    written: list[str]
-
-
-def compare_models(
-    fbeta_tables: dict[str, MetricTable], hazards: tuple[str, ...]
-) -> dict[str, dict[str, float]]:
-    """Per-hazard mean F across counties with present data, per family."""
-    means: dict[str, dict[str, float]] = {}
-    for family, table in fbeta_tables.items():
-        means[family] = {}
-        for hazard in hazards:
-            column = table.column(hazard)
-            if column:
-                means[family][hazard] = float(np.mean(column))
-    return means
-
-
-def _prepare_datasets(config: RunConfig, out_dir: Path) -> tuple[list[CountyDataset], dict | None]:
-    """Load CSV counties, or generate + emit + reload synthetic ones."""
-    groups = None
-    if config.synth is not None:
-        synth = dict(config.synth)
-        preset = synth.pop("preset", None)
-        synth_seed = child_seed(config.seed, "synth")
-        if preset == "synth6x3":
-            specs = synth6x3_specs(synth_seed, **synth)
-            groups = synth6x3_feature_groups()
-        elif preset is None:
-            plans = [
-                CountyPlan(
-                    name=c["name"],
-                    n_tracts=c["n_tracts"],
-                    hazards=tuple(c.get("hazards", ("heat", "flood", "air"))),
-                )
-                for c in synth.pop("counties")
-            ]
-            specs = build_scenario(plans, seed=synth_seed, **synth)
-        else:
-            raise InvalidConfig(f"unknown synth preset {preset!r}")
-        data_dir = out_dir / "data"
-        data_dir.mkdir(parents=True, exist_ok=True)
-        oracle = {}
-        paths = []
-        for spec in specs:
-            county = generate_county(spec)
-            path = data_dir / f"{county.county_id}.csv"
-            write_county_csv(county, path)
-            paths.append(path)
-            told = planted_oracle(spec)
-            oracle[county.county_id] = {
-                "informative": list(told.top_features),
-                "per_hazard_informative": {
-                    h: list(s)
-                    for h, s in zip(spec.hazards, told.per_hazard_informative)
-                },
-                "law": spec.law,
-                "coupling": spec.coupling,
-            }
-        (data_dir / "oracle.json").write_text(
-            json.dumps(oracle, sort_keys=True, indent=2) + "\n", "utf-8"
-        )
-        if groups is not None:
-            (data_dir / "feature_groups.json").write_text(
-                json.dumps(groups, sort_keys=True, indent=2) + "\n", "utf-8"
-            )
-        datasets = [load_county_csv(p) for p in paths]
-    else:
-        datasets = [
-            load_county_csv(p, missing_feature_policy=config.missing_feature_policy)
-            for p in config.county_files
-        ]
-        if config.feature_groups:
-            groups = json.loads(Path(config.feature_groups).read_text("utf-8"))
-    for dataset in datasets:
-        if "__" in dataset.county_id:
-            raise InvalidConfig(
-                f"county id {dataset.county_id!r} must not contain '__'"
-            )
-    datasets.sort(key=lambda d: d.county_id)
-    return datasets, groups
-
-
-def run(config: RunConfig) -> RunReport:
-    """Execute the full experiment graph described by the config."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
-
-    datasets, groups = _prepare_datasets(config, out_dir)
-    if config.synth is not None:
-        data_dir = out_dir / "data"
-        written += sorted(
-            p.relative_to(out_dir).as_posix() for p in data_dir.rglob("*") if p.is_file()
-        )
-    align_schemas(datasets)
-    counties = tuple(d.county_id for d in datasets)
-    by_county = {d.county_id: d for d in datasets}
-    if config.hazards is not None:
-        hazards = tuple(config.hazards)
-    else:
-        hazards = tuple(sorted({h for d in datasets for h in d.hazards}))
-
-    job_cfg = JobConfig(
-        beta=config.beta,
-        train_fraction=config.train_fraction,
-        stratified=config.stratified,
-        cv_k=config.cv_k,
-        forest_grid=config.forest_grid,
-        gbt_grid=config.gbt_grid,
-        families=tuple(config.families),
-        importance_mode=config.importance_mode,
-    )
-
+def _train(
+    config: RunConfig, datasets: list[CountyDataset], hazards: tuple[str, ...]
+) -> tuple[dict[tuple[str, str], JobResult], list[tuple[str, str]], list[dict]]:
+    """Results by (county, hazard), absent pairs and failures, all sorted."""
     pairs = []
     absent: list[tuple[str, str]] = []
-    for county in counties:
+    for dataset in datasets:
         for hazard in hazards:
-            if hazard in by_county[county].hazards:
-                pairs.append((county, hazard))
-            else:
-                absent.append((county, hazard))
+            key = (dataset.county_id, hazard)
+            (pairs if hazard in dataset.hazards else absent).append(key)
 
-    # The unit of work is one (pair, family): every family of a pair
-    # replays the pair's split from the same job seed, so even a single
-    # pair keeps two workers busy. Results come back in unit order.
-    families = job_cfg.families
+    # The unit of work is one (pair, family), so even a single pair keeps
+    # two workers busy. Results come back in unit order.
+    by_county = {d.county_id: d for d in datasets}
+    families = config.families
     units = [
-        (
-            by_county[county],
-            hazard,
-            replace(job_cfg, families=(family,)),
-            child_seed(config.seed, "job", county, hazard),
-        )
+        (by_county[county], hazard, config, family,
+         child_seed(config.seed, "job", county, hazard))
         for county, hazard in pairs
         for family in families
     ]
@@ -563,42 +516,58 @@ def run(config: RunConfig) -> RunReport:
                     "message": str(failed),
                 }
             )
-
-    absent = sorted(set(absent))
     failures.sort(key=lambda f: (f["county"], f["hazard"]))
-    ordered = dict(sorted(results.items()))
+    return dict(sorted(results.items())), sorted(set(absent)), failures
 
-    # metric tables per family
+
+# -- stages 3 and 4: models and per-pair reports ------------------------------------
+
+def canonical_family(families) -> str:
+    """The family behind the performance table, dispersion and transfer."""
+    return CANONICAL_FAMILY if CANONICAL_FAMILY in families else families[0]
+
+
+def _write_models(models_dir: Path, results: dict, track) -> None:
+    models_dir.mkdir(parents=True, exist_ok=True)
+    for (county, hazard), res in results.items():
+        for family, outcome in res.outcomes.items():
+            to_json = forest_to_json if family == "forest" else gbt_to_json
+            path = models_dir / f"{county}__{hazard}__{family}.json"
+            path.write_text(to_json(outcome.model), "utf-8")
+            track(path)
+
+
+def compare_models(
+    fbeta_tables: dict[str, MetricTable], hazards: tuple[str, ...]
+) -> dict[str, dict[str, float]]:
+    """Per-hazard mean F across counties with present data, per family."""
+    means: dict[str, dict[str, float]] = {}
+    for family, table in fbeta_tables.items():
+        means[family] = {}
+        for hazard in hazards:
+            column = table.column(hazard)
+            if column:
+                means[family][hazard] = float(np.mean(column))
+    return means
+
+
+def _write_reports(reports_dir: Path, config: RunConfig, counties, hazards, results, track):
+    """Performance table, per-family metric CSVs, model comparison,
+    dispersion and CV audit table; returns (f1 tables, F-beta tables,
+    comparison, dispersion)."""
+    reports_dir.mkdir(parents=True, exist_ok=True)
     f1_tables = {fam: MetricTable(counties, hazards) for fam in config.families}
     fbeta_tables = {fam: MetricTable(counties, hazards) for fam in config.families}
     train_size = MetricTable(counties, hazards)
     test_size = MetricTable(counties, hazards)
-    for (county, hazard), res in ordered.items():
+    for (county, hazard), res in results.items():
         train_size.set(county, hazard, res.train_n)
         test_size.set(county, hazard, res.test_n)
         for family, outcome in res.outcomes.items():
             f1_tables[family].set(county, hazard, outcome.f1)
             fbeta_tables[family].set(county, hazard, outcome.fbeta)
 
-    reports_dir = out_dir / "reports"
-    models_dir = out_dir / "models"
-    transfer_dir = out_dir / "transfer"
-    for d in (reports_dir, models_dir, transfer_dir):
-        d.mkdir(parents=True, exist_ok=True)
-
-    def track(path: Path):
-        written.append(path.relative_to(out_dir).as_posix())
-
-    # models
-    for (county, hazard), res in ordered.items():
-        for family, outcome in res.outcomes.items():
-            path = models_dir / f"{county}__{hazard}__{family}.json"
-            path.write_text(outcome.model_json, "utf-8")
-            track(path)
-
     canonical = canonical_family(config.families)
-
-    # performance table (canonical family) and long-form metric CSVs
     path = reports_dir / "performance.csv"
     rpt.write_performance_table(
         path,
@@ -617,7 +586,6 @@ def run(config: RunConfig) -> RunReport:
             rpt.write_metric_csv(path, table, metric)
             track(path)
 
-    # model comparison
     comparison = compare_models(fbeta_tables, hazards)
     path = reports_dir / "model_comparison.csv"
     rpt.write_model_comparison(path, hazards, comparison, config.beta)
@@ -625,7 +593,7 @@ def run(config: RunConfig) -> RunReport:
 
     # dispersion of the canonical family's scores
     dispersion = {}
-    if ordered:
+    if results:
         dispersion = {
             "f1": dispersion_summary(f1_tables[canonical]),
             f"fbeta{config.beta:g}": dispersion_summary(fbeta_tables[canonical]),
@@ -634,137 +602,134 @@ def run(config: RunConfig) -> RunReport:
         rpt.write_dispersion(path, dispersion)
         track(path)
 
-    # cv audit table
-    cv_rows = []
-    for (county, hazard), res in ordered.items():
-        for family in sorted(res.outcomes):
-            for rec in res.outcomes[family].cv_records:
-                cv_rows.append(
-                    [
-                        county,
-                        hazard,
-                        family,
-                        json.dumps(rec.params, sort_keys=True),
-                        str(rec.fold),
-                        repr(rec.score),
-                    ]
-                )
+    cv_rows = [
+        [county, hazard, family, json.dumps(rec.params, sort_keys=True),
+         str(rec.fold), repr(rec.score)]
+        for (county, hazard), res in results.items()
+        for family in sorted(res.outcomes)
+        for rec in res.outcomes[family].cv_records
+    ]
     path = reports_dir / "cv_table.csv"
     rpt.write_rows(
         path, ["county", "hazard", "family", "params", "fold", "score"], cv_rows
     )
     track(path)
+    return f1_tables, fbeta_tables, comparison, dispersion
 
-    # importance per hazard (canonical family only)
-    schema = datasets[0].schema
+
+# -- stages 5 and 6: importance and transfer (shared with the CLI) ---------------
+
+def write_importance(
+    out_dir: Path,
+    vectors: dict[str, dict[str, ImportanceVector]],
+    top_k: int,
+    groups: dict | None,
+    track,
+) -> dict[str, OverallImportance]:
+    """Per hazard, every county's normalized importance and the cross-county
+    rank-sum ranking; with groups, also the rollup of the top features.
+    `vectors` maps hazard -> county -> vector; returns the rankings."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     overall_by_hazard = {}
-    rollups = {}
-    for hazard in hazards:
-        vectors = {
-            county: ImportanceVector(
-                feature_names=schema.feature_names,
-                values=res.importance,
-                normalized=True,
-            )
-            for (county, h), res in ordered.items()
-            if h == hazard and res.importance is not None
-        }
-        if not vectors:
-            continue
-        path = reports_dir / f"importance_{hazard}.csv"
-        rpt.write_importance_csv(path, vectors)
+    for hazard, by_county in sorted(vectors.items()):
+        path = out_dir / f"importance_{hazard}.csv"
+        rpt.write_importance_csv(path, by_county)
         track(path)
-        overall = overall_importance(build_rank_matrix(vectors), config.top_k)
-        overall_by_hazard[hazard] = overall
-        path = reports_dir / f"overall_importance_{hazard}.csv"
+        overall = overall_importance(build_rank_matrix(by_county), top_k)
+        path = out_dir / f"overall_importance_{hazard}.csv"
         rpt.write_overall_csv(path, overall)
         track(path)
-        if groups:
-            rollups[hazard] = rpt.group_rollup(overall, groups)
-    if rollups:
-        path = reports_dir / "feature_group_rollup.csv"
-        rpt.write_group_rollup(path, rollups)
-        track(path)
-
-    # transfer matrices (canonical family models, held-out or full evals)
-    policy = TransferPolicy(
-        threshold=config.transfer_threshold,
-        beta=config.beta,
-        baseline=config.transfer_baseline,
-        eval_on=config.transfer_eval_on,
-    )
-    rf_models = {
-        key: _model_from_json(canonical, res.outcomes[canonical].model_json)
-        for key, res in ordered.items()
-        if canonical in res.outcomes
-    }
-
-    def eval_data(key: tuple[str, str]) -> LabeledDataset:
-        if policy.eval_on == "full":
-            county, hazard = key
-            return make_labeled(by_county[county], hazard)
-        return ordered[key].test
-
-    transfer_summaries = []
-
-    def emit(matrix, stem: str):
-        path = transfer_dir / f"{stem}.csv"
-        rpt.write_transfer_csv(path, matrix)
-        track(path)
-        path = transfer_dir / f"{stem}.svg"
-        rpt.write_heatmap(path, matrix)
-        track(path)
-        transfer_summaries.append(
-            {
-                "axis": matrix.axis,
-                "fixed": matrix.fixed_id,
-                "baseline": matrix.baseline,
-                "ids": list(matrix.ids),
-                "delta": {f"{s}->{t}": v for (s, t), v in sorted(matrix.delta.items())},
-                "transferable": {
-                    f"{s}->{t}": v for (s, t), v in sorted(matrix.transferable.items())
-                },
-            }
+        overall_by_hazard[hazard] = overall
+    if groups and overall_by_hazard:
+        path = out_dir / "feature_group_rollup.csv"
+        rpt.write_group_rollup(
+            path,
+            {h: rpt.group_rollup(o, groups) for h, o in overall_by_hazard.items()},
         )
+        track(path)
+    return overall_by_hazard
+
+
+def write_transfer(
+    out_dir: Path,
+    models: dict[tuple[str, str], object],
+    evals: dict[tuple[str, str], LabeledDataset],
+    counties: tuple[str, ...],
+    hazards: tuple[str, ...],
+    policy: TransferPolicy,
+    track,
+) -> list[TransferMatrix]:
+    """Cross-county matrices per hazard, then cross-hazard matrices per
+    county, each as `<stem>.csv` and `<stem>.svg` under out_dir. Both
+    mappings are keyed (county, hazard); an axis with fewer than two
+    entries holding both a model and evaluation data is skipped. Returns
+    the matrices in the order written."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    matrices = []
+
+    def axis(kind: str, fixed: str, ms: dict, es: dict, registry):
+        if len(set(ms) & set(es)) < 2:
+            return
+        compute = cross_county if kind == "cross_county" else cross_hazard
+        outcome = compute(fixed, ms, es, policy, registry=registry)
+        if policy.baseline != BASELINE_BOTH:
+            outcome = {None: outcome}
+        for name, matrix in sorted(outcome.items()):
+            stem = f"{kind}_{fixed}" if name is None else f"{kind}_{fixed}__{name}"
+            rpt.write_transfer_csv(out_dir / f"{stem}.csv", matrix)
+            track(out_dir / f"{stem}.csv")
+            rpt.write_heatmap(out_dir / f"{stem}.svg", matrix)
+            track(out_dir / f"{stem}.svg")
+            matrices.append(matrix)
 
     for hazard in hazards:
-        models = {c: rf_models[(c, h)] for (c, h) in rf_models if h == hazard}
-        evals = {
-            c: eval_data((c, h)) for (c, h) in ordered if h == hazard
-        }
-        if len(set(models) & set(evals)) < 2:
-            continue
-        outcome = cross_county(hazard, models, evals, policy, registry=counties)
-        if policy.baseline == BASELINE_BOTH:
-            for name, matrix in sorted(outcome.items()):
-                emit(matrix, f"cross_county_{hazard}__{name}")
-        else:
-            emit(outcome, f"cross_county_{hazard}")
-
+        axis("cross_county", hazard,
+             {c: m for (c, h), m in models.items() if h == hazard},
+             {c: e for (c, h), e in evals.items() if h == hazard}, counties)
     for county in counties:
-        models = {h: rf_models[(c, h)] for (c, h) in rf_models if c == county}
-        evals = {h: eval_data((c, h)) for (c, h) in ordered if c == county}
-        if len(set(models) & set(evals)) < 2:
-            continue
-        outcome = cross_hazard(county, models, evals, policy, registry=hazards)
-        if policy.baseline == BASELINE_BOTH:
-            for name, matrix in sorted(outcome.items()):
-                emit(matrix, f"cross_hazard_{county}__{name}")
-        else:
-            emit(outcome, f"cross_hazard_{county}")
+        axis("cross_hazard", county,
+             {h: m for (c, h), m in models.items() if c == county},
+             {h: e for (c, h), e in evals.items() if c == county}, hazards)
+    return matrices
 
-    # summary; out_dir and workers are execution details, not experiment
-    # parameters, so they stay out of the echoed config (same seed =>
-    # byte-identical summary regardless of worker count or location)
+
+# -- stage 7 and the run ------------------------------------------------------------
+
+@dataclass
+class RunReport:
+    out_dir: str
+    counties: tuple[str, ...]
+    hazards: tuple[str, ...]
+    absent: list[tuple[str, str]]
+    failures: list[dict]
+    results: dict[tuple[str, str], JobResult]
+    f1_tables: dict[str, MetricTable]
+    fbeta_tables: dict[str, MetricTable]
+    comparison: dict[str, dict[str, float]]
+    dispersion: dict
+    manifest: dict[str, str]
+    written: list[str]
+
+
+def _write_summary(
+    path: Path,
+    config: RunConfig,
+    report: RunReport,
+    overall_by_hazard: dict[str, OverallImportance],
+    matrices: list[TransferMatrix],
+) -> None:
+    # out_dir and workers are execution details, not experiment parameters,
+    # so they stay out of the echoed config (same seed => byte-identical
+    # summary regardless of worker count or location)
     config_echo = config.to_dict()
     del config_echo["out_dir"]
     del config_echo["workers"]
     summary = {
         "config": config_echo,
-        "counties": list(counties),
-        "hazards": list(hazards),
-        "absent_pairs": [list(p) for p in absent],
-        "failures": failures,
+        "counties": list(report.counties),
+        "hazards": list(report.hazards),
+        "absent_pairs": [list(p) for p in report.absent],
+        "failures": report.failures,
         "pairs": {
             f"{county}__{hazard}": {
                 "labeled_n": res.labeled_n,
@@ -782,9 +747,9 @@ def run(config: RunConfig) -> RunReport:
                     for family, outcome in sorted(res.outcomes.items())
                 },
             }
-            for (county, hazard), res in ordered.items()
+            for (county, hazard), res in report.results.items()
         },
-        "comparison_mean_fbeta": comparison,
+        "comparison_mean_fbeta": report.comparison,
         "dispersion": {
             metric: {
                 "avg_inter_county_std": s.avg_inter_county_std,
@@ -792,7 +757,7 @@ def run(config: RunConfig) -> RunReport:
                 "per_hazard_std": s.per_hazard_std,
                 "per_county_std": s.per_county_std,
             }
-            for metric, s in dispersion.items()
+            for metric, s in report.dispersion.items()
         },
         "overall_importance": {
             hazard: {
@@ -807,34 +772,97 @@ def run(config: RunConfig) -> RunReport:
             }
             for hazard, overall in sorted(overall_by_hazard.items())
         },
-        "transfer": transfer_summaries,
+        "transfer": [
+            {
+                "axis": matrix.axis,
+                "fixed": matrix.fixed_id,
+                "baseline": matrix.baseline,
+                "ids": list(matrix.ids),
+                "delta": {f"{s}->{t}": v for (s, t), v in sorted(matrix.delta.items())},
+                "transferable": {
+                    f"{s}->{t}": v for (s, t), v in sorted(matrix.transferable.items())
+                },
+            }
+            for matrix in matrices
+        ],
     }
-    path = out_dir / "summary.json"
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", "utf-8")
-    track(path)
+    _write_json(path, summary)
 
-    manifest = {rel: rpt.file_sha256(out_dir / rel) for rel in sorted(written)}
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", "utf-8"
+
+def run(config: RunConfig) -> RunReport:
+    """Execute the full experiment graph described by the config."""
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[str] = []
+
+    def track(path: Path):
+        written.append(path.relative_to(out_dir).as_posix())
+
+    datasets, groups = _prepare_datasets(config, out_dir, track)
+    counties = tuple(d.county_id for d in datasets)
+    if config.hazards is not None:
+        hazards = tuple(config.hazards)
+    else:
+        hazards = tuple(sorted({h for d in datasets for h in d.hazards}))
+
+    results, absent, failures = _train(config, datasets, hazards)
+    _write_models(out_dir / "models", results, track)
+    f1_tables, fbeta_tables, comparison, dispersion = _write_reports(
+        out_dir / "reports", config, counties, hazards, results, track
     )
 
-    return RunReport(
+    # importance (forest) and transfer (canonical family) from the trained models
+    vectors: dict[str, dict[str, ImportanceVector]] = {}
+    for (county, hazard), res in results.items():
+        if res.importance is not None:
+            vectors.setdefault(hazard, {})[county] = res.importance
+    overall_by_hazard = write_importance(
+        out_dir / "reports", vectors, config.top_k, groups, track
+    )
+    canonical = canonical_family(config.families)
+    policy = transfer_policy(config.to_dict())
+    if policy.eval_on == "full":
+        by_county = {d.county_id: d for d in datasets}
+        evals = {key: make_labeled(by_county[key[0]], key[1]) for key in results}
+    else:
+        evals = {key: res.test for key, res in results.items()}
+    matrices = write_transfer(
+        out_dir / "transfer",
+        {key: res.outcomes[canonical].model for key, res in results.items()},
+        evals,
+        counties,
+        hazards,
+        policy,
+        track,
+    )
+
+    report = RunReport(
         out_dir=str(out_dir),
         counties=counties,
         hazards=hazards,
         absent=absent,
         failures=failures,
-        results=ordered,
+        results=results,
         f1_tables=f1_tables,
         fbeta_tables=fbeta_tables,
         comparison=comparison,
         dispersion=dispersion,
-        manifest=manifest,
-        written=sorted(written),
+        manifest={},
+        written=[],
     )
+    _write_summary(out_dir / "summary.json", config, report, overall_by_hazard, matrices)
+    track(out_dir / "summary.json")
+    report.written = sorted(written)
+    report.manifest = {rel: rpt.file_sha256(out_dir / rel) for rel in report.written}
+    _write_json(out_dir / "manifest.json", report.manifest)
+    return report
 
 
 # -- recomputation from a finished run ----------------------------------------
+
+def _model_from_json(family: str, text: str):
+    return forest_from_json(text) if family == "forest" else gbt_from_json(text)
+
 
 def load_run_models(run_dir) -> dict[tuple[str, str, str], object]:
     """Deserialized models keyed (county, hazard, family)."""
@@ -854,34 +882,30 @@ def load_run_summary(run_dir) -> dict:
 def rebuild_eval_splits(run_dir) -> dict[tuple[str, str], LabeledDataset]:
     """Reconstruct every pair's transfer evaluation data from the recorded
     seeds: the held-out test split, or the full labeled dataset when the
-    run evaluated transfers on full data."""
+    run evaluated transfers on full data. The CSVs are read under the run's
+    missing-value policy."""
     summary = load_run_summary(run_dir)
     config = summary["config"]
-    seed = config["seed"]
-    eval_on = config["transfer"]["eval_on"]
     data_dir = Path(run_dir) / "data"
     if data_dir.is_dir():
         paths = sorted(data_dir.glob("*.csv"))
     else:
         paths = [Path(p) for p in config["counties"]]
-    datasets = [load_county_csv(p) for p in paths]
-    align_schemas(datasets)
-    by_county = {d.county_id: d for d in datasets}
+    by_county = {
+        d.county_id: d for d in _load_counties(paths, config["missing_feature_policy"])
+    }
     splits = {}
     for key in summary["pairs"]:
         county, hazard = key.split("__")
         labeled = make_labeled(by_county[county], hazard)
-        if eval_on == "full":
+        if config["transfer"]["eval_on"] == "full":
             splits[(county, hazard)] = labeled
             continue
-        job_seed = child_seed(seed, "job", county, hazard)
-        _, test = stratified_split(
+        job_seed = child_seed(config["seed"], "job", county, hazard)
+        _, splits[(county, hazard)] = _pair_split(
             labeled,
-            SplitSpec(
-                train_fraction=config["split"]["train_fraction"],
-                stratified=config["split"]["stratified"],
-                seed=child_seed(job_seed, "split"),
-            ),
+            config["split"]["train_fraction"],
+            config["split"]["stratified"],
+            job_seed,
         )
-        splits[(county, hazard)] = test
     return splits

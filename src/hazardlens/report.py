@@ -265,21 +265,3 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def build_manifest(out_dir) -> dict[str, str]:
-    """Relative path -> sha256 for every file under out_dir except the
-    manifest itself."""
-    out_dir = Path(out_dir)
-    entries = {}
-    for path in sorted(out_dir.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            entries[path.relative_to(out_dir).as_posix()] = file_sha256(path)
-    return entries
-
-
-def write_manifest(out_dir) -> dict[str, str]:
-    entries = build_manifest(out_dir)
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(entries, sort_keys=True, indent=2) + "\n", "utf-8")
-    return entries

@@ -176,3 +176,16 @@ def test_feature_with_undefined_gain_is_skipped():
     assert isinstance(root, RegSplit)
     assert root.feature == 1
     assert root.threshold == 0.5
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+def test_node_with_zero_hessian_sum_becomes_zero_leaf():
+    # l2 = 0: the right child of the root holds only zero-hessian rows, so
+    # its score g^2 / (h + l2) is undefined; it becomes a leaf of weight 0.0
+    X = np.arange(8.0)[:, None]
+    g = np.array([0.5, -0.5, 0.5, -0.5, 1.0, 1.0, 1.0, 1.0])
+    h = np.array([0.25] * 4 + [0.0] * 4)
+    root = _grow_reg_tree(X, g, h, BoostParams(max_depth=2, l2_reg=0.0))
+    assert isinstance(root, RegSplit) and root.threshold == 3.5
+    assert isinstance(root.right, RegLeaf)
+    assert (root.right.weight, root.right.n) == (0.0, 4)

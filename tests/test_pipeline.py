@@ -9,6 +9,7 @@ from hazardlens.dataset import make_labeled
 from hazardlens.errors import InvalidConfig
 from hazardlens.metrics import MetricTable
 from hazardlens.pipeline import RunConfig, compare_models, execute_job, run
+from hazardlens.report import file_sha256
 from hazardlens.seeds import child_seed
 from hazardlens.selection import SplitSpec, stratified_split
 
@@ -98,6 +99,8 @@ def test_manifest_covers_every_written_file(tiny_run):
         if p.is_file() and p.name != "manifest.json"
     )
     assert sorted(report.manifest) == on_disk
+    for rel in report.manifest:
+        assert report.manifest[rel] == file_sha256(out / rel)
 
 
 def test_never_trains_on_test_rows(tiny_run):
@@ -187,13 +190,16 @@ def test_compare_models_constant_scores():
     assert means["forest"]["heat"] == pytest.approx(0.77, abs=1e-15)
 
 
-def county_csv(path, seed, constant_hazard=False):
+def county_csv(path, seed, constant_hazard=False, blank_row=None):
     gen = np.random.default_rng(seed)
     rows = []
     for i in range(40):
         x = gen.normal(size=3)
         hazard = 5.0 if constant_hazard else x[0] + 0.2 * gen.normal()
-        rows.append([f"t{i:03d}", *[repr(float(v)) for v in x], repr(float(hazard))])
+        cells = [repr(float(v)) for v in x]
+        if i == blank_row:
+            cells[1] = ""  # a missing "fb" value
+        rows.append([f"t{i:03d}", *cells, repr(float(hazard))])
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["tract_id", "fa", "fb", "fc", "hazard__heat"])
@@ -241,6 +247,8 @@ def test_config_validation():
         RunConfig(seed=1, out_dir="x", synth={}, train_fraction=1.5)
     with pytest.raises(InvalidConfig):
         RunConfig(seed=1, out_dir="x", synth={}, cv_k=1)
+    with pytest.raises(InvalidConfig):
+        RunConfig(seed=1, out_dir="x", synth={}, feature_groups="/nope/groups.json")
 
 
 def test_from_dict_accepts_exactly_the_keys_to_dict_emits():
@@ -258,6 +266,7 @@ def test_from_dict_accepts_exactly_the_keys_to_dict_emits():
         {"cv": {"folds": 3}},
         {"transfer": {"treshold": -10.0}},
         {"split": 0.7},
+        {"feature_groups": "no/such/groups.json"},
     ],
 )
 def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
@@ -312,6 +321,36 @@ def test_cli_run_and_recompute(tmp_path, capsys):
     ).read_bytes()
 
 
+def test_cli_transfer_recomputes_impute_median_run(tmp_path):
+    good = county_csv(tmp_path / "good.csv", seed=1)
+    holey = county_csv(tmp_path / "holey.csv", seed=3, blank_row=5)
+    out = tmp_path / "out"
+    config = {
+        "seed": 4,
+        "out_dir": str(out),
+        "counties": [str(good), str(holey)],
+        "missing_feature_policy": "impute_median",
+        "cv": {
+            "k": 3,
+            "forest_grid": {"n_trees": [5], "max_depth": [3]},
+            "gbt_grid": {"n_rounds": [4], "max_depth": [2],
+                         "learning_rate": [0.3], "l2_reg": [1.0]},
+        },
+        "top_k": 2,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert main(["transfer", "--run", str(out)]) == 0
+    written = sorted(p.name for p in (out / "transfer").iterdir())
+    assert written
+    assert sorted(p.name for p in (out / "transfer_recomputed").iterdir()) == written
+    for name in written:
+        assert (out / "transfer_recomputed" / name).read_bytes() == (
+            out / "transfer" / name
+        ).read_bytes()
+
+
 def test_cli_partial_failure_exit_code(tmp_path):
     good = county_csv(tmp_path / "good.csv", seed=1)
     flat = county_csv(tmp_path / "flat.csv", seed=2, constant_hazard=True)
@@ -338,6 +377,14 @@ def test_cli_invalid_config_exit_code(tmp_path):
     config_path.write_text(json.dumps({"out_dir": str(tmp_path / "o")}))
     assert main(["run", "--config", str(config_path)]) == 2
     assert main(["run"]) == 2
+    assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{seed: 1")
+    assert main(["run", "--config", str(not_json)]) == 2
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    assert main(["run", "--config", str(not_object), "--seed", "3"]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_importance_literal_mode_partial_exit(tiny_run):
@@ -404,26 +451,36 @@ def test_cli_synth_emits_loadable_csvs(tmp_path):
     ]) & {"air"})
 
 
+def test_cli_synth_writes_the_run_scenario(tmp_path):
+    from hazardlens.pipeline import _prepare_datasets, synth6x3_config
+
+    assert main(["synth", "--seed", "3", "--out", str(tmp_path / "A")]) == 0
+    _prepare_datasets(synth6x3_config(3, str(tmp_path / "B")), tmp_path / "B", print)
+    names = sorted(p.name for p in (tmp_path / "A").iterdir())
+    assert len(names) == 8  # six counties, oracle.json, feature_groups.json
+    assert sorted(p.name for p in (tmp_path / "B" / "data").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "A" / name).read_bytes() == (
+            tmp_path / "B" / "data" / name
+        ).read_bytes()
+
+
 def test_job_seed_independent_of_other_pairs(tiny_run):
     report, out, config = tiny_run
+    from hazardlens.boosting import gbt_to_json
     from hazardlens.dataset import load_county_csv
-    from hazardlens.pipeline import JobConfig
+    from hazardlens.forest import forest_to_json
 
     ds = load_county_csv(out / "data" / "ash.csv")
-    job_cfg = JobConfig(
-        beta=config.beta,
-        train_fraction=config.train_fraction,
-        stratified=config.stratified,
-        cv_k=config.cv_k,
-        forest_grid=config.forest_grid,
-        gbt_grid=config.gbt_grid,
-        families=tuple(config.families),
-        importance_mode=config.importance_mode,
-    )
-    solo = execute_job(ds, "heat", job_cfg, child_seed(config.seed, "job", "ash", "heat"))
+    job_seed = child_seed(config.seed, "job", "ash", "heat")
     full = report.results[("ash", "heat")]
-    assert solo.outcomes["forest"].model_json == full.outcomes["forest"].model_json
-    assert solo.outcomes["gbt"].fbeta == full.outcomes["gbt"].fbeta
+    for family, to_json in (("forest", forest_to_json), ("gbt", gbt_to_json)):
+        solo = execute_job(ds, "heat", config, family, job_seed).outcomes[family]
+        text = to_json(solo.model)
+        assert text == to_json(full.outcomes[family].model)
+        assert text == (out / f"models/ash__heat__{family}.json").read_text()
+        assert solo.fbeta == full.outcomes[family].fbeta
+
 
 def two_county_config(out_dir, **overrides):
     settings = dict(

@@ -7,12 +7,9 @@ from hazardlens.errors import EmptyMatrix
 from hazardlens.importance import ImportanceVector, build_rank_matrix, overall_importance
 from hazardlens.metrics import MetricTable
 from hazardlens.report import (
-    build_manifest,
-    file_sha256,
     group_rollup,
     render_heatmap,
     write_performance_table,
-    write_rows,
 )
 from hazardlens.transfer import TransferMatrix
 
@@ -104,13 +101,3 @@ def test_group_rollup_counts():
               "f3": "land", "f4": "built", "f5": "mobility"}
     rollup = group_rollup(overall, groups)
     assert rollup == {"built": 1, "social": 2}
-
-
-def test_manifest_hashes_and_excludes_itself(tmp_path):
-    write_rows(tmp_path / "x.csv", ["a"], [["1"]])
-    (tmp_path / "manifest.json").write_text("{}", "utf-8")
-    (tmp_path / "sub").mkdir()
-    write_rows(tmp_path / "sub" / "y.csv", ["b"], [["2"]])
-    manifest = build_manifest(tmp_path)
-    assert sorted(manifest) == ["sub/y.csv", "x.csv"]
-    assert manifest["x.csv"] == file_sha256(tmp_path / "x.csv")
