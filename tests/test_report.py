@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hazardlens.errors import EmptyMatrix
 from hazardlens.importance import ImportanceVector, build_rank_matrix, overall_importance
 from hazardlens.metrics import MetricTable
 from hazardlens.report import (
+    file_sha256,
     group_rollup,
     render_heatmap,
     write_performance_table,
@@ -101,3 +103,34 @@ def test_group_rollup_counts():
               "f3": "land", "f4": "built", "f5": "mobility"}
     rollup = group_rollup(overall, groups)
     assert rollup == {"built": 1, "social": 2}
+
+
+def test_manifest_hashes_and_excludes_itself(tmp_path):
+    from hazardlens.pipeline import RunConfig, run
+
+    out = tmp_path / "run"
+    report = run(RunConfig(
+        seed=3,
+        out_dir=str(out),
+        workers=1,
+        synth={
+            "counties": [
+                {"name": "ash", "n_tracts": 60, "hazards": ["heat"]},
+                {"name": "oak", "n_tracts": 60, "hazards": ["heat"]},
+            ],
+            "n_features": 6,
+            "informative_count": 2,
+            "noise": 0.2,
+        },
+        forest_grid={"n_trees": [4], "max_depth": [3]},
+        gbt_grid={"n_rounds": [4], "max_depth": [2], "learning_rate": [0.3],
+                  "l2_reg": [1.0]},
+        cv_k=3,
+        top_k=2,
+    ))
+    on_disk = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert on_disk == report.manifest
+    assert "manifest.json" not in on_disk
+    assert "data/ash.csv" in on_disk
+    for rel, digest in on_disk.items():
+        assert digest == file_sha256(out / rel)
