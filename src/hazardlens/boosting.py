@@ -5,6 +5,16 @@ current margins. Leaf weight is the regularized Newton step
 -G_sum / (H_sum + lambda); split gain is
 (1/2) [G_l^2/(H_l+lambda) + G_r^2/(H_r+lambda) - G_m^2/(H_m+lambda)].
 No histograms, no column subsampling: a deliberately small baseline.
+
+Split search runs on a column block (XGBoost's, Chen & Guestrin 2016, 4.1;
+SLIQ's presorted attribute lists): each fit sorts every feature column once,
+stably, and every round reuses that order, as boosting samples no rows.
+A node carries its rows in each feature's sorted order; a split filters the
+parent's lists by a left-row flag, which keeps that order, so no node sorts.
+The bits equal a per-node stable sort: a node's rows are always a subset in
+increasing row order, and a stable sort of a subset is the full stable order
+filtered to that subset, so every running sum adds the same values in the
+same order.
 """
 
 from __future__ import annotations
@@ -98,9 +108,9 @@ def _leaf_weight(g_sum: float, h_sum: float, l2: float) -> float:
 
 
 def _best_reg_split(
-    X: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
+    sv: np.ndarray,
+    g_sorted: np.ndarray,
+    h_sorted: np.ndarray,
     g_sum: float,
     h_sum: float,
     l2: float,
@@ -108,23 +118,23 @@ def _best_reg_split(
 ) -> tuple[float, int, float] | None:
     """(gain, feature, threshold) of a node's best positive-gain split.
 
-    X, g and h hold the node's rows only. Every feature is scanned in one
-    array pass, one sorted row per feature. The sort is stable and the
-    running sums add each row's values in sorted order, so G_l / H_l are the
-    bits a per-feature scan computes. Ties go to the lowest feature, then
-    the lowest threshold. A feature whose admissible gains include a NaN is
-    skipped. Returns None when no admissible split has gain > 0, and when
-    h_sum + l2 <= 0 (the node's score is undefined; it becomes a 0.0 leaf).
+    sv, g_sorted and h_sorted are (features x rows) blocks of the node's
+    rows, each feature's row in that feature's stable sorted order: the
+    node's slice of the column block. Nothing is sorted here. That order is
+    the one a stable argsort of the node's own rows gives (see the module
+    docstring), and the running sums add each row's values in it, so
+    G_l / H_l are the bits a per-feature scan computes. Ties go to the
+    lowest feature, then the lowest threshold. A feature whose admissible
+    gains include a NaN is skipped. Returns None when no admissible split
+    has gain > 0, and when h_sum + l2 <= 0 (the node's score is undefined;
+    it becomes a 0.0 leaf).
     """
     if h_sum + l2 <= 0.0:
         return None
-    n = X.shape[0]
+    n = sv.shape[1]
     parent_score = g_sum * g_sum / (h_sum + l2)
-    block = X.T
-    order = np.argsort(block, axis=1, kind="stable")
-    sv = np.take_along_axis(block, order, axis=1)
-    g_l = np.cumsum(g[order], axis=1)[:, :-1]
-    h_l = np.cumsum(h[order], axis=1)[:, :-1]
+    g_l = np.cumsum(g_sorted, axis=1)[:, :-1]
+    h_l = np.cumsum(h_sorted, axis=1)[:, :-1]
 
     valid = sv[:, 1:] != sv[:, :-1]
     if min_leaf > 1:
@@ -146,39 +156,71 @@ def _best_reg_split(
     return gain, j, float(0.5 * (sv[j, r] + sv[j, r + 1]))
 
 
+def column_order(X: np.ndarray) -> np.ndarray:
+    """The column block's root: (features x rows), each feature's rows in
+    stable sorted order of that feature's values."""
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
 def _grow_reg_tree(
     X: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     params: BoostParams,
+    order: np.ndarray | None = None,
 ) -> RegNode:
+    """One regression tree on the gradient/hessian statistics g, h.
+
+    order is column_order(X), computed here when not given; a fit shares it
+    across rounds. Each node keeps its rows twice: idx in increasing row
+    order (for the G / H totals, summed as before) and lists, its
+    (features x n) slice of order. A split marks the left rows in a flag
+    array and filters the parent's lists by it, which keeps every feature's
+    sorted order.
+    """
     l2 = params.l2_reg
     min_leaf = params.min_samples_leaf
+    XT = np.ascontiguousarray(X.T)
+    n_features = XT.shape[0]
+    flag = np.zeros(X.shape[0], dtype=bool)
+    offsets = np.arange(n_features)[:, None] * X.shape[0]
 
-    def build(idx: np.ndarray, depth: int) -> RegNode:
+    def build(idx: np.ndarray, lists: np.ndarray, depth: int) -> RegNode:
         n = idx.shape[0]
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())
         if depth >= params.max_depth or n < 2 * min_leaf:
             return RegLeaf(weight=_leaf_weight(g_sum, h_sum, l2), n=n)
 
-        # a separate call, so the scan's (rows x features) temporaries are
-        # freed before the children are built
-        best = _best_reg_split(X[idx], g[idx], h[idx], g_sum, h_sum, l2, min_leaf)
+        # the gathered blocks are arguments only, so the scan's temporaries
+        # are freed before the children are built
+        best = _best_reg_split(
+            XT.take(lists + offsets), g[lists], h[lists],
+            g_sum, h_sum, l2, min_leaf,
+        )
         if best is None:
             return RegLeaf(weight=_leaf_weight(g_sum, h_sum, l2), n=n)
         gain, feature, threshold = best
         go_left = X[idx, feature] <= threshold
+        flag[idx] = go_left
+        in_left = flag[lists].ravel()
+        # popped into the calls, so only the pending siblings' slices wait
+        # on the stack while a subtree grows
+        children = [np.compress(~in_left, lists).reshape(n_features, -1),
+                    np.compress(in_left, lists).reshape(n_features, -1)]
+        del lists, in_left
         return RegSplit(
             feature=feature,
             threshold=threshold,
             gain=gain,
             n=n,
-            left=build(idx[go_left], depth + 1),
-            right=build(idx[~go_left], depth + 1),
+            left=build(idx[go_left], children.pop(), depth + 1),
+            right=build(idx[~go_left], children.pop(), depth + 1),
         )
 
-    root = build(np.arange(g.shape[0], dtype=np.intp), 0)
+    if order is None:
+        order = column_order(X)
+    root = build(np.arange(g.shape[0], dtype=np.intp), order, 0)
     del build  # breaks build's self-reference, as in cart.grow_tree
     return root
 
@@ -219,6 +261,7 @@ def train_gbt(
     order = np.argsort(np.asarray(data.tract_ids, dtype=object), kind="stable")
     X = np.ascontiguousarray(data.features[order])
     y = data.labels[order].astype(np.float64)
+    columns = column_order(X)  # GBT samples no rows: every round shares it
 
     if base_score is None:
         p = high / (low + high)
@@ -231,7 +274,7 @@ def train_gbt(
         p_hat = sigmoid(margins)
         g = p_hat - y
         h = p_hat * (1.0 - p_hat)
-        stage = _grow_reg_tree(X, g, h, params)
+        stage = _grow_reg_tree(X, g, h, params, columns)
         margins += params.learning_rate * _reg_predict(stage, X)
         stages.append(stage)
         losses.append(_logloss(margins, y))

@@ -19,6 +19,7 @@ from .pipeline import (
     PRESETS,
     RunConfig,
     canonical_family,
+    load_run_groups,
     load_run_models,
     load_run_summary,
     pair_importance,
@@ -165,6 +166,7 @@ def _cmd_importance(args) -> int:
     run_dir, summary = _finished_run(args.run)
     out = Path(args.out) if args.out else run_dir / "importance_recomputed"
     mode = args.mode or summary["config"]["importance_mode"]
+    groups = load_run_groups(run_dir)
     vectors = {}
     skipped = False
     for (county, hazard, family), model in sorted(load_run_models(run_dir).items()):
@@ -176,7 +178,7 @@ def _cmd_importance(args) -> int:
             print(f"skipping {county}/{hazard}: {note}", file=sys.stderr)
         else:
             vectors.setdefault(hazard, {})[county] = vector
-    write_importance(out, vectors, summary["config"]["top_k"], None, _print_written)
+    write_importance(out, vectors, summary["config"]["top_k"], groups, _print_written)
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 

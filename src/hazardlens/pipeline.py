@@ -15,10 +15,11 @@
 
 `write_scenario`, `write_importance` and `write_transfer` are also the whole
 implementation of the CLI's `synth`, `importance` and `transfer` commands,
-which recompute from a finished run's `models/` (`load_run_models`) and its
-re-derived evaluation splits (`rebuild_eval_splits`). Unit seeds derive from
-(master seed, county, hazard), so any worker count produces byte-identical
-output for the same seed.
+which recompute from a finished run's `models/` (`load_run_models`), its
+feature groups (`load_run_groups`) and its re-derived evaluation splits
+(`rebuild_eval_splits`). Unit seeds derive from (master seed, county,
+hazard), so any worker count produces byte-identical output for the same
+seed.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ class RunConfig:
         for path in self.county_files:
             if not Path(path).is_file():
                 raise InvalidConfig(f"county file not found: {path}")
-        if self.feature_groups is not None and not Path(self.feature_groups).is_file():
-            raise InvalidConfig(f"feature groups file not found: {self.feature_groups}")
+        if self.feature_groups is not None:
+            read_feature_groups(self.feature_groups)
         if self.beta <= 0:
             raise InvalidConfig("beta must be positive")
         if not self.families:
@@ -282,6 +283,26 @@ def _write_json(path: Path, payload) -> None:
 
 # -- stage 1: datasets ----------------------------------------------------------
 
+def read_feature_groups(path) -> dict[str, str]:
+    """A feature_groups file: one JSON object mapping feature names to group
+    names. InvalidConfig when it is missing, not JSON or not such an object."""
+    path = Path(path)
+    if not path.is_file():
+        raise InvalidConfig(f"feature groups file not found: {path}")
+    try:
+        groups = json.loads(path.read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig(f"cannot read feature groups {path}: {exc}") from None
+    if not isinstance(groups, dict) or not all(
+        isinstance(group, str) for group in groups.values()
+    ):
+        raise InvalidConfig(
+            f"feature groups {path} must be a JSON object mapping feature names "
+            "to group names"
+        )
+    return groups
+
+
 def scenario_specs(synth: dict, seed: int) -> tuple[list[ScenarioSpec], dict | None]:
     """County specs and feature groups of a config's `synth` block."""
     synth = dict(synth)
@@ -359,7 +380,7 @@ def _prepare_datasets(
         paths = config.county_files
         groups = None
         if config.feature_groups:
-            groups = json.loads(Path(config.feature_groups).read_text("utf-8"))
+            groups = read_feature_groups(config.feature_groups)
     return _load_counties(paths, config.missing_feature_policy), groups
 
 
@@ -877,6 +898,19 @@ def load_run_models(run_dir) -> dict[tuple[str, str, str], object]:
 
 def load_run_summary(run_dir) -> dict:
     return json.loads(Path(run_dir, "summary.json").read_text("utf-8"))
+
+
+def load_run_groups(run_dir) -> dict[str, str] | None:
+    """The feature groups a finished run rolled its importance up with: the
+    emitted `data/feature_groups.json` of a synth run, the configured file
+    of a CSV run, or None when the run had none."""
+    config = load_run_summary(run_dir)["config"]
+    if config["synth"] is not None:
+        path = Path(run_dir, "data", "feature_groups.json")
+        return read_feature_groups(path) if path.is_file() else None
+    if config["feature_groups"]:
+        return read_feature_groups(config["feature_groups"])
+    return None
 
 
 def rebuild_eval_splits(run_dir) -> dict[tuple[str, str], LabeledDataset]:

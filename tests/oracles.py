@@ -5,7 +5,7 @@ only, touching none of the library's accumulation code paths. The CV oracle
 fits every grid point from scratch, with no sharing between tree counts.
 The split oracles score one (feature, threshold) at a time in scalar floats,
 with the same operations as the column-wise kernels, so results compare bit
-for bit.
+for bit; the tree oracle grows a boosted tree from them node by node.
 """
 
 import itertools
@@ -181,6 +181,39 @@ def reg_split_enumeration(X, g, h, l2, min_leaf=1):
             if gain > 0.0 and (best is None or gain > best[2]):
                 best = (j, t, gain)
     return best
+
+
+def reg_tree_enumeration(X, g, h, params):
+    """A whole boosted tree by enumeration, as a _reg_node_to_dict document.
+
+    Every node's split comes from reg_split_enumeration on that node's rows
+    alone (X[idx], in increasing row order), so the tree grower's partition
+    of its presorted lists is never used; leaf weights are the regularized
+    Newton step, 0.0 where the hessian sum plus l2 is not positive.
+    """
+    l2 = params.l2_reg
+
+    def grow(idx, depth):
+        n = len(idx)
+        g_sum = float(g[idx].sum())
+        h_sum = float(h[idx].sum())
+        best = None
+        if depth < params.max_depth and n >= 2 * params.min_samples_leaf:
+            best = reg_split_enumeration(X[idx], g[idx], h[idx], l2,
+                                         params.min_samples_leaf)
+        if best is None:
+            weight = 0.0 if h_sum + l2 <= 0.0 else -g_sum / (h_sum + l2)
+            return {"kind": "leaf", "weight": weight, "samples": n}
+        j, t, gain = best
+        left = X[idx, j] <= t
+        return {
+            "kind": "split", "feature": j, "threshold": t, "gain": gain,
+            "samples": n,
+            "left": grow(idx[left], depth + 1),
+            "right": grow(idx[~left], depth + 1),
+        }
+
+    return grow(np.arange(len(g)), 0)
 
 
 def subtree_counts(node):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import labeled_from_arrays
-from oracles import reg_split_enumeration
+from oracles import reg_split_enumeration, reg_tree_enumeration
+from hazardlens import boosting
 from hazardlens.boosting import (
     BoostedModel,
     BoostParams,
     RegLeaf,
     RegSplit,
     _grow_reg_tree,
+    _reg_node_to_dict,
     gbt_from_json,
     gbt_to_json,
     predict_proba_gbt,
@@ -189,3 +192,48 @@ def test_node_with_zero_hessian_sum_becomes_zero_leaf():
     assert isinstance(root, RegSplit) and root.threshold == 3.5
     assert isinstance(root.right, RegLeaf)
     assert (root.right.weight, root.right.n) == (0.0, 4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    n_features=st.integers(1, 4),
+    max_depth=st.integers(2, 4),
+    min_leaf=st.integers(1, 3),
+    l2=st.sampled_from([0.0, 1.0]),
+    data=st.data(),
+)
+def test_whole_tree_bit_equal_to_enumeration(n, n_features, max_depth, min_leaf, l2, data):
+    # every node below the root searches the children that the column
+    # block's partition produced; a wrong partition changes some subtree.
+    # 0.25 / 0.5 make gains tie across features; 0.1 / 0.7 are not dyadic,
+    # so their sums change bits when the rows are added in another order
+    cells = data.draw(st.lists(st.sampled_from([-1.5, 0.25, 2.0]),
+                               min_size=n * n_features, max_size=n * n_features))
+    X = np.array(cells).reshape(n, n_features)
+    probs = st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.7]), min_size=n, max_size=n)
+    p = np.array(data.draw(probs))
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    g, h = p - y, p * (1.0 - p)
+    params = BoostParams(max_depth=max_depth, l2_reg=l2, min_samples_leaf=min_leaf)
+    got = _reg_node_to_dict(_grow_reg_tree(X, g, h, params))
+    expected = reg_tree_enumeration(X, g, h, params)
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_train_gbt_grows_each_round_through_the_module_global(monkeypatch, rng):
+    # the benchmark tracer times boosting.grow_s by replacing this global
+    calls = []
+    grow = boosting._grow_reg_tree
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(boosting, "_grow_reg_tree", counting)
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] > 0).astype(np.int64)
+    params = BoostParams(n_rounds=7, max_depth=2)
+    model = train_gbt(labeled_from_arrays(X, y), params)
+    assert calls == [params] * 7
+    assert len(model.stages) == 7

@@ -267,10 +267,17 @@ def test_from_dict_accepts_exactly_the_keys_to_dict_emits():
         {"transfer": {"treshold": -10.0}},
         {"split": 0.7},
         {"feature_groups": "no/such/groups.json"},
+        {"feature_groups": ("groups.json", "fa: x")},  # not JSON
+        {"feature_groups": ("groups.json", '["fa", "fb"]')},  # not an object
+        {"feature_groups": ("groups.json", '{"fa": 1}')},  # group not a name
     ],
 )
 def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
     out = tmp_path / "out"
+    if isinstance(bad.get("feature_groups"), tuple):
+        name, text = bad["feature_groups"]
+        (tmp_path / name).write_text(text)
+        bad = {**bad, "feature_groups": str(tmp_path / name)}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(
         {"seed": 1, "out_dir": str(out), "synth": {"preset": "synth6x3"}, **bad}
@@ -289,10 +296,13 @@ def test_cli_recompute_missing_run_fails_cleanly(tmp_path, command):
 def test_cli_run_and_recompute(tmp_path, capsys):
     good = county_csv(tmp_path / "good.csv", seed=1)
     other = county_csv(tmp_path / "other.csv", seed=3)
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"fa": "climate", "fb": "built", "fc": "built"}))
     config = {
         "seed": 4,
         "out_dir": str(tmp_path / "out"),
         "counties": [str(good), str(other)],
+        "feature_groups": str(groups),
         "cv": {
             "k": 3,
             "forest_grid": {"n_trees": [5], "max_depth": [3]},
@@ -309,10 +319,10 @@ def test_cli_run_and_recompute(tmp_path, capsys):
 
     run_dir = tmp_path / "out"
     assert main(["importance", "--run", str(run_dir)]) == 0
-    recomputed = run_dir / "importance_recomputed" / "importance_heat.csv"
-    assert recomputed.read_bytes() == (
-        run_dir / "reports" / "importance_heat.csv"
-    ).read_bytes()
+    for name in ("importance_heat.csv", "feature_group_rollup.csv"):
+        assert (run_dir / "importance_recomputed" / name).read_bytes() == (
+            run_dir / "reports" / name
+        ).read_bytes()
 
     assert main(["transfer", "--run", str(run_dir)]) == 0
     again = run_dir / "transfer_recomputed" / "cross_county_heat.csv"
