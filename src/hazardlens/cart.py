@@ -8,6 +8,7 @@ the stored fields alone. Comparison convention: x[j] <= threshold goes left.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -32,8 +33,12 @@ class TreeParams:
     features_per_split: int | None = None
 
     def __post_init__(self):
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0 or None")
+        if self.max_depth is not None and (
+            isinstance(self.max_depth, bool)
+            or not isinstance(self.max_depth, Integral)
+            or self.max_depth < 0
+        ):
+            raise ValueError("max_depth must be an integer >= 0 or None")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         if self.min_samples_split < 2 * self.min_samples_leaf:
@@ -222,6 +227,34 @@ def grow_tree(
     # alive until the next garbage collection; clearing the name breaks it
     del build
     return root
+
+
+def regrows_unchanged(tree: TreeNode, max_depth: int, min_samples_split: int) -> bool:
+    """Whether growing under max_depth gives `tree` back, for a tree grown
+    under a deeper limit (or none) from the same rows, stream and other
+    params.
+
+    Both growths draw the same candidate features in the same depth-first
+    order as long as no node at depth >= max_depth searched for a split. A
+    node searched when it was impure with at least min_samples_split rows:
+    every Split, and every such Leaf, whose search found no admissible
+    threshold. Plain tree depth is not the test: a searched leaf at
+    max_depth used up a draw the shallower growth never makes. Every node
+    below max_depth hangs under a Split at max_depth, so only that level
+    is checked.
+    """
+    level = [tree]
+    for _ in range(max_depth):
+        level = [
+            child
+            for node in level
+            if isinstance(node, Split)
+            for child in (node.left, node.right)
+        ]
+    return all(
+        isinstance(node, Leaf) and (node.n < min_samples_split or not node.counts.all())
+        for node in level
+    )
 
 
 def predict_proba_tree(tree: TreeNode, x, n_features: int | None = None) -> np.ndarray:

@@ -145,14 +145,9 @@ def _finished_run(path: str) -> tuple[Path, dict]:
 def _cmd_transfer(args) -> int:
     run_dir, summary = _finished_run(args.run)
     canonical = canonical_family(summary["config"]["families"])
-    models = {
-        (county, hazard): model
-        for (county, hazard, family), model in load_run_models(run_dir).items()
-        if family == canonical
-    }
     write_transfer(
         Path(args.out) if args.out else run_dir / "transfer_recomputed",
-        models,
+        load_run_models(run_dir, canonical),
         rebuild_eval_splits(run_dir),
         tuple(summary["counties"]),
         tuple(summary["hazards"]),
@@ -169,9 +164,7 @@ def _cmd_importance(args) -> int:
     groups = load_run_groups(run_dir)
     vectors = {}
     skipped = False
-    for (county, hazard, family), model in sorted(load_run_models(run_dir).items()):
-        if family != "forest":
-            continue
+    for (county, hazard), model in sorted(load_run_models(run_dir, "forest").items()):
         vector, note = pair_importance(model, mode)
         if vector is None:
             skipped = True

@@ -31,6 +31,7 @@ HIGH = 1
 
 HAZARD_PREFIX = "hazard__"
 TRACT_COLUMN = "tract_id"
+MISSING_FEATURE_POLICIES = ("error", "impute_median")
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def load_county_csv(
     if county_id is None:
         county_id = path.rsplit("/", 1)[-1]
         county_id = county_id[:-4] if county_id.endswith(".csv") else county_id
-    if missing_feature_policy not in ("error", "impute_median"):
+    if missing_feature_policy not in MISSING_FEATURE_POLICIES:
         raise ValueError(f"unknown missing feature policy {missing_feature_policy!r}")
 
     with open(path, "r", encoding="utf-8", newline="") as handle:

@@ -12,11 +12,19 @@ import json
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cart import TreeNode, TreeParams, grow_tree, tree_from_dict, tree_predict_proba, tree_to_dict
+from .cart import (
+    TreeNode,
+    TreeParams,
+    grow_tree,
+    regrows_unchanged,
+    tree_from_dict,
+    tree_predict_proba,
+    tree_to_dict,
+)
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import DegenerateLabels, DimensionMismatch
 
@@ -69,11 +77,18 @@ def train_forest(
     n_trees: int,
     seed: int,
     bootstrap: bool = True,
+    deeper: ForestModel | None = None,
 ) -> ForestModel:
     """Train a forest of n_trees CART trees on a labeled county dataset.
 
     Unless params pins features_per_split, each node considers
     ceil(sqrt(F)) candidate features. Requires both classes present.
+
+    `deeper`, when given, is a forest this function trained on the same
+    data with the same seed and bootstrap, whose params differ at most in a
+    deeper max_depth (None counts as deepest). Its tree i is taken as tree
+    i whenever growth under params.max_depth would give it back
+    (cart.regrows_unchanged); every other tree is grown.
     """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
@@ -93,8 +108,10 @@ def train_forest(
             min_samples_split=params.min_samples_split,
             features_per_split=math.ceil(math.sqrt(data.schema.feature_count)),
         )
+    kept = _reusable_trees(deeper, params, n_trees, seed, bootstrap) if deeper else {}
     trees = [
-        grow_forest_tree(X, y, params, seed, i, bootstrap) for i in range(n_trees)
+        kept[i] if i in kept else grow_forest_tree(X, y, params, seed, i, bootstrap)
+        for i in range(n_trees)
     ]
     return ForestModel(
         trees=trees,
@@ -104,6 +121,31 @@ def train_forest(
         seed=seed,
         feature_names=data.schema.feature_names,
     )
+
+
+def _reusable_trees(
+    deeper: ForestModel, params: TreeParams, n_trees: int, seed: int, bootstrap: bool
+) -> dict[int, TreeNode]:
+    """Trees of `deeper` among the first n_trees, by index, that growth
+    under `params` gives back."""
+    limit = deeper.params.max_depth
+    if (
+        deeper.seed != seed
+        or deeper.bootstrap != bootstrap
+        or replace(deeper.params, max_depth=params.max_depth) != params
+        or (limit is not None and (params.max_depth is None or limit < params.max_depth))
+    ):
+        raise ValueError(
+            "a deeper forest may differ from the one to train only in a deeper max_depth"
+        )
+    trees = deeper.trees[:n_trees]
+    if deeper.params == params:
+        return dict(enumerate(trees))
+    return {
+        i: tree
+        for i, tree in enumerate(trees)
+        if regrows_unchanged(tree, params.max_depth, params.min_samples_split)
+    }
 
 
 def staged_proba_forest(model: ForestModel, X: np.ndarray) -> Iterator[np.ndarray]:

@@ -34,6 +34,7 @@ import numpy as np
 from . import report as rpt
 from .cart import IMPORTANCE_MODES, WEIGHTED
 from .dataset import (
+    MISSING_FEATURE_POLICIES,
     CountyDataset,
     LabeledDataset,
     align_schemas,
@@ -115,6 +116,31 @@ class RunConfig:
     def __post_init__(self):
         if self.seed is None:
             raise InvalidConfig("seed is mandatory")
+        # Types before ranges: a range check on a string raises TypeError,
+        # and a string of hazards would be read as single letters.
+        for key, value, kind in (
+            ("seed", self.seed, int),
+            ("beta", self.beta, float),
+            ("split.train_fraction", self.train_fraction, float),
+            ("split.stratified", self.stratified, bool),
+            ("cv.k", self.cv_k, int),
+            ("transfer.threshold", self.transfer_threshold, float),
+            ("top_k", self.top_k, int),
+            ("workers", self.workers, int),
+        ):
+            if not _has_type(value, kind):
+                raise InvalidConfig(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if self.hazards is not None:
+            if not isinstance(self.hazards, (list, tuple)) or not all(
+                isinstance(hazard, str) for hazard in self.hazards
+            ):
+                raise InvalidConfig(
+                    f"hazards must be a list of hazard ids, got {self.hazards!r}"
+                )
+            if any("__" in hazard for hazard in self.hazards):
+                raise InvalidConfig("hazard ids must not contain '__'")
+        if self.synth is not None and not isinstance(self.synth, dict):
+            raise InvalidConfig("synth must be a JSON object")
         if not self.out_dir:
             raise InvalidConfig("out_dir is mandatory")
         if not self.county_files and self.synth is None:
@@ -126,6 +152,11 @@ class RunConfig:
                 raise InvalidConfig(f"county file not found: {path}")
         if self.feature_groups is not None:
             read_feature_groups(self.feature_groups)
+            if self.synth is not None:
+                raise InvalidConfig(
+                    "feature_groups and synth are mutually exclusive: a synthetic "
+                    "scenario brings its own groups"
+                )
         if self.beta <= 0:
             raise InvalidConfig("beta must be positive")
         if not self.families:
@@ -135,14 +166,14 @@ class RunConfig:
                 raise InvalidConfig(f"unknown model family {family!r}")
         if self.importance_mode not in IMPORTANCE_MODES:
             raise InvalidConfig(f"unknown importance mode {self.importance_mode!r}")
+        if self.missing_feature_policy not in MISSING_FEATURE_POLICIES:
+            raise InvalidConfig(
+                f"unknown missing feature policy {self.missing_feature_policy!r}"
+            )
         if self.workers < 1:
             raise InvalidConfig("workers must be >= 1")
         if self.top_k < 1:
             raise InvalidConfig("top_k must be >= 1")
-        if self.hazards is not None:
-            for hazard in self.hazards:
-                if "__" in hazard:
-                    raise InvalidConfig("hazard ids must not contain '__'")
         try:
             SplitSpec(train_fraction=self.train_fraction, stratified=self.stratified)
             for family, grid in (("forest", self.forest_grid), ("gbt", self.gbt_grid)):
@@ -219,6 +250,17 @@ class RunConfig:
             "missing_feature_policy": self.missing_feature_policy,
             "feature_groups": self.feature_groups,
         }
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _has_type(value, kind) -> bool:
+    """isinstance for config scalars: a bool is only a bool, although Python
+    counts it as an int, and a float setting also takes an int."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 # The keys to_dict emits: the only ones from_dict accepts.
@@ -885,14 +927,13 @@ def _model_from_json(family: str, text: str):
     return forest_from_json(text) if family == "forest" else gbt_from_json(text)
 
 
-def load_run_models(run_dir) -> dict[tuple[str, str, str], object]:
-    """Deserialized models keyed (county, hazard, family)."""
+def load_run_models(run_dir, family: str) -> dict[tuple[str, str], object]:
+    """The run's deserialized models of one family, keyed (county, hazard);
+    other families' files are not read."""
     models = {}
-    for path in sorted(Path(run_dir, "models").glob("*.json")):
-        county, hazard, family = path.stem.split("__")
-        models[(county, hazard, family)] = _model_from_json(
-            family, path.read_text("utf-8")
-        )
+    for path in sorted(Path(run_dir, "models").glob(f"*__{family}.json")):
+        county, hazard, _ = path.stem.split("__")
+        models[(county, hazard)] = _model_from_json(family, path.read_text("utf-8"))
     return models
 
 

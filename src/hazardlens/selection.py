@@ -6,7 +6,10 @@ Grid points are scored by mean validation F-beta across stratified folds;
 ties go to the lexicographically smallest point, where a point's sort key
 is its tuple of value indices over alphabetically ordered parameter names.
 Points that differ only in tree / round count are prefixes of one model, so
-CV fits each such ladder once per fold, at its largest size.
+CV fits each such ladder once per fold, at its largest size. Forest ladders
+that differ only in max_depth are fitted deepest first, each fold handing
+its deeper forest to the next shallower fit, which keeps every tree that
+the shallower limit would grow the same.
 """
 
 from __future__ import annotations
@@ -146,16 +149,25 @@ def _boost_params(point: dict) -> BoostParams:
     )
 
 
-def _forest_family(data: LabeledDataset, point: dict, seed: int):
+def _forest_family(data: LabeledDataset, point: dict, seed: int, deeper=None):
     return train_forest(
-        data, _tree_params(point), n_trees=point.get("n_trees", DEFAULT_SIZE), seed=seed
+        data,
+        _tree_params(point),
+        n_trees=point.get("n_trees", DEFAULT_SIZE),
+        seed=seed,
+        deeper=deeper,
     )
 
 
-def _gbt_family(data: LabeledDataset, point: dict, seed: int):
+def _gbt_family(data: LabeledDataset, point: dict, seed: int, deeper=None):
+    # Each round fits the residuals of the rounds before it, so a deeper
+    # model has nothing to lend; cross_validate never passes one.
     return train_gbt(data, _boost_params(point), seed=seed)
 
 
+# Per family: fit(data, point, seed, deeper), predict(model, X), default grid.
+# `deeper` is None or the same fold's model of a point that differs only in
+# a deeper max_depth.
 FAMILIES = {
     "forest": (_forest_family, predict_forest, DEFAULT_FOREST_GRID),
     "gbt": (_gbt_family, predict_gbt, DEFAULT_GBT_GRID),
@@ -243,34 +255,49 @@ def cross_validate(
 
     # Points that differ only in size share one fit at the group's largest
     # size; each smaller size reads its labels off the staged predictions.
+    # Forest groups that differ only in max_depth form a chain, fitted
+    # deepest first so each fit can reuse the trees of the one before it.
     points = list(_grid_points(cv.grid))
     names = sorted(cv.grid)
-    at = names.index(size_key) if size_key in names else None
-    groups: dict[tuple, list[int]] = {}
+    at_size = names.index(size_key) if size_key in names else None
+    at_depth = (
+        names.index("max_depth")
+        if model_family == "forest" and "max_depth" in names
+        else None
+    )
+    chains: dict[tuple, dict[tuple, list[int]]] = {}
     for n, (key, _) in enumerate(points):
-        rest = key if at is None else key[:at] + key[at + 1:]
-        groups.setdefault(rest, []).append(n)
+        group = tuple(v for i, v in enumerate(key) if i != at_size)
+        chain = tuple(v for i, v in enumerate(key) if i not in (at_size, at_depth))
+        chains.setdefault(chain, {}).setdefault(group, []).append(n)
+
+    def deepest_first(members: list[int]):
+        depth = points[members[0]][1].get("max_depth")
+        return (depth is not None, -(depth or 0))
 
     fold_scores: dict[tuple[int, int], float] = {}  # (point, fold) -> score
-    for members in groups.values():
-        sizes = [points[n][1].get(size_key, DEFAULT_SIZE) for n in members]
-        fit_point = points[members[int(np.argmax(sizes))]][1]
+    for chain in chains.values():
+        ordered = sorted(chain.values(), key=deepest_first)
         for f, valid_idx in enumerate(folds):
-            fit_idx = np.setdiff1d(all_idx, valid_idx, assume_unique=True)
-            model = train_fn(train.take(fit_idx), fit_point, fold_seeds[f])
+            fit_data = train.take(np.setdiff1d(all_idx, valid_idx, assume_unique=True))
             valid_labels = train.labels[valid_idx]
-            stages = staged_proba(model, train.features[valid_idx])
-            for size, proba in enumerate(stages, start=1):
-                if size not in sizes:
-                    continue
-                preds = np.where(proba > 0.5, HIGH, LOW).astype(np.int64)
-                try:
-                    score = f_beta(confusion(valid_labels, preds), cv.beta)
-                except NoPositives:
-                    continue
-                for n, s in zip(members, sizes):
-                    if s == size:
-                        fold_scores[n, f] = score
+            valid_features = train.features[valid_idx]
+            model = None  # the one deeper model kept alive per fold
+            for members in ordered:
+                sizes = [points[n][1].get(size_key, DEFAULT_SIZE) for n in members]
+                fit_point = points[members[int(np.argmax(sizes))]][1]
+                model = train_fn(fit_data, fit_point, fold_seeds[f], deeper=model)
+                for size, proba in enumerate(staged_proba(model, valid_features), start=1):
+                    if size not in sizes:
+                        continue
+                    preds = np.where(proba > 0.5, HIGH, LOW).astype(np.int64)
+                    try:
+                        score = f_beta(confusion(valid_labels, preds), cv.beta)
+                    except NoPositives:
+                        continue
+                    for n, s in zip(members, sizes):
+                        if s == size:
+                            fold_scores[n, f] = score
 
     best_key = None
     best_params: dict = {}

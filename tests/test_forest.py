@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import labeled_from_arrays
-from hazardlens.cart import Leaf, TreeParams, grow_tree, tree_to_dict
+from hazardlens import forest
+from hazardlens.cart import Leaf, TreeParams, grow_tree, regrows_unchanged, tree_to_dict
 from hazardlens.errors import DegenerateLabels, DimensionMismatch
 from hazardlens.forest import (
     ForestModel,
@@ -151,3 +152,51 @@ def test_more_trees_do_not_hurt_training_fbeta():
             scores[n_trees] = f_beta(confusion(data.labels, preds), 1.5)
         deltas.append(scores[50] - scores[1])
     assert np.median(deltas) >= -0.02
+
+
+def tree_depth(node) -> int:
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+def test_searched_leaf_at_the_limit_blocks_reuse(monkeypatch):
+    # Two tied rows at (0, 0) with labels 0 and 1 end up in an impure leaf at
+    # depth 2 of the unlimited tree: its search drew a candidate and found no
+    # threshold. The tree is no deeper than 2, but growth under max_depth=2
+    # skips that draw, so the right child draws a different feature.
+    X = np.array([[0, 0], [0, 0], [0, 1], [0, 1], [2, 5], [3, 5], [2, 5], [3, 5]], float)
+    y = np.array([0, 1, 0, 0, 0, 1, 0, 1])
+    data = labeled_from_arrays(X, y)
+    shallow = TreeParams(max_depth=2, features_per_split=1)
+    unlimited = train_forest(data, TreeParams(features_per_split=1), 1, seed=0, bootstrap=False)
+    independent = train_forest(data, shallow, 1, seed=0, bootstrap=False)
+    tree = unlimited.trees[0]
+    assert tree_depth(tree) == 2
+    assert tree_to_dict(tree) != tree_to_dict(independent.trees[0])
+    assert not regrows_unchanged(tree, 2, shallow.min_samples_split)
+    assert regrows_unchanged(tree, 3, shallow.min_samples_split)
+
+    grown = []
+
+    def counting_grow_tree(*args):
+        grown.append(args)
+        return grow_tree(*args)
+
+    monkeypatch.setattr(forest, "grow_tree", counting_grow_tree)
+    shared = train_forest(data, shallow, 1, seed=0, bootstrap=False, deeper=unlimited)
+    assert len(grown) == 1
+    assert tree_to_dict(shared.trees[0]) == tree_to_dict(independent.trees[0])
+
+
+def test_deeper_forest_must_differ_only_in_a_deeper_limit(rng):
+    data = separable_data(rng)
+    deeper = train_forest(data, TreeParams(max_depth=3), n_trees=2, seed=4)
+    for params, seed in (
+        (TreeParams(max_depth=4), 4),  # shallower than the one to train
+        (TreeParams(), 4),
+        (TreeParams(max_depth=2, min_samples_leaf=2, min_samples_split=4), 4),
+        (TreeParams(max_depth=2), 5),
+    ):
+        with pytest.raises(ValueError):
+            train_forest(data, params, n_trees=2, seed=seed, deeper=deeper)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ def test_partial_failure_preserved(tmp_path):
     assert summary["failures"][0]["county"] == "flat"
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(InvalidConfig):
         RunConfig(seed=None, out_dir="x", synth={"preset": "synth6x3"})
     with pytest.raises(InvalidConfig):
@@ -249,6 +250,10 @@ def test_config_validation():
         RunConfig(seed=1, out_dir="x", synth={}, cv_k=1)
     with pytest.raises(InvalidConfig):
         RunConfig(seed=1, out_dir="x", synth={}, feature_groups="/nope/groups.json")
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"fa": "climate"}))
+    with pytest.raises(InvalidConfig, match="mutually exclusive"):
+        RunConfig(seed=1, out_dir="x", synth={}, feature_groups=str(groups))
 
 
 def test_from_dict_accepts_exactly_the_keys_to_dict_emits():
@@ -270,6 +275,15 @@ def test_from_dict_accepts_exactly_the_keys_to_dict_emits():
         {"feature_groups": ("groups.json", "fa: x")},  # not JSON
         {"feature_groups": ("groups.json", '["fa", "fb"]')},  # not an object
         {"feature_groups": ("groups.json", '{"fa": 1}')},  # group not a name
+        {"hazards": "heat"},  # a string, not a list
+        {"top_k": 2.5},
+        {"workers": 1.5},
+        {"seed": "abc"},
+        {"cv": {"k": 2.5}},
+        {"split": {"stratified": "no"}},
+        # a valid groups file, but the synth scenario brings its own groups
+        {"feature_groups": ("groups.json", '{"fa": "climate"}')},
+        {"missing_feature_policy": "bogus"},
     ],
 )
 def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
@@ -404,18 +418,42 @@ def test_cli_importance_literal_mode_partial_exit(tiny_run):
     from hazardlens.importance import forest_importance
     from hazardlens.pipeline import load_run_models
 
-    models = load_run_models(out)
+    models = load_run_models(out, "forest")
     nonpositive = [
         key
         for key, model in models.items()
-        if key[2] == "forest"
-        and forest_importance(model, "paper_literal").values.sum() <= 0
+        if forest_importance(model, "paper_literal").values.sum() <= 0
     ]
     code = main([
         "importance", "--run", str(out),
         "--out", str(out / "literal"), "--mode", "paper_literal",
     ])
     assert code == (3 if nonpositive else 0)
+
+
+@pytest.mark.parametrize(
+    "command, recomputed, original",
+    [
+        ("importance", "importance_recomputed", "reports"),
+        ("transfer", "transfer_recomputed", "transfer"),
+    ],
+)
+def test_cli_recompute_reads_only_the_family_it_needs(
+    tiny_run, tmp_path, command, recomputed, original
+):
+    # importance reads forests and transfer the canonical family (forest),
+    # so a damaged boosted model must not stop either
+    _, out, _ = tiny_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    (run_dir / "models" / "ash__heat__gbt.json").write_text("{not json")
+    assert main([command, "--run", str(run_dir)]) == 0
+    written = sorted(p.name for p in (run_dir / recomputed).iterdir())
+    assert written
+    for name in written:
+        assert (run_dir / recomputed / name).read_bytes() == (
+            out / original / name
+        ).read_bytes()
 
 
 def test_cli_preset_assembles_config(tmp_path, monkeypatch):
@@ -593,7 +631,7 @@ def test_pair_fails_with_first_family_error(tmp_path, monkeypatch, workers, fami
     raised = {"forest": TooFewSamples, "gbt": ClassTooSmall}
 
     def failing(family):
-        def fit(data, point, seed):
+        def fit(data, point, seed, deeper=None):
             raise raised[family](f"{family} failed")
         return fit
 

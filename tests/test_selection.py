@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import labeled_from_arrays
 from oracles import cross_validate_brute
 from hazardlens.boosting import predict_gbt, predict_margin_gbt, sigmoid, staged_margin_gbt
-from hazardlens.forest import predict_proba_forest, staged_proba_forest
+from hazardlens import selection
+from hazardlens.cart import tree_to_dict
+from hazardlens.forest import predict_proba_forest, staged_proba_forest, train_forest
 from hazardlens.dataset import HIGH, LOW
 from hazardlens.errors import ClassTooSmall, DegenerateLabels, TooFewSamples
 from hazardlens.selection import (
@@ -201,6 +205,41 @@ def test_cv_prefix_sharing_matches_brute_force_forest(data, sizes, depths, seed)
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    data=tied_datasets(k=2),
+    size=st.integers(1, 4),
+    depths=st.sampled_from([[None, 1], [1, None], [1, 3, 2], [2, None, 0, 1], [3, 3]]),
+    leaf=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32),
+)
+def test_cv_depth_sharing_grows_the_same_forests(data, size, depths, leaf, seed):
+    fits = []  # (data, params, n_trees, seed, deeper, model) per CV fit
+
+    def recording(fit_data, params, n_trees, seed, deeper=None):
+        model = train_forest(fit_data, params, n_trees=n_trees, seed=seed, deeper=deeper)
+        fits.append((fit_data, params, n_trees, seed, deeper, model))
+        return model
+
+    grid = {
+        "n_trees": [size],
+        "max_depth": depths,
+        "min_samples_leaf": leaf,
+        "features_per_split": [data.schema.feature_count - 1],
+    }
+    with patch.object(selection, "train_forest", recording):
+        cross_validate(data, "forest", CvSpec(k=2, grid=grid), seed)
+    assert len(fits) == 2 * len(depths) * len(leaf)
+    for fit_data, params, n_trees, fit_seed, deeper, model in fits:
+        if deeper is not None:  # deepest first, None counting as deepest
+            limit = deeper.params.max_depth
+            assert limit is None or limit >= params.max_depth
+        alone = train_forest(fit_data, params, n_trees=n_trees, seed=fit_seed)
+        assert [tree_to_dict(t) for t in model.trees] == [
+            tree_to_dict(t) for t in alone.trees
+        ]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     data=tied_datasets(k=2),
@@ -241,6 +280,8 @@ def test_check_grid_accepts_defaults_and_rejects_bad_grids():
         ("forest", {"n_trees": []}),
         ("forest", {"n_trees": [2.0]}),
         ("forest", {"n_trees": [0]}),
+        ("forest", {"max_depth": [2.5]}),
+        ("forest", {"max_depth": [True]}),
         ("gbt", {"n_rounds": [True]}),
         ("gbt", {"learning_rate": [0.0]}),
         ("gbt", {"max_depth": [None]}),
