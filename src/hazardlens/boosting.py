@@ -23,34 +23,19 @@ import json
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+# the boosted nodes live in cart, the tree module of both families
+from .cart import (
+    RegLeaf, RegNode, RegSplit, feature_matrix, tree_from_dict, tree_to_dict, tree_values
+)
 from .dataset import HIGH, LOW, LabeledDataset
-from .errors import DegenerateLabels, DimensionMismatch
+from .errors import DegenerateLabels
 
 GBT_FORMAT = "hazardlens.gbt"
 GBT_VERSION = 1
-
-
-@dataclass
-class RegLeaf:
-    weight: float
-    n: int
-
-
-@dataclass
-class RegSplit:
-    feature: int
-    threshold: float
-    gain: float
-    n: int
-    left: "RegNode" = field(repr=False)
-    right: "RegNode" = field(repr=False)
-
-
-RegNode = RegLeaf | RegSplit
 
 
 @dataclass(frozen=True)
@@ -225,22 +210,6 @@ def _grow_reg_tree(
     return root
 
 
-def _reg_predict(node: RegNode, X: np.ndarray) -> np.ndarray:
-    """Leaf weight of every row of X; an explicit stack, as in
-    cart.tree_predict_proba."""
-    out = np.empty(X.shape[0], dtype=np.float64)
-    todo = [(node, np.arange(X.shape[0], dtype=np.intp))]
-    while todo:
-        nd, idx = todo.pop()
-        if isinstance(nd, RegLeaf):
-            out[idx] = nd.weight
-            continue
-        go_left = X[idx, nd.feature] <= nd.threshold
-        todo.append((nd.left, idx[go_left]))
-        todo.append((nd.right, idx[~go_left]))
-    return out
-
-
 def train_gbt(
     data: LabeledDataset,
     params: BoostParams,
@@ -275,7 +244,7 @@ def train_gbt(
         g = p_hat - y
         h = p_hat * (1.0 - p_hat)
         stage = _grow_reg_tree(X, g, h, params, columns)
-        margins += params.learning_rate * _reg_predict(stage, X)
+        margins += params.learning_rate * tree_values(stage, X)
         stages.append(stage)
         losses.append(_logloss(margins, y))
 
@@ -296,15 +265,10 @@ def staged_margin_gbt(model: BoostedModel, X: np.ndarray) -> Iterator[np.ndarray
     predict_margin_gbt of an i-round prefix bit for bit. Each yield is a
     copy, so callers may keep it.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise DimensionMismatch(
-            f"expected {model.n_features} feature columns, got "
-            f"{X.shape[1] if X.ndim == 2 else X.ndim}"
-        )
+    X = feature_matrix(X, model.n_features)
     margins = np.full(X.shape[0], model.base_score, dtype=np.float64)
     for stage in model.stages:
-        margins += model.params.learning_rate * _reg_predict(stage, X)
+        margins += model.params.learning_rate * tree_values(stage, X)
         yield margins.copy()
 
 
@@ -321,49 +285,16 @@ def predict_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     return np.where(predict_proba_gbt(model, X) > 0.5, HIGH, LOW).astype(np.int64)
 
 
-def _reg_node_to_dict(node: RegNode) -> dict:
-    if isinstance(node, RegLeaf):
-        return {"kind": "leaf", "weight": float(node.weight), "samples": int(node.n)}
-    return {
-        "kind": "split",
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "gain": float(node.gain),
-        "samples": int(node.n),
-        "left": _reg_node_to_dict(node.left),
-        "right": _reg_node_to_dict(node.right),
-    }
-
-
-def _reg_node_from_dict(data: dict) -> RegNode:
-    if data["kind"] == "leaf":
-        return RegLeaf(weight=float(data["weight"]), n=int(data["samples"]))
-    return RegSplit(
-        feature=int(data["feature"]),
-        threshold=float(data["threshold"]),
-        gain=float(data["gain"]),
-        n=int(data["samples"]),
-        left=_reg_node_from_dict(data["left"]),
-        right=_reg_node_from_dict(data["right"]),
-    )
-
-
 def gbt_to_json(model: BoostedModel) -> str:
     payload = {
         "format": GBT_FORMAT,
         "version": GBT_VERSION,
         "seed": int(model.seed),
         "base_score": float(model.base_score),
-        "params": {
-            "n_rounds": model.params.n_rounds,
-            "learning_rate": model.params.learning_rate,
-            "l2_reg": model.params.l2_reg,
-            "max_depth": model.params.max_depth,
-            "min_samples_leaf": model.params.min_samples_leaf,
-        },
+        "params": asdict(model.params),
         "feature_names": list(model.feature_names),
         "train_loss": [float(v) for v in model.train_loss],
-        "stages": [_reg_node_to_dict(s) for s in model.stages],
+        "stages": [tree_to_dict(s) for s in model.stages],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -372,16 +303,9 @@ def gbt_from_json(text: str) -> BoostedModel:
     payload = json.loads(text)
     if payload.get("format") != GBT_FORMAT:
         raise ValueError(f"not a gbt document: {payload.get('format')!r}")
-    params = payload["params"]
     return BoostedModel(
-        stages=[_reg_node_from_dict(s) for s in payload["stages"]],
-        params=BoostParams(
-            n_rounds=params["n_rounds"],
-            learning_rate=params["learning_rate"],
-            l2_reg=params["l2_reg"],
-            max_depth=params["max_depth"],
-            min_samples_leaf=params["min_samples_leaf"],
-        ),
+        stages=[tree_from_dict(s) for s in payload["stages"]],
+        params=BoostParams(**payload["params"]),
         base_score=payload["base_score"],
         seed=payload["seed"],
         feature_names=tuple(payload["feature_names"]),

@@ -1,13 +1,18 @@
-"""Single CART-style binary classification tree.
+"""CART classification trees, and the tree module of both model families.
 
 Exhaustive split search over midpoint thresholds, recursive growth, and
 per-node impurity bookkeeping so feature importance can be recomputed from
 the stored fields alone. Comparison convention: x[j] <= threshold goes left.
+
+The boosted family's regression nodes (RegLeaf / RegSplit, grown by
+boosting) are defined here too, so one router (tree_values), one preorder
+split walk (iter_splits) and one node codec (tree_to_dict / tree_from_dict)
+serve forest trees and boosted stages alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 
 import numpy as np
@@ -54,9 +59,6 @@ class Leaf:
     counts: np.ndarray  # per-class sample counts, index LOW=0 / HIGH=1
     n: int
 
-    def probabilities(self) -> np.ndarray:
-        return self.counts.astype(np.float64) / self.n
-
 
 @dataclass
 class Split:
@@ -73,6 +75,26 @@ class Split:
 
 
 TreeNode = Leaf | Split
+
+
+@dataclass
+class RegLeaf:
+    weight: float
+    n: int
+
+
+@dataclass
+class RegSplit:
+    feature: int
+    threshold: float
+    gain: float
+    n: int
+    left: "RegNode" = field(repr=False)
+    right: "RegNode" = field(repr=False)
+
+
+RegNode = RegLeaf | RegSplit
+_SPLITS = (Split, RegSplit)
 
 
 def gini_impurity(counts) -> float:
@@ -257,26 +279,20 @@ def regrows_unchanged(tree: TreeNode, max_depth: int, min_samples_split: int) ->
     )
 
 
-def predict_proba_tree(tree: TreeNode, x, n_features: int | None = None) -> np.ndarray:
-    """Class probability vector (P(low), P(high)) for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if n_features is not None and x.shape[0] != n_features:
+def feature_matrix(X, n_features: int) -> np.ndarray:
+    """X as the float (rows x n_features) matrix a model of either family
+    routes; DimensionMismatch for any other shape."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
         raise DimensionMismatch(
-            f"expected {n_features} features, got {x.shape[0]}"
+            f"expected {n_features} feature columns, got {X.shape[1] if X.ndim == 2 else X.ndim}"
         )
-    node = tree
-    while isinstance(node, Split):
-        if node.feature >= x.shape[0]:
-            raise DimensionMismatch(
-                f"tree splits on feature {node.feature} but vector has "
-                f"{x.shape[0]} entries"
-            )
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.probabilities()
+    return X
 
 
-def tree_predict_proba(tree: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Vector of P(high) for every row of X, routed in bulk.
+def tree_values(tree: TreeNode | RegNode, X: np.ndarray) -> np.ndarray:
+    """Leaf value of every row of X, routed in bulk: P(high) for a forest
+    tree, the leaf weight for a boosted stage.
 
     The walk keeps an explicit stack: a recursive closure would form a
     reference cycle that holds `out` until the next garbage collection.
@@ -286,13 +302,26 @@ def tree_predict_proba(tree: TreeNode, X: np.ndarray) -> np.ndarray:
     todo = [(tree, np.arange(X.shape[0], dtype=np.intp))]
     while todo:
         node, idx = todo.pop()
-        if isinstance(node, Leaf):
-            out[idx] = node.counts[1] / node.n
+        if not isinstance(node, _SPLITS):
+            out[idx] = node.weight if isinstance(node, RegLeaf) else node.counts[1] / node.n
             continue
         go_left = X[idx, node.feature] <= node.threshold
         todo.append((node.left, idx[go_left]))
         todo.append((node.right, idx[~go_left]))
     return out
+
+
+def iter_splits(tree: TreeNode | RegNode):
+    """Every split node of a tree of either family, in preorder (node, then
+    its left subtree, then its right), without recursion. Importance sums
+    add in this order, so it fixes their bits."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _SPLITS):
+            yield node
+            todo.append(node.right)
+            todo.append(node.left)
 
 
 def split_importance(node: Split, mode: str, root_n: int) -> float:
@@ -318,58 +347,60 @@ def node_importances(tree: TreeNode, mode: str = WEIGHTED) -> dict[int, float]:
 
     Returns a sparse map; features never split on are simply absent.
     """
-    root_n = tree.n
     totals: dict[int, float] = {}
-
-    def walk(node: TreeNode):
-        if isinstance(node, Leaf):
-            return
+    for node in iter_splits(tree):
         totals[node.feature] = totals.get(node.feature, 0.0) + split_importance(
-            node, mode, root_n
+            node, mode, tree.n
         )
-        walk(node.left)
-        walk(node.right)
-
-    walk(tree)
     return totals
 
 
-def tree_to_dict(node: TreeNode) -> dict:
-    """Self-describing nested-dict form used for JSON golden files."""
-    if isinstance(node, Leaf):
-        return {
-            "kind": "leaf",
-            "counts": [int(c) for c in node.counts],
-            "samples": int(node.n),
-        }
-    return {
-        "kind": "split",
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "impurity": float(node.impurity),
-        "samples": int(node.n),
-        "left_impurity": float(node.left_impurity),
-        "right_impurity": float(node.right_impurity),
-        "left_samples": int(node.n_left),
-        "right_samples": int(node.n_right),
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
-    }
+# The v1 node format. A node's JSON keys are its dataclass fields, renamed
+# where listed, each converted by its annotation; left / right hold the
+# children and "kind" says leaf or split. The layout is computed once per
+# node class: reading fields() for every node would slow model parsing.
+_RENAMED = {"n": "samples", "n_left": "left_samples", "n_right": "right_samples"}
+_CONVERTERS = {  # annotation -> (to JSON, from JSON)
+    "int": (int, int),
+    "float": (float, float),
+    "np.ndarray": (lambda a: [int(c) for c in a], lambda v: np.asarray(v, dtype=np.int64)),
+}
+_LAYOUT = {
+    cls: tuple(
+        (f.name, _RENAMED.get(f.name, f.name), *_CONVERTERS[f.type])
+        for f in fields(cls)
+        if f.name not in ("left", "right")
+    )
+    for cls in (Leaf, Split, RegLeaf, RegSplit)
+}
+_FAMILIES = ((Leaf, Split), (RegLeaf, RegSplit))
 
 
-def tree_from_dict(data: dict) -> TreeNode:
+def tree_to_dict(node: TreeNode | RegNode) -> dict:
+    """Self-describing nested-dict form of a tree of either family, used for
+    model JSON and golden files."""
+    out = {key: encode(getattr(node, name)) for name, key, encode, _ in _LAYOUT[type(node)]}
+    if isinstance(node, _SPLITS):
+        out.update(kind="split", left=tree_to_dict(node.left), right=tree_to_dict(node.right))
+    else:
+        out["kind"] = "leaf"
+    return out
+
+
+def tree_from_dict(data: dict) -> TreeNode | RegNode:
+    """The tree tree_to_dict gave `data` for, of the family whose node
+    layout the root's keys fit."""
+    for leaf, split in _FAMILIES:
+        if all(key in data for _, key, _, _ in _LAYOUT[split if "left" in data else leaf]):
+            return _node_from_dict(data, leaf, split)
+    raise ValueError(f"not a tree node of either family: {sorted(data)}")
+
+
+def _node_from_dict(data: dict, leaf: type, split: type):
     if data["kind"] == "leaf":
-        return Leaf(counts=np.asarray(data["counts"], dtype=np.int64),
-                    n=int(data["samples"]))
-    return Split(
-        feature=int(data["feature"]),
-        threshold=float(data["threshold"]),
-        impurity=float(data["impurity"]),
-        n=int(data["samples"]),
-        left_impurity=float(data["left_impurity"]),
-        right_impurity=float(data["right_impurity"]),
-        n_left=int(data["left_samples"]),
-        n_right=int(data["right_samples"]),
-        left=tree_from_dict(data["left"]),
-        right=tree_from_dict(data["right"]),
+        return leaf(*[decode(data[key]) for _, key, _, decode in _LAYOUT[leaf]])
+    return split(
+        *[decode(data[key]) for _, key, _, decode in _LAYOUT[split]],
+        _node_from_dict(data["left"], leaf, split),
+        _node_from_dict(data["right"], leaf, split),
     )

@@ -19,6 +19,7 @@ from .pipeline import (
     PRESETS,
     RunConfig,
     canonical_family,
+    load_run_config,
     load_run_groups,
     load_run_models,
     load_run_summary,
@@ -26,7 +27,6 @@ from .pipeline import (
     rebuild_eval_splits,
     run,
     scenario_specs,
-    transfer_policy,
     write_importance,
     write_scenario,
     write_transfer,
@@ -84,25 +84,13 @@ def _cmd_run(args) -> int:
             raise InvalidConfig(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(raw, dict):
             raise InvalidConfig("config must be a JSON object")
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.out:
-            raw["out_dir"] = args.out
-        if args.workers is not None:
-            raw["workers"] = args.workers
-        if args.beta is not None:
-            raw["beta"] = args.beta
-        config = RunConfig.from_dict(raw)
     elif args.preset:
-        if args.seed is None or not args.out:
-            raise InvalidConfig("--preset runs need --seed and --out")
-        config = PRESETS[args.preset](args.seed, args.out, workers=args.workers or 1)
-        if args.beta is not None:
-            raw = config.to_dict()
-            raw["beta"] = args.beta
-            config = RunConfig.from_dict(raw)
+        raw = {"synth": {"preset": args.preset}}
     else:
         raise InvalidConfig("run needs --config or --preset")
+    overrides = {"seed": args.seed, "out_dir": args.out, "workers": args.workers, "beta": args.beta}
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
+    config = RunConfig.from_dict(raw)
     report = run(config)
     for (county, hazard), res in report.results.items():
         scores = ", ".join(
@@ -134,33 +122,33 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _finished_run(path: str) -> tuple[Path, dict]:
-    """The run directory and its summary; checked before anything is written."""
+def _finished_run(path: str) -> tuple[Path, dict, RunConfig]:
+    """The run directory, its summary and its config; checked before
+    anything is written."""
     run_dir = Path(path)
     if not (run_dir / "summary.json").is_file():
         raise InvalidConfig(f"{run_dir} is not a finished run: no summary.json")
-    return run_dir, load_run_summary(run_dir)
+    return run_dir, load_run_summary(run_dir), load_run_config(run_dir)
 
 
 def _cmd_transfer(args) -> int:
-    run_dir, summary = _finished_run(args.run)
-    canonical = canonical_family(summary["config"]["families"])
+    run_dir, summary, config = _finished_run(args.run)
     write_transfer(
         Path(args.out) if args.out else run_dir / "transfer_recomputed",
-        load_run_models(run_dir, canonical),
+        load_run_models(run_dir, canonical_family(config.families)),
         rebuild_eval_splits(run_dir),
         tuple(summary["counties"]),
         tuple(summary["hazards"]),
-        transfer_policy(summary["config"]),
+        config.policy,
         _print_written,
     )
     return EXIT_OK
 
 
 def _cmd_importance(args) -> int:
-    run_dir, summary = _finished_run(args.run)
+    run_dir, _, config = _finished_run(args.run)
     out = Path(args.out) if args.out else run_dir / "importance_recomputed"
-    mode = args.mode or summary["config"]["importance_mode"]
+    mode = args.mode or config.importance_mode
     groups = load_run_groups(run_dir)
     vectors = {}
     skipped = False
@@ -171,7 +159,7 @@ def _cmd_importance(args) -> int:
             print(f"skipping {county}/{hazard}: {note}", file=sys.stderr)
         else:
             vectors.setdefault(hazard, {})[county] = vector
-    write_importance(out, vectors, summary["config"]["top_k"], groups, _print_written)
+    write_importance(out, vectors, config.top_k, groups, _print_written)
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 

@@ -12,21 +12,22 @@ import json
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .cart import (
     TreeNode,
     TreeParams,
+    feature_matrix,
     grow_tree,
     regrows_unchanged,
     tree_from_dict,
-    tree_predict_proba,
     tree_to_dict,
+    tree_values,
 )
 from .dataset import HIGH, LOW, LabeledDataset
-from .errors import DegenerateLabels, DimensionMismatch
+from .errors import DegenerateLabels
 
 FOREST_FORMAT = "hazardlens.forest"
 FOREST_VERSION = 1
@@ -102,11 +103,8 @@ def train_forest(
     y = data.labels[order]
 
     if params.features_per_split is None:
-        params = TreeParams(
-            max_depth=params.max_depth,
-            min_samples_leaf=params.min_samples_leaf,
-            min_samples_split=params.min_samples_split,
-            features_per_split=math.ceil(math.sqrt(data.schema.feature_count)),
+        params = replace(
+            params, features_per_split=math.ceil(math.sqrt(data.schema.feature_count))
         )
     kept = _reusable_trees(deeper, params, n_trees, seed, bootstrap) if deeper else {}
     trees = [
@@ -155,15 +153,10 @@ def staged_proba_forest(model: ForestModel, X: np.ndarray) -> Iterator[np.ndarra
     each stage: stage i equals predict_proba_forest of an i-tree prefix
     bit for bit.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise DimensionMismatch(
-            f"expected {model.n_features} feature columns, got "
-            f"{X.shape[1] if X.ndim == 2 else X.ndim}"
-        )
+    X = feature_matrix(X, model.n_features)
     acc = np.zeros(X.shape[0], dtype=np.float64)
     for i, tree in enumerate(model.trees, start=1):
-        acc += tree_predict_proba(tree, X)
+        acc += tree_values(tree, X)
         yield acc / i
 
 
@@ -184,12 +177,7 @@ def forest_to_json(model: ForestModel) -> str:
         "seed": int(model.seed),
         "bootstrap": bool(model.bootstrap),
         "n_trees": int(model.n_trees),
-        "params": {
-            "max_depth": model.params.max_depth,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "min_samples_split": model.params.min_samples_split,
-            "features_per_split": model.params.features_per_split,
-        },
+        "params": asdict(model.params),
         "feature_names": list(model.feature_names),
         "trees": [tree_to_dict(tree) for tree in model.trees],
     }
@@ -200,15 +188,9 @@ def forest_from_json(text: str) -> ForestModel:
     payload = json.loads(text)
     if payload.get("format") != FOREST_FORMAT:
         raise ValueError(f"not a forest document: {payload.get('format')!r}")
-    params = payload["params"]
     return ForestModel(
         trees=[tree_from_dict(t) for t in payload["trees"]],
-        params=TreeParams(
-            max_depth=params["max_depth"],
-            min_samples_leaf=params["min_samples_leaf"],
-            min_samples_split=params["min_samples_split"],
-            features_per_split=params["features_per_split"],
-        ),
+        params=TreeParams(**payload["params"]),
         n_trees=payload["n_trees"],
         bootstrap=payload["bootstrap"],
         seed=payload["seed"],

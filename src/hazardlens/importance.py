@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import BoostedModel, RegLeaf, RegNode
-from .cart import WEIGHTED, node_importances
+from .boosting import BoostedModel
+from .cart import WEIGHTED, iter_splits, node_importances
 from .errors import AllZeroImportance
 from .forest import ForestModel
 
@@ -61,16 +61,9 @@ def gbt_importance(model: BoostedModel) -> ImportanceVector:
     """Total split gain per feature, normalized. Diagnostic only: the
     canonical importance pipeline runs on forests."""
     totals = np.zeros(model.n_features, dtype=np.float64)
-
-    def walk(node: RegNode):
-        if isinstance(node, RegLeaf):
-            return
-        totals[node.feature] += node.gain
-        walk(node.left)
-        walk(node.right)
-
     for stage in model.stages:
-        walk(stage)
+        for node in iter_splits(stage):
+            totals[node.feature] += node.gain
     return normalize(
         ImportanceVector(
             feature_names=model.feature_names, values=totals, normalized=False

@@ -107,9 +107,6 @@ class MetricTable:
     def get(self, county: str, hazard: str) -> float | None:
         return self.values.get((county, hazard))
 
-    def present(self, county: str, hazard: str) -> bool:
-        return (county, hazard) in self.values
-
     def column(self, hazard: str) -> list[float]:
         """Present values for one hazard, in county-registry order."""
         return [

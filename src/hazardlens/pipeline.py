@@ -24,9 +24,10 @@ seed.
 
 from __future__ import annotations
 
+import copy
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -118,18 +119,11 @@ class RunConfig:
             raise InvalidConfig("seed is mandatory")
         # Types before ranges: a range check on a string raises TypeError,
         # and a string of hazards would be read as single letters.
-        for key, value, kind in (
-            ("seed", self.seed, int),
-            ("beta", self.beta, float),
-            ("split.train_fraction", self.train_fraction, float),
-            ("split.stratified", self.stratified, bool),
-            ("cv.k", self.cv_k, int),
-            ("transfer.threshold", self.transfer_threshold, float),
-            ("top_k", self.top_k, int),
-            ("workers", self.workers, int),
-        ):
-            if not _has_type(value, kind):
-                raise InvalidConfig(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        for f in fields(self):
+            kind = _SCALARS.get(f.type)
+            value = getattr(self, f.name)
+            if kind is not None and not _has_type(value, kind[0]):
+                raise InvalidConfig(f"{_JSON_KEYS[f.name]} must be {kind[1]}, got {value!r}")
         if self.hazards is not None:
             if not isinstance(self.hazards, (list, tuple)) or not all(
                 isinstance(hazard, str) for hazard in self.hazards
@@ -141,6 +135,8 @@ class RunConfig:
                 raise InvalidConfig("hazard ids must not contain '__'")
         if self.synth is not None and not isinstance(self.synth, dict):
             raise InvalidConfig("synth must be a JSON object")
+        if self.synth is not None and self.synth.get("preset") not in (None, *PRESETS):
+            raise InvalidConfig(f"unknown synth preset {self.synth['preset']!r}")
         if not self.out_dir:
             raise InvalidConfig("out_dir is mandatory")
         if not self.county_files and self.synth is None:
@@ -164,6 +160,10 @@ class RunConfig:
         for family in self.families:
             if family not in FAMILIES:
                 raise InvalidConfig(f"unknown model family {family!r}")
+        for label, ids in (("hazards", self.hazards or []), ("families", self.families)):
+            repeated = sorted({repr(i) for i in ids if ids.count(i) > 1})
+            if repeated:
+                raise InvalidConfig(f"{label} lists {', '.join(repeated)} more than once")
         if self.importance_mode not in IMPORTANCE_MODES:
             raise InvalidConfig(f"unknown importance mode {self.importance_mode!r}")
         if self.missing_feature_policy not in MISSING_FEATURE_POLICIES:
@@ -179,80 +179,81 @@ class RunConfig:
             for family, grid in (("forest", self.forest_grid), ("gbt", self.gbt_grid)):
                 check_grid(family, grid)
                 CvSpec(k=self.cv_k, grid=grid, beta=self.beta)
-            transfer_policy(self.to_dict())
+            self.policy  # TransferPolicy checks the transfer settings
         except ValueError as exc:
             raise InvalidConfig(str(exc)) from None
 
+    @property
+    def policy(self) -> TransferPolicy:
+        """The transfer policy these settings describe."""
+        return TransferPolicy(
+            threshold=self.transfer_threshold,
+            beta=self.beta,
+            baseline=self.transfer_baseline,
+            eval_on=self.transfer_eval_on,
+        )
+
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """Config from its to_dict form; keys to_dict never emits are rejected."""
-        _reject_unknown_keys(raw, _CONFIG_KEYS, "config")
-        for section, allowed in _SECTION_KEYS.items():
-            _reject_unknown_keys(raw.get(section, {}), allowed, section)
-        data = dict(raw)
-        split = data.pop("split", {})
-        cv = data.pop("cv", {})
-        transfer = data.pop("transfer", {})
+        """Config from its to_dict form; keys to_dict never emits are rejected.
+
+        A key the config leaves out takes the setting of the synth preset it
+        names, if that preset has one, else the field's default.
+        """
+        _reject_unknown_keys(raw, "", "config")
+        for section in dict.fromkeys(k.split(".")[0] for k in _JSON_KEYS.values() if "." in k):
+            _reject_unknown_keys(raw.get(section, {}), section + ".", section)
+        synth = raw.get("synth")
+        preset = PRESETS.get(str(synth.get("preset")), {}) if isinstance(synth, dict) else {}
+        # a field left out everywhere keeps its default; seed and out_dir have
+        # none, and None makes __post_init__ say they are mandatory
+        values = {"seed": None, "out_dir": None}
+        for name, key in _JSON_KEYS.items():
+            if (value := _lookup(raw, key)) is not _LEFT_OUT:
+                values[name] = value
+            elif (value := _lookup(preset, key)) is not _LEFT_OUT:
+                values[name] = copy.deepcopy(value)  # never share the preset's lists
         try:
-            return cls(
-                seed=data.pop("seed", None),
-                out_dir=data.pop("out_dir", ""),
-                county_files=list(data.pop("counties", [])),
-                synth=data.pop("synth", None),
-                hazards=data.pop("hazards", None),
-                beta=data.pop("beta", 1.5),
-                train_fraction=split.get("train_fraction", 0.70),
-                stratified=split.get("stratified", True),
-                cv_k=cv.get("k", 10),
-                forest_grid=cv.get("forest_grid", dict(DEFAULT_FOREST_GRID)),
-                gbt_grid=cv.get("gbt_grid", dict(DEFAULT_GBT_GRID)),
-                families=list(data.pop("families", ["forest", "gbt"])),
-                importance_mode=data.pop("importance_mode", WEIGHTED),
-                transfer_threshold=transfer.get("threshold", -15.0),
-                transfer_baseline=transfer.get("baseline", "target_native"),
-                transfer_eval_on=transfer.get("eval_on", "test"),
-                top_k=data.pop("top_k", 7),
-                workers=data.pop("workers", 1),
-                missing_feature_policy=data.pop(
-                    "missing_feature_policy", "error"
-                ),
-                feature_groups=data.pop("feature_groups", None),
-            )
+            return cls(**values)
         except (TypeError, ValueError) as exc:
             raise InvalidConfig(str(exc)) from None
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "counties": list(self.county_files),
-            "synth": self.synth,
-            "hazards": self.hazards,
-            "beta": self.beta,
-            "split": {
-                "train_fraction": self.train_fraction,
-                "stratified": self.stratified,
-            },
-            "cv": {
-                "k": self.cv_k,
-                "forest_grid": self.forest_grid,
-                "gbt_grid": self.gbt_grid,
-            },
-            "families": list(self.families),
-            "importance_mode": self.importance_mode,
-            "transfer": {
-                "threshold": self.transfer_threshold,
-                "baseline": self.transfer_baseline,
-                "eval_on": self.transfer_eval_on,
-            },
-            "top_k": self.top_k,
-            "workers": self.workers,
-            "missing_feature_policy": self.missing_feature_policy,
-            "feature_groups": self.feature_groups,
-        }
+        out: dict = {}
+        for name, key in _JSON_KEYS.items():
+            section, _, leaf = key.rpartition(".")
+            (out.setdefault(section, {}) if section else out)[leaf] = getattr(self, name)
+        return out
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false"}
+# Where each RunConfig field sits in the config's JSON form: "section.key",
+# or a top-level key, under the field's own name unless listed here. to_dict
+# writes this layout and from_dict reads only it.
+_PLACED = {
+    "county_files": "counties",
+    "train_fraction": "split.train_fraction",
+    "stratified": "split.stratified",
+    "cv_k": "cv.k",
+    "forest_grid": "cv.forest_grid",
+    "gbt_grid": "cv.gbt_grid",
+    "transfer_threshold": "transfer.threshold",
+    "transfer_baseline": "transfer.baseline",
+    "transfer_eval_on": "transfer.eval_on",
+}
+_JSON_KEYS = {f.name: _PLACED.get(f.name, f.name) for f in fields(RunConfig)}
+_LEFT_OUT = object()
+
+
+def _lookup(raw: dict, key: str):
+    """The value at a field table key of a config's JSON form, or _LEFT_OUT."""
+    section, _, leaf = key.rpartition(".")
+    return (raw.get(section, {}) if section else raw).get(leaf, _LEFT_OUT)
+
+
+# the scalar annotations __post_init__ checks: the type and how to name it
+_SCALARS = {
+    "int": (int, "an integer"), "float": (float, "a number"), "bool": (bool, "true or false")
+}
 
 
 def _has_type(value, kind) -> bool:
@@ -263,60 +264,44 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-# The keys to_dict emits: the only ones from_dict accepts.
-_CONFIG_KEYS = {
-    "seed", "out_dir", "counties", "synth", "hazards", "beta", "split", "cv",
-    "families", "importance_mode", "transfer", "top_k", "workers",
-    "missing_feature_policy", "feature_groups",
-}
-_SECTION_KEYS = {
-    "split": {"train_fraction", "stratified"},
-    "cv": {"k", "forest_grid", "gbt_grid"},
-    "transfer": {"threshold", "baseline", "eval_on"},
-}
-
-
-def _reject_unknown_keys(section: dict, allowed: set, label: str) -> None:
+def _reject_unknown_keys(section, prefix: str, label: str) -> None:
+    """InvalidConfig unless `section` is a JSON object holding only keys the
+    field table places under `prefix` ("" for the top level)."""
     if not isinstance(section, dict):
         raise InvalidConfig(f"{label} must be a JSON object")
+    allowed = {
+        key[len(prefix):].split(".")[0] for key in _JSON_KEYS.values() if key.startswith(prefix)
+    }
     unknown = sorted(map(str, set(section) - allowed))
     if unknown:
         raise InvalidConfig(f"unknown {label} keys: {', '.join(unknown)}")
 
 
-def transfer_policy(config: dict) -> TransferPolicy:
-    """The transfer policy of a config in its to_dict form, which is also
-    the form summary.json echoes."""
-    return TransferPolicy(
-        threshold=config["transfer"]["threshold"],
-        beta=config["beta"],
-        baseline=config["transfer"]["baseline"],
-        eval_on=config["transfer"]["eval_on"],
-    )
+# Settings a synth preset supplies, in the config's JSON form, for the keys
+# a config that names it leaves out. synth6x3 keeps ten folds but trims the
+# grids so a full run stays in the minutes range; the library defaults stay
+# untouched for real data.
+PRESETS = {
+    "synth6x3": {
+        "cv": {
+            "forest_grid": {"n_trees": [20], "max_depth": [None, 8], "min_samples_leaf": [1]},
+            "gbt_grid": {
+                "n_rounds": [15],
+                "max_depth": [3],
+                "learning_rate": [0.3],
+                "l2_reg": [1.0],
+            },
+        },
+    },
+}
 
 
 def synth6x3_config(seed: int, out_dir: str, workers: int = 1) -> RunConfig:
-    """Desk-scale configuration for the six-county benchmark scenario.
-
-    CV keeps ten folds but trims the grids so a full run stays in the
-    minutes range; the library defaults stay untouched for real data.
-    """
-    return RunConfig(
-        seed=seed,
-        out_dir=out_dir,
-        synth={"preset": "synth6x3"},
-        forest_grid={"n_trees": [20], "max_depth": [None, 8], "min_samples_leaf": [1]},
-        gbt_grid={
-            "n_rounds": [15],
-            "max_depth": [3],
-            "learning_rate": [0.3],
-            "l2_reg": [1.0],
-        },
-        workers=workers,
+    """Desk-scale configuration for the six-county benchmark scenario: the
+    synth6x3 preset, as `hazardlens run --preset synth6x3` builds it."""
+    return RunConfig.from_dict(
+        {"seed": seed, "out_dir": out_dir, "workers": workers, "synth": {"preset": "synth6x3"}}
     )
-
-
-PRESETS = {"synth6x3": synth6x3_config}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -350,10 +335,8 @@ def scenario_specs(synth: dict, seed: int) -> tuple[list[ScenarioSpec], dict | N
     synth = dict(synth)
     preset = synth.pop("preset", None)
     synth_seed = child_seed(seed, "synth")
-    if preset == "synth6x3":
+    if preset == "synth6x3":  # RunConfig and the CLI accept no other preset
         return synth6x3_specs(synth_seed, **synth), synth6x3_feature_groups()
-    if preset is not None:
-        raise InvalidConfig(f"unknown synth preset {preset!r}")
     plans = [
         CountyPlan(
             name=c["name"],
@@ -452,12 +435,12 @@ class JobResult:
     test: LabeledDataset
 
 
-def _pair_split(labeled: LabeledDataset, train_fraction, stratified, job_seed: int):
+def _pair_split(labeled: LabeledDataset, config: RunConfig, job_seed: int):
     return stratified_split(
         labeled,
         SplitSpec(
-            train_fraction=train_fraction,
-            stratified=stratified,
+            train_fraction=config.train_fraction,
+            stratified=config.stratified,
             seed=child_seed(job_seed, "split"),
         ),
     )
@@ -477,7 +460,7 @@ def execute_job(
     """Split, cross-validate, refit, and score one family on one (county,
     hazard) pair; every family of a pair replays the same split."""
     labeled = make_labeled(dataset, hazard)
-    train, test = _pair_split(labeled, config.train_fraction, config.stratified, job_seed)
+    train, test = _pair_split(labeled, config, job_seed)
     grid = config.forest_grid if family == "forest" else config.gbt_grid
     best, records = cross_validate(
         train,
@@ -883,7 +866,7 @@ def run(config: RunConfig) -> RunReport:
         out_dir / "reports", vectors, config.top_k, groups, track
     )
     canonical = canonical_family(config.families)
-    policy = transfer_policy(config.to_dict())
+    policy = config.policy
     if policy.eval_on == "full":
         by_county = {d.county_id: d for d in datasets}
         evals = {key: make_labeled(by_county[key[0]], key[1]) for key in results}
@@ -941,16 +924,24 @@ def load_run_summary(run_dir) -> dict:
     return json.loads(Path(run_dir, "summary.json").read_text("utf-8"))
 
 
+def load_run_config(run_dir) -> RunConfig:
+    """The config a finished run echoed into its summary, checked as any
+    config is: InvalidConfig when, say, a county file has moved since. The
+    echo leaves out out_dir and workers; out_dir becomes the run directory."""
+    echo = load_run_summary(run_dir).get("config", {})
+    return RunConfig.from_dict({**echo, "out_dir": str(run_dir)})
+
+
 def load_run_groups(run_dir) -> dict[str, str] | None:
     """The feature groups a finished run rolled its importance up with: the
     emitted `data/feature_groups.json` of a synth run, the configured file
     of a CSV run, or None when the run had none."""
-    config = load_run_summary(run_dir)["config"]
-    if config["synth"] is not None:
+    config = load_run_config(run_dir)
+    if config.synth is not None:
         path = Path(run_dir, "data", "feature_groups.json")
         return read_feature_groups(path) if path.is_file() else None
-    if config["feature_groups"]:
-        return read_feature_groups(config["feature_groups"])
+    if config.feature_groups:
+        return read_feature_groups(config.feature_groups)
     return None
 
 
@@ -959,28 +950,22 @@ def rebuild_eval_splits(run_dir) -> dict[tuple[str, str], LabeledDataset]:
     seeds: the held-out test split, or the full labeled dataset when the
     run evaluated transfers on full data. The CSVs are read under the run's
     missing-value policy."""
-    summary = load_run_summary(run_dir)
-    config = summary["config"]
+    config = load_run_config(run_dir)
     data_dir = Path(run_dir) / "data"
     if data_dir.is_dir():
         paths = sorted(data_dir.glob("*.csv"))
     else:
-        paths = [Path(p) for p in config["counties"]]
+        paths = [Path(p) for p in config.county_files]
     by_county = {
-        d.county_id: d for d in _load_counties(paths, config["missing_feature_policy"])
+        d.county_id: d for d in _load_counties(paths, config.missing_feature_policy)
     }
     splits = {}
-    for key in summary["pairs"]:
+    for key in load_run_summary(run_dir)["pairs"]:
         county, hazard = key.split("__")
         labeled = make_labeled(by_county[county], hazard)
-        if config["transfer"]["eval_on"] == "full":
+        if config.transfer_eval_on == "full":
             splits[(county, hazard)] = labeled
             continue
-        job_seed = child_seed(config["seed"], "job", county, hazard)
-        _, splits[(county, hazard)] = _pair_split(
-            labeled,
-            config["split"]["train_fraction"],
-            config["split"]["stratified"],
-            job_seed,
-        )
+        job_seed = child_seed(config.seed, "job", county, hazard)
+        _, splits[(county, hazard)] = _pair_split(labeled, config, job_seed)
     return splits

@@ -184,7 +184,7 @@ def reg_split_enumeration(X, g, h, l2, min_leaf=1):
 
 
 def reg_tree_enumeration(X, g, h, params):
-    """A whole boosted tree by enumeration, as a _reg_node_to_dict document.
+    """A whole boosted tree by enumeration, as a cart.tree_to_dict document.
 
     Every node's split comes from reg_split_enumeration on that node's rows
     alone (X[idx], in increasing row order), so the tree grower's partition

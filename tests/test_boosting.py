@@ -15,12 +15,12 @@ from hazardlens.boosting import (
     RegLeaf,
     RegSplit,
     _grow_reg_tree,
-    _reg_node_to_dict,
     gbt_from_json,
     gbt_to_json,
     predict_proba_gbt,
     train_gbt,
 )
+from hazardlens.cart import tree_to_dict
 from hazardlens.errors import DegenerateLabels, DimensionMismatch
 
 
@@ -140,6 +140,32 @@ def test_serialization_round_trip(rng):
     )
 
 
+GBT_GOLDEN = (
+    '{"base_score":-0.5,"feature_names":["fa"],"format":"hazardlens.gbt",'
+    '"params":{"l2_reg":0.0,"learning_rate":0.5,"max_depth":1,"min_samples_leaf":1,"n_rounds":2},'
+    '"seed":3,"stages":['
+    '{"feature":0,"gain":0.75,"kind":"split",'
+    '"left":{"kind":"leaf","samples":2,"weight":-0.5},'
+    '"right":{"kind":"leaf","samples":3,"weight":0.25},"samples":5,"threshold":-1.25},'
+    '{"kind":"leaf","samples":5,"weight":0.125}],"train_loss":[0.75,0.5,0.25],"version":1}'
+)
+
+
+def test_gbt_json_golden():
+    # pins the v1 node format: renaming a node field must fail here
+    stage = RegSplit(
+        feature=0, threshold=-1.25, gain=0.75, n=5,
+        left=RegLeaf(weight=-0.5, n=2), right=RegLeaf(weight=0.25, n=3),
+    )
+    model = BoostedModel(
+        stages=[stage, RegLeaf(weight=0.125, n=5)],
+        params=BoostParams(n_rounds=2, learning_rate=0.5, l2_reg=0.0, max_depth=1),
+        base_score=-0.5, seed=3, feature_names=("fa",), train_loss=[0.75, 0.5, 0.25],
+    )
+    assert gbt_to_json(model) == GBT_GOLDEN
+    assert gbt_to_json(gbt_from_json(GBT_GOLDEN)) == GBT_GOLDEN
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(2, 16),
@@ -216,7 +242,7 @@ def test_whole_tree_bit_equal_to_enumeration(n, n_features, max_depth, min_leaf,
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     g, h = p - y, p * (1.0 - p)
     params = BoostParams(max_depth=max_depth, l2_reg=l2, min_samples_leaf=min_leaf)
-    got = _reg_node_to_dict(_grow_reg_tree(X, g, h, params))
+    got = tree_to_dict(_grow_reg_tree(X, g, h, params))
     expected = reg_tree_enumeration(X, g, h, params)
     assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
 

@@ -9,19 +9,21 @@ from oracles import best_split_enumeration, subtree_counts
 from hazardlens.cart import (
     Leaf,
     PAPER_LITERAL,
+    RegLeaf,
+    RegSplit,
     Split,
     TreeParams,
     WEIGHTED,
     best_split,
     gini_impurity,
     grow_tree,
+    iter_splits,
     node_importances,
-    predict_proba_tree,
     tree_from_dict,
-    tree_predict_proba,
     tree_to_dict,
+    tree_values,
 )
-from hazardlens.errors import DimensionMismatch, EmptyDistribution, EmptySubset
+from hazardlens.errors import EmptyDistribution, EmptySubset
 
 
 def test_gini_hand_values():
@@ -160,7 +162,7 @@ def test_grow_xor_pattern_two_levels():
 
     count(tree)
     assert len(splits) >= 2
-    probs = tree_predict_proba(tree, X)
+    probs = tree_values(tree, X)
     assert np.all((probs > 0.5) == (y == 1))  # 100% training accuracy
 
 
@@ -170,7 +172,7 @@ def test_grow_depth_zero_majority_leaf(rng):
     tree = grow_tree(X, y, TreeParams(max_depth=0), rng)
     assert isinstance(tree, Leaf)
     assert tree.counts.tolist() == [6, 4]
-    assert predict_proba_tree(tree, X[0]).tolist() == [0.6, 0.4]
+    assert tree_values(tree, X[:1]).tolist() == [0.4]
 
 
 def test_grow_empty_subset():
@@ -181,30 +183,14 @@ def test_grow_empty_subset():
 
 def test_predict_single_leaf_frequencies():
     leaf = Leaf(counts=np.array([1, 3]), n=4)  # 3 high, 1 low
-    probs = predict_proba_tree(leaf, [123.0])
-    assert probs.tolist() == [0.25, 0.75]
+    assert tree_values(leaf, [[123.0]]).tolist() == [0.75]
 
 
 def test_predict_depth_one_tree():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
     tree = grow_tree(X, y, TreeParams(), np.random.default_rng(0))
-    probs = predict_proba_tree(tree, [1.0])
-    assert probs[1] == 0.0  # P(high) = 0 left of the 2.5 split
-
-
-def test_predict_dimension_mismatch():
-    leaf = Leaf(counts=np.array([1, 3]), n=4)
-    with pytest.raises(DimensionMismatch):
-        predict_proba_tree(leaf, [1.0, 2.0], n_features=1)
-    split = Split(
-        feature=2, threshold=0.0, impurity=0.5, n=4,
-        left_impurity=0.0, right_impurity=0.0, n_left=2, n_right=2,
-        left=Leaf(counts=np.array([2, 0]), n=2),
-        right=Leaf(counts=np.array([0, 2]), n=2),
-    )
-    with pytest.raises(DimensionMismatch):
-        predict_proba_tree(split, [1.0, 2.0])  # splits on feature 2
+    assert tree_values(tree, [[1.0]]).tolist() == [0.0]  # P(high) left of the 2.5 split
 
 
 def test_node_importances_single_leaf_empty():
@@ -267,7 +253,7 @@ def test_training_error_bounded_by_majority(rng):
         if y.min() == y.max():
             continue
         tree = grow_tree(X, y, TreeParams(max_depth=3), rng)
-        preds = (tree_predict_proba(tree, X) > 0.5).astype(np.int64)
+        preds = (tree_values(tree, X) > 0.5).astype(np.int64)
         majority_error = min(np.mean(y == 0), np.mean(y == 1))
         assert np.mean(preds != y) <= majority_error + 1e-12
 
@@ -283,6 +269,57 @@ def test_grow_deterministic_and_serializable(rng):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
     rebuilt = tree_from_dict(d1)
     assert tree_to_dict(rebuilt) == d1
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_COUNTS = st.integers(0, 50)
+_FOREST_TREES = st.recursive(
+    st.builds(
+        lambda low, high: Leaf(counts=np.array([low, high + 1]), n=low + high + 1),
+        _COUNTS, _COUNTS,
+    ),
+    lambda children: st.builds(
+        Split, feature=st.integers(0, 2), threshold=_FLOATS, impurity=_FLOATS,
+        n=_COUNTS, left_impurity=_FLOATS, right_impurity=_FLOATS,
+        n_left=_COUNTS, n_right=_COUNTS, left=children, right=children,
+    ),
+    max_leaves=8,
+)
+_GBT_TREES = st.recursive(
+    st.builds(RegLeaf, weight=_FLOATS, n=_COUNTS),
+    lambda children: st.builds(
+        RegSplit, feature=st.integers(0, 2), threshold=_FLOATS, gain=_FLOATS,
+        n=_COUNTS, left=children, right=children,
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tree=st.one_of(_FOREST_TREES, _GBT_TREES),
+    rows=st.lists(st.lists(st.floats(-10, 10), min_size=3, max_size=3), min_size=1, max_size=6),
+)
+def test_node_codec_round_trip_both_families(tree, rows):
+    text = json.dumps(tree_to_dict(tree), sort_keys=True)
+    rebuilt = tree_from_dict(tree_to_dict(tree))
+    assert type(rebuilt) is type(tree)
+    assert json.dumps(tree_to_dict(rebuilt), sort_keys=True) == text
+    X = np.array(rows)
+    np.testing.assert_array_equal(tree_values(rebuilt, X), tree_values(tree, X))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=st.one_of(_FOREST_TREES, _GBT_TREES))
+def test_iter_splits_walks_recursive_preorder(tree):
+    # importance sums add in this order, so it fixes their bits
+    def preorder(node):
+        if isinstance(node, (Split, RegSplit)):
+            yield node
+            yield from preorder(node.left)
+            yield from preorder(node.right)
+
+    assert [id(node) for node in iter_splits(tree)] == [id(node) for node in preorder(tree)]
 
 
 def test_tree_params_invariant():

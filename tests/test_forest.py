@@ -3,7 +3,7 @@ import pytest
 
 from conftest import labeled_from_arrays
 from hazardlens import forest
-from hazardlens.cart import Leaf, TreeParams, grow_tree, regrows_unchanged, tree_to_dict
+from hazardlens.cart import Leaf, Split, TreeParams, grow_tree, regrows_unchanged, tree_to_dict
 from hazardlens.errors import DegenerateLabels, DimensionMismatch
 from hazardlens.forest import (
     ForestModel,
@@ -32,10 +32,10 @@ def test_single_tree_no_bootstrap_reduces_to_cart(rng):
     direct = grow_tree(data.features, data.labels, params, tree_rng(7, 0))
     assert tree_to_dict(model.trees[0]) == tree_to_dict(direct)
     grid = rng.normal(size=(40, 2))
-    from hazardlens.cart import tree_predict_proba
+    from hazardlens.cart import tree_values
 
     np.testing.assert_array_equal(
-        predict_proba_forest(model, grid), tree_predict_proba(direct, grid)
+        predict_proba_forest(model, grid), tree_values(direct, grid)
     )
 
 
@@ -133,6 +133,35 @@ def test_serialization_round_trip(rng):
         predict_proba_forest(model, data.features),
         predict_proba_forest(rebuilt, data.features),
     )
+
+
+FOREST_GOLDEN = (
+    '{"bootstrap":true,"feature_names":["fa","fb"],"format":"hazardlens.forest",'
+    '"n_trees":2,"params":{"features_per_split":1,"max_depth":3,"min_samples_leaf":1,'
+    '"min_samples_split":2},"seed":7,"trees":['
+    '{"feature":1,"impurity":0.5,"kind":"split",'
+    '"left":{"counts":[1,0],"kind":"leaf","samples":1},"left_impurity":0.0,"left_samples":1,'
+    '"right":{"counts":[1,2],"kind":"leaf","samples":3},"right_impurity":0.375,'
+    '"right_samples":3,"samples":4,"threshold":0.5},'
+    '{"counts":[2,2],"kind":"leaf","samples":4}],"version":1}'
+)
+
+
+def test_forest_json_golden():
+    # pins the v1 node format: renaming a node field must fail here
+    tree = Split(
+        feature=1, threshold=0.5, impurity=0.5, n=4,
+        left_impurity=0.0, right_impurity=0.375, n_left=1, n_right=3,
+        left=Leaf(counts=np.array([1, 0]), n=1),
+        right=Leaf(counts=np.array([1, 2]), n=3),
+    )
+    model = ForestModel(
+        trees=[tree, Leaf(counts=np.array([2, 2]), n=4)],
+        params=TreeParams(max_depth=3, features_per_split=1),
+        n_trees=2, bootstrap=True, seed=7, feature_names=("fa", "fb"),
+    )
+    assert forest_to_json(model) == FOREST_GOLDEN
+    assert forest_to_json(forest_from_json(FOREST_GOLDEN)) == FOREST_GOLDEN
 
 
 def test_more_trees_do_not_hurt_training_fbeta():

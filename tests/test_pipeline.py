@@ -9,7 +9,7 @@ from hazardlens.cli import main
 from hazardlens.dataset import make_labeled
 from hazardlens.errors import InvalidConfig
 from hazardlens.metrics import MetricTable
-from hazardlens.pipeline import RunConfig, compare_models, execute_job, run
+from hazardlens.pipeline import RunConfig, compare_models, execute_job, run, synth6x3_config
 from hazardlens.report import file_sha256
 from hazardlens.seeds import child_seed
 from hazardlens.selection import SplitSpec, stratified_split
@@ -261,6 +261,18 @@ def test_from_dict_accepts_exactly_the_keys_to_dict_emits():
     assert RunConfig.from_dict(raw).to_dict() == raw
 
 
+def test_preset_named_in_a_json_config_supplies_its_grids():
+    raw = {"seed": 3, "out_dir": "x", "synth": {"preset": "synth6x3"}}
+    config = RunConfig.from_dict(raw)
+    assert config == synth6x3_config(3, "x")
+    assert config.cv_k == 10
+    assert config.forest_grid["n_trees"] == [20] and config.gbt_grid["n_rounds"] == [15]
+    # the config's own cv keys win over the preset's
+    own = RunConfig.from_dict({**raw, "cv": {"k": 4, "forest_grid": {"n_trees": [3]}}})
+    assert (own.cv_k, own.forest_grid) == (4, {"n_trees": [3]})
+    assert own.gbt_grid == config.gbt_grid
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -284,6 +296,9 @@ def test_from_dict_accepts_exactly_the_keys_to_dict_emits():
         # a valid groups file, but the synth scenario brings its own groups
         {"feature_groups": ("groups.json", '{"fa": "climate"}')},
         {"missing_feature_policy": "bogus"},
+        {"hazards": ["heat", "heat"]},
+        {"families": ["forest", "forest"]},
+        {"synth": {"preset": "nope"}},
     ],
 )
 def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
@@ -373,6 +388,25 @@ def test_cli_transfer_recomputes_impute_median_run(tmp_path):
         assert (out / "transfer_recomputed" / name).read_bytes() == (
             out / "transfer" / name
         ).read_bytes()
+
+
+def test_cli_transfer_on_a_run_whose_county_file_moved_fails_cleanly(tmp_path, capsys):
+    good = county_csv(tmp_path / "good.csv", seed=1)
+    other = county_csv(tmp_path / "other.csv", seed=3)
+    out = tmp_path / "out"
+    run(RunConfig(
+        seed=4,
+        out_dir=str(out),
+        county_files=[str(good), str(other)],
+        forest_grid={"n_trees": [5], "max_depth": [3]},
+        families=["forest"],
+        cv_k=3,
+    ))
+    other.rename(tmp_path / "moved.csv")
+    capsys.readouterr()
+    assert main(["transfer", "--run", str(out)]) == 2
+    assert "county file not found" in capsys.readouterr().err
+    assert not (out / "transfer_recomputed").exists()
 
 
 def test_cli_partial_failure_exit_code(tmp_path):
@@ -500,7 +534,7 @@ def test_cli_synth_emits_loadable_csvs(tmp_path):
 
 
 def test_cli_synth_writes_the_run_scenario(tmp_path):
-    from hazardlens.pipeline import _prepare_datasets, synth6x3_config
+    from hazardlens.pipeline import _prepare_datasets
 
     assert main(["synth", "--seed", "3", "--out", str(tmp_path / "A")]) == 0
     _prepare_datasets(synth6x3_config(3, str(tmp_path / "B")), tmp_path / "B", print)
