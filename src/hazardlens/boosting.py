@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 # the boosted nodes live in cart, the tree module of both families
 from .cart import (
-    RegLeaf, RegNode, RegSplit, feature_matrix, tree_from_dict, tree_to_dict, tree_values
+    RegLeaf, RegNode, RegSplit, feature_matrix, read_model, tree_to_dict, tree_values, trees_values
 )
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import DegenerateLabels
@@ -258,22 +256,24 @@ def train_gbt(
     )
 
 
-def staged_margin_gbt(model: BoostedModel, X: np.ndarray) -> Iterator[np.ndarray]:
-    """Log-odds after the first i stages, for i = 1 .. len(model.stages).
+def staged_margin_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
+    """(stages x rows) log-odds: row i - 1 is the margin after the first i
+    stages, for i = 1 .. len(model.stages).
 
-    One running sum from base_score in stage order: stage i equals
-    predict_margin_gbt of an i-round prefix bit for bit. Each yield is a
-    copy, so callers may keep it.
+    One cumsum along the stage axis over a base_score row and the stages'
+    learning_rate x leaf weight: the running sum of a per-stage loop
+    (margins += lr * v_i), so row i - 1 equals predict_margin_gbt of an
+    i-round prefix bit for bit. The stages are rows of one matrix, not
+    copies.
     """
     X = feature_matrix(X, model.n_features)
-    margins = np.full(X.shape[0], model.base_score, dtype=np.float64)
-    for stage in model.stages:
-        margins += model.params.learning_rate * tree_values(stage, X)
-        yield margins.copy()
+    steps = model.params.learning_rate * trees_values(model.stages, X)
+    base = np.full((1, X.shape[0]), model.base_score, dtype=np.float64)
+    return np.cumsum(np.concatenate([base, steps]), axis=0)[1:]
 
 
 def predict_margin_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
-    return deque(staged_margin_gbt(model, X), maxlen=1).pop()
+    return staged_margin_gbt(model, X)[-1]
 
 
 def predict_proba_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
@@ -300,11 +300,9 @@ def gbt_to_json(model: BoostedModel) -> str:
 
 
 def gbt_from_json(text: str) -> BoostedModel:
-    payload = json.loads(text)
-    if payload.get("format") != GBT_FORMAT:
-        raise ValueError(f"not a gbt document: {payload.get('format')!r}")
+    payload = read_model(text, GBT_FORMAT, "stages", RegLeaf, RegSplit)
     return BoostedModel(
-        stages=[tree_from_dict(s) for s in payload["stages"]],
+        stages=payload["stages"],
         params=BoostParams(**payload["params"]),
         base_score=payload["base_score"],
         seed=payload["seed"],

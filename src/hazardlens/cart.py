@@ -5,15 +5,20 @@ per-node impurity bookkeeping so feature importance can be recomputed from
 the stored fields alone. Comparison convention: x[j] <= threshold goes left.
 
 The boosted family's regression nodes (RegLeaf / RegSplit, grown by
-boosting) are defined here too, so one router (tree_values), one preorder
-split walk (iter_splits) and one node codec (tree_to_dict / tree_from_dict)
-serve forest trees and boosted stages alike.
+boosting) are defined here too, so one router (trees_values), one preorder
+split walk (iter_splits) and one node codec (tree_to_dict / the decoder of
+read_model and tree_from_dict) serve forest trees and boosted stages alike.
+The router takes all trees of a model at once: one walk flattens them into
+a node table, a leaf being its own child, and a (trees x rows) matrix of
+node indices moves down one level per numpy step.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, fields
 from numbers import Integral
+from operator import itemgetter
 
 import numpy as np
 
@@ -290,25 +295,44 @@ def feature_matrix(X, n_features: int) -> np.ndarray:
     return X
 
 
-def tree_values(tree: TreeNode | RegNode, X: np.ndarray) -> np.ndarray:
-    """Leaf value of every row of X, routed in bulk: P(high) for a forest
-    tree, the leaf weight for a boosted stage.
-
-    The walk keeps an explicit stack: a recursive closure would form a
-    reference cycle that holds `out` until the next garbage collection.
+def _node_table(trees: list[TreeNode | RegNode]):
+    """Every node of `trees` in one level-order walk (the root of tree i is
+    node i) as arrays of feature, threshold, leaf value and flattened
+    (left, right) child pairs, and the deepest tree's levels below its root.
     """
+    nodes, depth, table = list(trees), [0] * len(trees), []
+    for i, node in enumerate(nodes):  # also visits the children appended below
+        if isinstance(node, _SPLITS):
+            table.append((node.feature, node.threshold, 0.0, len(nodes), len(nodes) + 1))
+            nodes += (node.left, node.right)
+            depth += (depth[i] + 1,) * 2
+        else:
+            value = node.weight if isinstance(node, RegLeaf) else node.counts[1] / node.n
+            table.append((0, 0.0, value, i, i))
+    feature, threshold, value, left, right = map(np.array, zip(*table))
+    # level order: the last node is a deepest one
+    return feature, threshold, value, np.stack([left, right], axis=1).ravel(), depth[-1]
+
+
+def trees_values(trees: list[TreeNode | RegNode], X: np.ndarray) -> np.ndarray:
+    """(trees x rows) leaf values of the rows of X in trees of either
+    family: P(high) of a forest tree, a boosted stage's leaf weight. The
+    index matrix takes as many steps as the deepest tree has levels
+    (Hummingbird's tensorized traversal, Nakandala et al., OSDI 2020)."""
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0], dtype=np.float64)
-    todo = [(tree, np.arange(X.shape[0], dtype=np.intp))]
-    while todo:
-        node, idx = todo.pop()
-        if not isinstance(node, _SPLITS):
-            out[idx] = node.weight if isinstance(node, RegLeaf) else node.counts[1] / node.n
-            continue
-        go_left = X[idx, node.feature] <= node.threshold
-        todo.append((node.left, idx[go_left]))
-        todo.append((node.right, idx[~go_left]))
-    return out
+    feature, threshold, value, children, levels = _node_table(trees)
+    at = np.repeat(np.arange(len(trees)), X.shape[0]).reshape(len(trees), X.shape[0])
+    cells, row_start = X.ravel(), np.arange(X.shape[0]) * X.shape[1]
+    for _ in range(levels):
+        # written as x <= threshold (goes left), so that NaN goes right
+        go_right = ~(cells.take(row_start + feature.take(at)) <= threshold.take(at))
+        at = children.take(2 * at + go_right)
+    return value.take(at)
+
+
+def tree_values(tree: TreeNode | RegNode, X: np.ndarray) -> np.ndarray:
+    """Leaf value of every row of X in one tree: trees_values of one tree."""
+    return trees_values([tree], X)[0]
 
 
 def iter_splits(tree: TreeNode | RegNode):
@@ -359,10 +383,11 @@ def node_importances(tree: TreeNode, mode: str = WEIGHTED) -> dict[int, float]:
 # where listed, each converted by its annotation; left / right hold the
 # children and "kind" says leaf or split. The layout is computed once per
 # node class: reading fields() for every node would slow model parsing.
+# JSON parsing types ints and floats already, so only counts has a decoder.
 _RENAMED = {"n": "samples", "n_left": "left_samples", "n_right": "right_samples"}
 _CONVERTERS = {  # annotation -> (to JSON, from JSON)
-    "int": (int, int),
-    "float": (float, float),
+    "int": (int, None),
+    "float": (float, None),
     "np.ndarray": (lambda a: [int(c) for c in a], lambda v: np.asarray(v, dtype=np.int64)),
 }
 _LAYOUT = {
@@ -387,20 +412,60 @@ def tree_to_dict(node: TreeNode | RegNode) -> dict:
     return out
 
 
+def _node_decoder(leaf: type, split: type):
+    """json.loads object_hook building one family's nodes during parsing.
+    Objects arrive innermost first, so a split's children are nodes already;
+    one without "kind" (the document, its params) passes through."""
+    build = {}
+    for kind, cls, children in (("leaf", leaf, ()), ("split", split, ("left", "right"))):
+        keys = [key for _, key, _, _ in _LAYOUT[cls]]
+        decoders = [(name, decode) for name, _, _, decode in _LAYOUT[cls] if decode]
+        build[kind] = cls, itemgetter(*keys, *children), decoders
+
+    def decode(data: dict):
+        if "kind" not in data:
+            return data
+        cls, read, decoders = build[data["kind"]]
+        node = cls(*read(data))
+        for name, decode_field in decoders:
+            setattr(node, name, decode_field(getattr(node, name)))
+        if cls is split and not {type(node.left), type(node.right)} <= {leaf, split}:
+            raise ValueError(f"a child of a {split.__name__} is not a node of its family")
+        return node
+
+    return decode
+
+
+def read_model(text: str, fmt: str, key: str, leaf: type, split: type) -> dict:
+    """A model document of format `fmt`, parsed with its nodes decoded;
+    ValueError unless every entry of payload[key] is a (leaf, split) node."""
+    payload = json.loads(text, object_hook=_node_decoder(leaf, split))
+    if not isinstance(payload, dict) or payload.get("format") != fmt:
+        raise ValueError(f"not a {fmt} document")
+    if not all(type(tree) in (leaf, split) for tree in payload[key]):
+        raise ValueError(f"an entry of {key!r} is not a {leaf.__name__} or {split.__name__}")
+    return payload
+
+
 def tree_from_dict(data: dict) -> TreeNode | RegNode:
     """The tree tree_to_dict gave `data` for, of the family whose node
-    layout the root's keys fit."""
+    layout the root's keys fit, decoded bottom-up without recursion by the
+    hook that parses model files."""
     for leaf, split in _FAMILIES:
-        if all(key in data for _, key, _, _ in _LAYOUT[split if "left" in data else leaf]):
-            return _node_from_dict(data, leaf, split)
-    raise ValueError(f"not a tree node of either family: {sorted(data)}")
-
-
-def _node_from_dict(data: dict, leaf: type, split: type):
-    if data["kind"] == "leaf":
-        return leaf(*[decode(data[key]) for _, key, _, decode in _LAYOUT[leaf]])
-    return split(
-        *[decode(data[key]) for _, key, _, decode in _LAYOUT[split]],
-        _node_from_dict(data["left"], leaf, split),
-        _node_from_dict(data["right"], leaf, split),
-    )
+        layout = _LAYOUT[split if "left" in data else leaf]
+        if "kind" in data and all(key in data for _, key, _, _ in layout):
+            break
+    else:
+        raise ValueError(f"not a tree node of either family: {sorted(data)}")
+    decode = _node_decoder(leaf, split)
+    preorder, todo = [], [data]
+    while todo:
+        preorder.append(todo.pop())
+        if preorder[-1].get("kind") == "split":
+            todo += (preorder[-1]["right"], preorder[-1]["left"])
+    built = []  # reversed preorder decodes children first, the left one on top
+    for node in reversed(preorder):
+        if node.get("kind") == "split":
+            node = {**node, "left": built.pop(), "right": built.pop()}
+        built.append(decode(node))
+    return built.pop()

@@ -226,6 +226,56 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
     return value
 
 
+def _parse_columns(rows, width, feature_cols, hazard_cols):
+    """(features, hazards), each column parsed with one float() list, when
+    every row has `width` cells and every cell is finite (an empty hazard
+    cell is NaN); else None, and _parse_cells reports the first bad cell."""
+    if any(len(row) != width for row in rows):
+        return None
+    features = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
+    try:
+        for j, (_, pos) in enumerate(feature_cols):
+            features[:, j] = [float(row[pos]) for row in rows]
+        hazards = {
+            hid: np.array([float(row[pos] or "nan") for row in rows]) for hid, pos in hazard_cols
+        }
+    except ValueError:
+        return None
+    finite = np.isfinite(features).all() and not any(
+        rows[r][pos] for hid, pos in hazard_cols for r in np.flatnonzero(~np.isfinite(hazards[hid]))
+    )
+    return (features, hazards) if finite else None
+
+
+def _parse_cells(path, rows, header, feature_cols, hazard_cols, missing_feature_policy):
+    """(features, hazards) read cell by cell; raises at the first bad cell."""
+    n = len(rows)
+    features = np.empty((n, len(feature_cols)), dtype=np.float64)
+    hazards = {hid: np.empty(n, dtype=np.float64) for hid, _ in hazard_cols}
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise MissingColumn(
+                f"{path}: row {r} has {len(row)} cells, header has {len(header)}"
+            )
+        for j, (name, pos) in enumerate(feature_cols):
+            raw = row[pos].strip()
+            if raw == "":
+                if missing_feature_policy == "error":
+                    raise NonNumericCell(
+                        f"empty feature cell at row {r}, column {name!r} "
+                        "(strict missing-value policy)",
+                        row=r,
+                        column=name,
+                    )
+                features[r, j] = np.nan
+            else:
+                features[r, j] = _parse_cell(raw, r, name)
+        for hid, pos in hazard_cols:
+            raw = row[pos].strip()
+            hazards[hid][r] = np.nan if raw == "" else _parse_cell(raw, r, header[pos])
+    return features, hazards
+
+
 def load_county_csv(
     path,
     schema: FeatureSchema | None = None,
@@ -283,33 +333,10 @@ def load_county_csv(
                 )
             feature_cols.append((name, positions[name]))
 
-    n = len(rows)
-    tract_ids: list[str] = []
-    features = np.empty((n, len(feature_cols)), dtype=np.float64)
-    hazards = {hid: np.empty(n, dtype=np.float64) for hid, _ in hazard_cols}
-
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise MissingColumn(
-                f"{path}: row {r} has {len(row)} cells, header has {len(header)}"
-            )
-        tract_ids.append(row[tract_pos])
-        for j, (name, pos) in enumerate(feature_cols):
-            raw = row[pos].strip()
-            if raw == "":
-                if missing_feature_policy == "error":
-                    raise NonNumericCell(
-                        f"empty feature cell at row {r}, column {name!r} "
-                        "(strict missing-value policy)",
-                        row=r,
-                        column=name,
-                    )
-                features[r, j] = np.nan
-            else:
-                features[r, j] = _parse_cell(raw, r, name)
-        for hid, pos in hazard_cols:
-            raw = row[pos].strip()
-            hazards[hid][r] = np.nan if raw == "" else _parse_cell(raw, r, header[pos])
+    features, hazards = _parse_columns(rows, len(header), feature_cols, hazard_cols) or (
+        _parse_cells(path, rows, header, feature_cols, hazard_cols, missing_feature_policy)
+    )
+    tract_ids = [row[tract_pos] for row in rows]
 
     if len(set(tract_ids)) != len(tract_ids):
         seen = set()

@@ -10,21 +10,21 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .cart import (
+    Leaf,
+    Split,
     TreeNode,
     TreeParams,
     feature_matrix,
     grow_tree,
+    read_model,
     regrows_unchanged,
-    tree_from_dict,
     tree_to_dict,
-    tree_values,
+    trees_values,
 )
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import DegenerateLabels
@@ -146,23 +146,22 @@ def _reusable_trees(
     }
 
 
-def staged_proba_forest(model: ForestModel, X: np.ndarray) -> Iterator[np.ndarray]:
-    """Soft vote of the first i trees, for i = 1 .. len(model.trees).
+def staged_proba_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
+    """(trees x rows) soft votes: row i - 1 is the mean P(high) of the
+    first i trees, for i = 1 .. len(model.trees).
 
-    One running sum of per-tree leaf P(high) in tree order, divided by i at
-    each stage: stage i equals predict_proba_forest of an i-tree prefix
-    bit for bit.
+    One cumsum of the per-tree leaf P(high) along the tree axis, stage i
+    divided by i: the running sum of a per-tree loop (acc += p_i; acc / i),
+    so row i - 1 equals predict_proba_forest of an i-tree prefix bit for
+    bit.
     """
-    X = feature_matrix(X, model.n_features)
-    acc = np.zeros(X.shape[0], dtype=np.float64)
-    for i, tree in enumerate(model.trees, start=1):
-        acc += tree_values(tree, X)
-        yield acc / i
+    values = trees_values(model.trees, feature_matrix(X, model.n_features))
+    return np.cumsum(values, axis=0) / np.arange(1, len(model.trees) + 1)[:, None]
 
 
 def predict_proba_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
     """Soft vote: mean of per-tree leaf P(high) over all trees."""
-    return deque(staged_proba_forest(model, X), maxlen=1).pop()
+    return staged_proba_forest(model, X)[-1]
 
 
 def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -185,11 +184,9 @@ def forest_to_json(model: ForestModel) -> str:
 
 
 def forest_from_json(text: str) -> ForestModel:
-    payload = json.loads(text)
-    if payload.get("format") != FOREST_FORMAT:
-        raise ValueError(f"not a forest document: {payload.get('format')!r}")
+    payload = read_model(text, FOREST_FORMAT, "trees", Leaf, Split)
     return ForestModel(
-        trees=[tree_from_dict(t) for t in payload["trees"]],
+        trees=payload["trees"],
         params=TreeParams(**payload["params"]),
         n_trees=payload["n_trees"],
         bootstrap=payload["bootstrap"],

@@ -906,17 +906,22 @@ def run(config: RunConfig) -> RunReport:
 
 # -- recomputation from a finished run ----------------------------------------
 
-def _model_from_json(family: str, text: str):
-    return forest_from_json(text) if family == "forest" else gbt_from_json(text)
-
-
 def load_run_models(run_dir, family: str) -> dict[tuple[str, str], object]:
-    """The run's deserialized models of one family, keyed (county, hazard);
-    other families' files are not read."""
+    """The run's deserialized models of one family, keyed (county, hazard):
+    the file of every pair in summary.json, or none when the run did not
+    train the family. InvalidConfig names a file that is missing or that
+    does not parse as a model of the family."""
+    summary = load_run_summary(run_dir)
+    if family not in summary["config"]["families"]:
+        return {}
+    from_json = forest_from_json if family == "forest" else gbt_from_json
     models = {}
-    for path in sorted(Path(run_dir, "models").glob(f"*__{family}.json")):
-        county, hazard, _ = path.stem.split("__")
-        models[(county, hazard)] = _model_from_json(family, path.read_text("utf-8"))
+    for pair in summary["pairs"]:
+        path = Path(run_dir, "models", f"{pair}__{family}.json")
+        try:
+            models[tuple(pair.split("__"))] = from_json(path.read_text("utf-8"))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise InvalidConfig(f"cannot read model {path}: {exc}") from None
     return models
 
 

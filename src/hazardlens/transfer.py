@@ -69,14 +69,6 @@ class TransferMatrix:
     def cell(self, source: str, target: str) -> float | None:
         return self.delta.get((source, target))
 
-    def grid(self) -> np.ndarray:
-        """Dense (source x target) array with NaN marking absent cells."""
-        size = len(self.ids)
-        out = np.full((size, size), np.nan)
-        for (src, tgt), value in self.delta.items():
-            out[self.ids.index(src), self.ids.index(tgt)] = value
-        return out
-
 
 def predict_labels(model, X: np.ndarray) -> np.ndarray:
     if isinstance(model, ForestModel):

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from hazardlens.cart import Leaf, gini_impurity
+from hazardlens.cart import Leaf, RegLeaf, RegSplit, Split, gini_impurity
 from hazardlens.metrics import confusion, f_beta
 from hazardlens.errors import NoPositives
 from hazardlens.selection import FAMILIES, stratified_folds
@@ -63,6 +63,15 @@ def gbt_gain_from_json(text: str) -> np.ndarray:
     for stage in payload["stages"]:
         walk(stage)
     return totals
+
+
+def route_row(tree, x) -> float:
+    """Leaf value of one row x in a tree of either family, walked node by
+    node from the root: x[feature] <= threshold goes left."""
+    node = tree
+    while isinstance(node, (Split, RegSplit)):
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.weight if isinstance(node, RegLeaf) else node.counts[1] / node.n
 
 
 def kendall_tau(a, b) -> float:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import best_split_enumeration, subtree_counts
+from oracles import best_split_enumeration, route_row, subtree_counts
+from hazardlens.boosting import BoostedModel, BoostParams, staged_margin_gbt
 from hazardlens.cart import (
     Leaf,
     PAPER_LITERAL,
@@ -22,8 +23,10 @@ from hazardlens.cart import (
     tree_from_dict,
     tree_to_dict,
     tree_values,
+    trees_values,
 )
 from hazardlens.errors import EmptyDistribution, EmptySubset
+from hazardlens.forest import ForestModel, staged_proba_forest
 
 
 def test_gini_hand_values():
@@ -320,6 +323,67 @@ def test_iter_splits_walks_recursive_preorder(tree):
             yield from preorder(node.right)
 
     assert [id(node) for node in iter_splits(tree)] == [id(node) for node in preorder(tree)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from([_FOREST_TREES, _GBT_TREES]), data=st.data())
+def test_trees_values_bit_equal_to_row_by_row_walk(family, data):
+    # mixed depths and single leaves; cells hit thresholds, NaN and +-inf
+    trees = data.draw(st.lists(family, min_size=1, max_size=5))
+    thresholds = [node.threshold for tree in trees for node in iter_splits(tree)]
+    cell = st.floats() | st.sampled_from([*thresholds, np.nan, np.inf, -np.inf])
+    rows = data.draw(st.lists(st.lists(cell, min_size=3, max_size=3), max_size=6))
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    want = np.array([[route_row(tree, x) for x in X] for tree in trees])
+    got = trees_values(trees, X)
+    assert got.shape == (len(trees), len(rows))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_trees_values_sends_ties_and_minus_inf_left_nan_and_inf_right():
+    stump = Split(
+        feature=0, threshold=1.0, impurity=0.5, n=2, left_impurity=0.0, right_impurity=0.0,
+        n_left=1, n_right=1,
+        left=Leaf(counts=np.array([1, 0]), n=1), right=Leaf(counts=np.array([0, 1]), n=1),
+    )
+    leaf = Leaf(counts=np.array([1, 3]), n=4)
+    X = np.array([[1.0], [np.nan], [np.inf], [-np.inf], [0.5], [1.5]])
+    assert trees_values([stump, leaf], X).tolist() == [[0, 1, 1, 0, 0, 1], [0.75] * 6]
+    assert trees_values([stump, leaf], np.empty((0, 1))).shape == (2, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    trees=st.lists(_FOREST_TREES, min_size=1, max_size=6),
+    stages=st.lists(_GBT_TREES, min_size=1, max_size=6),
+    rows=st.lists(st.lists(st.floats(-10, 10), min_size=3, max_size=3), max_size=6),
+    base=st.floats(-3, 3),
+    lr=st.floats(0.01, 1.0),
+)
+def test_staged_predictions_equal_running_sums(trees, stages, rows, base, lr):
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    names = ("a", "b", "c")
+    forest = ForestModel(
+        trees=trees, params=TreeParams(), n_trees=len(trees), bootstrap=False, seed=0,
+        feature_names=names,
+    )
+    staged = staged_proba_forest(forest, X)
+    assert staged.shape == (len(trees), len(rows))
+    acc = np.zeros(len(rows))
+    for i, (tree, stage) in enumerate(zip(trees, staged), start=1):
+        acc += np.array([route_row(tree, x) for x in X])
+        assert stage.tobytes() == (acc / i).tobytes()
+
+    gbt = BoostedModel(
+        stages=stages, params=BoostParams(n_rounds=len(stages), learning_rate=lr),
+        base_score=base, seed=0, feature_names=names,
+    )
+    staged = staged_margin_gbt(gbt, X)
+    assert staged.shape == (len(stages), len(rows))
+    margins = np.full(len(rows), base)
+    for tree, stage in zip(stages, staged):
+        margins += lr * np.array([route_row(tree, x) for x in X])
+        assert stage.tobytes() == margins.tobytes()
 
 
 def test_tree_params_invariant():

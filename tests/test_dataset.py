@@ -118,6 +118,44 @@ def test_load_non_numeric_cell_reports_location(tmp_path):
     assert err.value.column == "Density"
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", " -Infinity "])
+@pytest.mark.parametrize("column", ["Density", "hazard__heat"])
+def test_load_non_finite_cell_reports_location(tmp_path, cell, column):
+    header = ["tract_id", "Income", "Density", "hazard__heat"]
+    row = {"tract_id": "t2", "Income": "3.0", "Density": "4.0", "hazard__heat": "7.0", column: cell}
+    text = ",".join(header) + "\nt1,1.0,2.0,5.0\n" + ",".join(row[h] for h in header) + "\n"
+    with pytest.raises(NonNumericCell, match="not finite") as err:
+        load_county_csv(write_csv(tmp_path / "a.csv", text))
+    assert (err.value.row, err.value.column) == (1, column)
+
+
+def test_load_short_row(tmp_path):
+    path = write_csv(tmp_path / "a.csv", "tract_id,Income,Density\nt1,1.0,2.0\nt2,3.0\n")
+    with pytest.raises(MissingColumn, match="row 1 has 2 cells, header has 3"):
+        load_county_csv(path)
+
+
+def test_load_reports_first_bad_cell_in_row_major_order(tmp_path):
+    # row 0 column Density comes before row 1 column Income, although a
+    # column-by-column reader meets Income first
+    path = write_csv(
+        tmp_path / "a.csv", "tract_id,Income,Density\nt1,1.0,inf\nt2,x,2.0\n"
+    )
+    with pytest.raises(NonNumericCell, match="not finite") as err:
+        load_county_csv(path)
+    assert (err.value.row, err.value.column) == (0, "Density")
+
+
+def test_load_cells_with_surrounding_spaces(tmp_path):
+    path = write_csv(
+        tmp_path / "a.csv",
+        "tract_id,Income,Density,hazard__heat\nt1, 1.5 ,2.0, 2.5 \nt2,3.0,4.0,  \n",
+    )
+    ds = load_county_csv(path)
+    assert ds.features.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+    assert ds.hazards["heat"][0] == 2.5 and np.isnan(ds.hazards["heat"][1])
+
+
 def test_load_duplicate_tract(tmp_path):
     path = write_csv(
         tmp_path / "a.csv",

@@ -1,9 +1,12 @@
 import csv
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hazardlens.cli import main
 from hazardlens.dataset import make_labeled
@@ -490,6 +493,81 @@ def test_cli_recompute_reads_only_the_family_it_needs(
         ).read_bytes()
 
 
+def _drop_kind(path, nested):
+    payload = json.loads(path.read_text("utf-8"))
+    node = payload["trees"][0]
+    if nested:
+        node = next(t for t in payload["trees"] if t["kind"] == "split")["left"]
+    del node["kind"]
+    path.write_text(json.dumps(payload), "utf-8")
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda path: path.unlink(),
+        lambda path: path.write_text(path.read_text("utf-8")[:300], "utf-8"),
+        lambda path: _drop_kind(path, nested=False),
+        lambda path: _drop_kind(path, nested=True),
+    ],
+    ids=["missing", "truncated", "tree_without_kind", "child_without_kind"],
+)
+@pytest.mark.parametrize(
+    "command, recomputed",
+    [("transfer", "transfer_recomputed"), ("importance", "importance_recomputed")],
+)
+def test_cli_recompute_rejects_a_missing_or_corrupt_model(
+    tiny_run, tmp_path, capsys, damage, command, recomputed
+):
+    _, out, _ = tiny_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    damage(run_dir / "models" / "ash__heat__forest.json")
+    capsys.readouterr()
+    assert main([command, "--run", str(run_dir)]) == 2
+    assert "ash__heat__forest.json" in capsys.readouterr().err
+    assert not (run_dir / recomputed).exists()
+
+
+_RECOMPUTE_CONFIGS = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**16),
+    "families": st.sampled_from([["forest"], ["gbt"], ["forest", "gbt"], ["gbt", "forest"]]),
+    "transfer_eval_on": st.sampled_from(["test", "full"]),
+    "transfer_baseline": st.sampled_from(["target_native", "source_native", "both"]),
+    "importance_mode": st.sampled_from(["weighted", "paper_literal"]),
+    "top_k": st.integers(1, 6),
+    "forest_grid": st.fixed_dictionaries({
+        "n_trees": st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True),
+        "max_depth": st.lists(st.none() | st.integers(1, 4), min_size=1, max_size=2, unique=True),
+    }),
+})
+
+
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(overrides=_RECOMPUTE_CONFIGS)
+def test_recompute_reproduces_the_run_bytes(tmp_path_factory, overrides):
+    out = tmp_path_factory.mktemp("recompute") / "run"
+    run(replace(
+        tiny_config(out), **overrides, cv_k=2,
+        gbt_grid={"n_rounds": [2], "max_depth": [2], "learning_rate": [0.3], "l2_reg": [1.0]},
+    ))
+    assert main(["transfer", "--run", str(out)]) == 0
+    assert main(["importance", "--run", str(out)]) in (0, 3)
+    for recomputed, original in (
+        ("transfer_recomputed", "transfer"), ("importance_recomputed", "reports")
+    ):
+        for path in sorted((out / recomputed).iterdir()):
+            assert path.read_bytes() == (out / original / path.name).read_bytes()
+    assert sorted(p.name for p in (out / "transfer_recomputed").iterdir()) == sorted(
+        p.name for p in (out / "transfer").iterdir()
+    )
+    assert sorted(p.name for p in (out / "importance_recomputed").iterdir()) == sorted(
+        p.name for p in (out / "reports").glob("*importance_*.csv")
+    )
+
+
 def test_cli_preset_assembles_config(tmp_path, monkeypatch):
     captured = {}
 
@@ -602,6 +680,7 @@ def test_cli_transfer_recomputes_gbt_only_run(tmp_path):
     out = tmp_path / "g"
     run(two_county_config(out, families=["gbt"]))
     assert main(["transfer", "--run", str(out)]) == 0
+    assert main(["importance", "--run", str(out)]) == 0  # no forest to read
     written = sorted(p.name for p in (out / "transfer").iterdir())
     assert written
     assert sorted(p.name for p in (out / "transfer_recomputed").iterdir()) == written

@@ -100,8 +100,9 @@ def test_registry_marks_absent_cells():
     assert matrix.ids == registry
     assert matrix.cell("ghost", "c0") is None
     assert matrix.cell("c0", "ghost") is None
-    grid = matrix.grid()
-    assert np.isnan(grid[3]).all() and np.isnan(grid[:, 3]).all()
+    assert all(matrix.cell("ghost", c) is None and matrix.cell(c, "ghost") is None
+               for c in registry)
+    assert set(matrix.delta) == {(s, t) for s in registry[:3] for t in registry[:3]}
 
 
 def test_source_native_and_both_baselines():
