@@ -7,7 +7,7 @@ the stored fields alone. Comparison convention: x[j] <= threshold goes left.
 The boosted family's regression nodes (RegLeaf / RegSplit, grown by
 boosting) are defined here too, so one router (trees_values), one preorder
 split walk (iter_splits) and one node codec (tree_to_dict / the decoder of
-read_model and tree_from_dict) serve forest trees and boosted stages alike.
+read_model) serve forest trees and boosted stages alike.
 The router takes all trees of a model at once: one walk flattens them into
 a node table, a leaf being its own child, and a (trees x rows) matrix of
 node indices moves down one level per numpy step.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from numbers import Integral
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -383,12 +383,15 @@ def node_importances(tree: TreeNode, mode: str = WEIGHTED) -> dict[int, float]:
 # where listed, each converted by its annotation; left / right hold the
 # children and "kind" says leaf or split. The layout is computed once per
 # node class: reading fields() for every node would slow model parsing.
-# JSON parsing types ints and floats already, so only counts has a decoder.
+# JSON parsing types ints and floats already (read_model checks that it
+# did), so only counts has a decoder. It converts the field of all of a
+# model's nodes in one call (one (leaves x 2) array, a row per leaf): one
+# small array per leaf would take longer than parsing the leaf.
 _RENAMED = {"n": "samples", "n_left": "left_samples", "n_right": "right_samples"}
 _CONVERTERS = {  # annotation -> (to JSON, from JSON)
     "int": (int, None),
     "float": (float, None),
-    "np.ndarray": (lambda a: [int(c) for c in a], lambda v: np.asarray(v, dtype=np.int64)),
+    "np.ndarray": (lambda a: [int(c) for c in a], lambda column: np.array(column, dtype=np.int64)),
 }
 _LAYOUT = {
     cls: tuple(
@@ -398,7 +401,6 @@ _LAYOUT = {
     )
     for cls in (Leaf, Split, RegLeaf, RegSplit)
 }
-_FAMILIES = ((Leaf, Split), (RegLeaf, RegSplit))
 
 
 def tree_to_dict(node: TreeNode | RegNode) -> dict:
@@ -412,25 +414,22 @@ def tree_to_dict(node: TreeNode | RegNode) -> dict:
     return out
 
 
-def _node_decoder(leaf: type, split: type):
-    """json.loads object_hook building one family's nodes during parsing.
-    Objects arrive innermost first, so a split's children are nodes already;
-    one without "kind" (the document, its params) passes through."""
+def _node_decoder(leaf: type, split: type, made: dict):
+    """json.loads object_hook building one family's nodes during parsing and
+    keeping each in made[cls]. Objects arrive innermost first, so a split's
+    children are built already; one without "kind" (the document, its
+    params) passes through."""
     build = {}
     for kind, cls, children in (("leaf", leaf, ()), ("split", split, ("left", "right"))):
         keys = [key for _, key, _, _ in _LAYOUT[cls]]
-        decoders = [(name, decode) for name, _, _, decode in _LAYOUT[cls] if decode]
-        build[kind] = cls, itemgetter(*keys, *children), decoders
+        build[kind] = cls, itemgetter(*keys, *children), made.setdefault(cls, []).append
 
     def decode(data: dict):
         if "kind" not in data:
             return data
-        cls, read, decoders = build[data["kind"]]
+        cls, read, keep = build[data["kind"]]
         node = cls(*read(data))
-        for name, decode_field in decoders:
-            setattr(node, name, decode_field(getattr(node, name)))
-        if cls is split and not {type(node.left), type(node.right)} <= {leaf, split}:
-            raise ValueError(f"a child of a {split.__name__} is not a node of its family")
+        keep(node)
         return node
 
     return decode
@@ -438,34 +437,26 @@ def _node_decoder(leaf: type, split: type):
 
 def read_model(text: str, fmt: str, key: str, leaf: type, split: type) -> dict:
     """A model document of format `fmt`, parsed with its nodes decoded;
-    ValueError unless every entry of payload[key] is a (leaf, split) node."""
-    payload = json.loads(text, object_hook=_node_decoder(leaf, split))
+    ValueError unless every entry of payload[key] and every child is a
+    (leaf, split) node, every int / float field has that type and every
+    split's feature indexes payload["feature_names"]."""
+    made = {}
+    payload = json.loads(text, object_hook=_node_decoder(leaf, split, made))
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise ValueError(f"not a {fmt} document")
-    if not all(type(tree) in (leaf, split) for tree in payload[key]):
-        raise ValueError(f"an entry of {key!r} is not a {leaf.__name__} or {split.__name__}")
+    for cls, nodes in made.items():
+        for name, json_key, encode, decode in _LAYOUT[cls]:
+            column = list(map(attrgetter(name), nodes))
+            if decode:
+                for node, value in zip(nodes, decode(column)):
+                    setattr(node, name, value)
+            elif not set(map(type, column)) <= {encode}:
+                raise ValueError(f"a {cls.__name__}'s {json_key!r} is not {encode.__name__}")
+    splits = made[split]
+    children = [*map(attrgetter("left"), splits), *map(attrgetter("right"), splits), *payload[key]]
+    if not set(map(type, children)) <= {leaf, split}:
+        raise ValueError(f"an entry of {key!r} or a child is not a {leaf.__name__} or {split.__name__}")
+    features = list(map(attrgetter("feature"), splits))
+    if features and not 0 <= min(features) <= max(features) < len(payload["feature_names"]):
+        raise ValueError("a split's feature is not a column of feature_names")
     return payload
-
-
-def tree_from_dict(data: dict) -> TreeNode | RegNode:
-    """The tree tree_to_dict gave `data` for, of the family whose node
-    layout the root's keys fit, decoded bottom-up without recursion by the
-    hook that parses model files."""
-    for leaf, split in _FAMILIES:
-        layout = _LAYOUT[split if "left" in data else leaf]
-        if "kind" in data and all(key in data for _, key, _, _ in layout):
-            break
-    else:
-        raise ValueError(f"not a tree node of either family: {sorted(data)}")
-    decode = _node_decoder(leaf, split)
-    preorder, todo = [], [data]
-    while todo:
-        preorder.append(todo.pop())
-        if preorder[-1].get("kind") == "split":
-            todo += (preorder[-1]["right"], preorder[-1]["left"])
-    built = []  # reversed preorder decodes children first, the left one on top
-    for node in reversed(preorder):
-        if node.get("kind") == "split":
-            node = {**node, "left": built.pop(), "right": built.pop()}
-        built.append(decode(node))
-    return built.pop()

@@ -152,7 +152,8 @@ def _cmd_importance(args) -> int:
     groups = load_run_groups(run_dir)
     vectors = {}
     skipped = False
-    for (county, hazard), model in sorted(load_run_models(run_dir, "forest").items()):
+    models = load_run_models(run_dir, "forest") if "forest" in config.families else {}
+    for (county, hazard), model in sorted(models.items()):
         vector, note = pair_importance(model, mode)
         if vector is None:
             skipped = True

@@ -226,54 +226,51 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
     return value
 
 
-def _parse_columns(rows, width, feature_cols, hazard_cols):
-    """(features, hazards), each column parsed with one float() list, when
-    every row has `width` cells and every cell is finite (an empty hazard
-    cell is NaN); else None, and _parse_cells reports the first bad cell."""
+def _parse_columns(rows, width, feature_cols, hazard_cols, missing_feature_policy):
+    """(features, hazards), each column parsed with one float() list; a
+    blank hazard cell is NaN, and so is a blank feature cell under the
+    impute_median policy. None when a row has other than `width` cells or any
+    other cell is not a finite number: _raise_first_bad_cell reports it."""
     if any(len(row) != width for row in rows):
         return None
+    blank_features_ok = missing_feature_policy == "impute_median"
     features = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
-    try:
-        for j, (_, pos) in enumerate(feature_cols):
-            features[:, j] = [float(row[pos]) for row in rows]
-        hazards = {
-            hid: np.array([float(row[pos] or "nan") for row in rows]) for hid, pos in hazard_cols
-        }
-    except ValueError:
-        return None
-    finite = np.isfinite(features).all() and not any(
-        rows[r][pos] for hid, pos in hazard_cols for r in np.flatnonzero(~np.isfinite(hazards[hid]))
-    )
-    return (features, hazards) if finite else None
+    hazards = {hid: np.empty(len(rows), dtype=np.float64) for hid, _ in hazard_cols}
+    columns = [(features[:, j], pos, blank_features_ok) for j, (_, pos) in enumerate(feature_cols)]
+    columns += [(hazards[hid], pos, True) for hid, pos in hazard_cols]
+    for column, pos, blank_ok in columns:
+        try:
+            column[:] = [float(row[pos].strip() or "nan") for row in rows]
+        except ValueError:
+            return None
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size and (not blank_ok or any(rows[r][pos].strip() for r in bad)):
+            return None
+    return features, hazards
 
 
-def _parse_cells(path, rows, header, feature_cols, hazard_cols, missing_feature_policy):
-    """(features, hazards) read cell by cell; raises at the first bad cell."""
-    n = len(rows)
-    features = np.empty((n, len(feature_cols)), dtype=np.float64)
-    hazards = {hid: np.empty(n, dtype=np.float64) for hid, _ in hazard_cols}
+def _raise_first_bad_cell(path, rows, header, feature_cols, hazard_cols, missing_feature_policy):
+    """Raise for the first cell, in row-major order, that made
+    _parse_columns reject the file."""
+    strict = missing_feature_policy == "error"
+    columns = [(name, pos, strict) for name, pos in feature_cols]
+    columns += [(header[pos], pos, False) for _, pos in hazard_cols]
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise MissingColumn(
                 f"{path}: row {r} has {len(row)} cells, header has {len(header)}"
             )
-        for j, (name, pos) in enumerate(feature_cols):
+        for name, pos, blank_is_bad in columns:
             raw = row[pos].strip()
-            if raw == "":
-                if missing_feature_policy == "error":
-                    raise NonNumericCell(
-                        f"empty feature cell at row {r}, column {name!r} "
-                        "(strict missing-value policy)",
-                        row=r,
-                        column=name,
-                    )
-                features[r, j] = np.nan
-            else:
-                features[r, j] = _parse_cell(raw, r, name)
-        for hid, pos in hazard_cols:
-            raw = row[pos].strip()
-            hazards[hid][r] = np.nan if raw == "" else _parse_cell(raw, r, header[pos])
-    return features, hazards
+            if raw:
+                _parse_cell(raw, r, name)
+            elif blank_is_bad:
+                raise NonNumericCell(
+                    f"empty feature cell at row {r}, column {name!r} "
+                    "(strict missing-value policy)",
+                    row=r,
+                    column=name,
+                )
 
 
 def load_county_csv(
@@ -333,9 +330,10 @@ def load_county_csv(
                 )
             feature_cols.append((name, positions[name]))
 
-    features, hazards = _parse_columns(rows, len(header), feature_cols, hazard_cols) or (
-        _parse_cells(path, rows, header, feature_cols, hazard_cols, missing_feature_policy)
-    )
+    parsed = _parse_columns(rows, len(header), feature_cols, hazard_cols, missing_feature_policy)
+    if parsed is None:
+        _raise_first_bad_cell(path, rows, header, feature_cols, hazard_cols, missing_feature_policy)
+    features, hazards = parsed
     tract_ids = [row[tract_pos] for row in rows]
 
     if len(set(tract_ids)) != len(tract_ids):

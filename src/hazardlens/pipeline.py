@@ -908,15 +908,11 @@ def run(config: RunConfig) -> RunReport:
 
 def load_run_models(run_dir, family: str) -> dict[tuple[str, str], object]:
     """The run's deserialized models of one family, keyed (county, hazard):
-    the file of every pair in summary.json, or none when the run did not
-    train the family. InvalidConfig names a file that is missing or that
-    does not parse as a model of the family."""
-    summary = load_run_summary(run_dir)
-    if family not in summary["config"]["families"]:
-        return {}
+    the file of every pair in summary.json. InvalidConfig names a file that
+    is missing or that does not parse as a model of the family."""
     from_json = forest_from_json if family == "forest" else gbt_from_json
     models = {}
-    for pair in summary["pairs"]:
+    for pair in load_run_summary(run_dir)["pairs"]:
         path = Path(run_dir, "models", f"{pair}__{family}.json")
         try:
             models[tuple(pair.split("__"))] = from_json(path.read_text("utf-8"))

@@ -20,7 +20,7 @@ from hazardlens.cart import (
     grow_tree,
     iter_splits,
     node_importances,
-    tree_from_dict,
+    read_model,
     tree_to_dict,
     tree_values,
     trees_values,
@@ -270,8 +270,18 @@ def test_grow_deterministic_and_serializable(rng):
     t2 = grow_tree(X, y, params, np.random.default_rng(99))
     d1, d2 = tree_to_dict(t1), tree_to_dict(t2)
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
-    rebuilt = tree_from_dict(d1)
+    rebuilt = _decode(t1, n_features=4)
     assert tree_to_dict(rebuilt) == d1
+
+
+def _decode(tree, n_features):
+    """`tree` through the model-file codec: encoded, then read back as the
+    one tree of a model document of its family."""
+    leaf, split = (Leaf, Split) if isinstance(tree, (Leaf, Split)) else (RegLeaf, RegSplit)
+    text = json.dumps({
+        "format": "test", "feature_names": ["x"] * n_features, "trees": [tree_to_dict(tree)]
+    })
+    return read_model(text, "test", "trees", leaf, split)["trees"][0]
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -305,7 +315,7 @@ _GBT_TREES = st.recursive(
 )
 def test_node_codec_round_trip_both_families(tree, rows):
     text = json.dumps(tree_to_dict(tree), sort_keys=True)
-    rebuilt = tree_from_dict(tree_to_dict(tree))
+    rebuilt = _decode(tree, n_features=3)
     assert type(rebuilt) is type(tree)
     assert json.dumps(tree_to_dict(rebuilt), sort_keys=True) == text
     X = np.array(rows)

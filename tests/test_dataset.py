@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hazardlens import dataset as dataset_module
 from hazardlens.dataset import (
     HIGH,
     LOW,
@@ -154,6 +155,23 @@ def test_load_cells_with_surrounding_spaces(tmp_path):
     ds = load_county_csv(path)
     assert ds.features.tolist() == [[1.5, 2.0], [3.0, 4.0]]
     assert ds.hazards["heat"][0] == 2.5 and np.isnan(ds.hazards["heat"][1])
+
+
+def test_load_valid_cells_never_reach_the_error_report(tmp_path, monkeypatch):
+    # blank and blank-but-spaces feature cells under impute_median, blank
+    # hazard cells and padded numbers are all parsed column by column
+    def fail(*args):
+        raise AssertionError("a valid file reached the per-cell error report")
+
+    monkeypatch.setattr(dataset_module, "_raise_first_bad_cell", fail)
+    path = write_csv(
+        tmp_path / "a.csv",
+        "tract_id,Income,Density,hazard__heat\n"
+        "t1,,2.0, 2.5 \nt2,  ,4.0,\nt3, 5.0 ,,  \nt4,7.0,8.0,1.0\n",
+    )
+    ds = load_county_csv(path, missing_feature_policy="impute_median")
+    assert ds.features.tolist() == [[6.0, 2.0], [6.0, 4.0], [5.0, 4.0], [7.0, 8.0]]
+    np.testing.assert_array_equal(ds.hazards["heat"], [2.5, np.nan, np.nan, 1.0])
 
 
 def test_load_duplicate_tract(tmp_path):

@@ -502,6 +502,14 @@ def _drop_kind(path, nested):
     path.write_text(json.dumps(payload), "utf-8")
 
 
+def _set_split_field(path, key, value):
+    # in the first split tree's root; the router would read another row's
+    # cell for an out-of-range feature rather than fail
+    payload = json.loads(path.read_text("utf-8"))
+    next(t for t in payload["trees"] if t["kind"] == "split")[key] = value
+    path.write_text(json.dumps(payload), "utf-8")
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -509,8 +517,15 @@ def _drop_kind(path, nested):
         lambda path: path.write_text(path.read_text("utf-8")[:300], "utf-8"),
         lambda path: _drop_kind(path, nested=False),
         lambda path: _drop_kind(path, nested=True),
+        lambda path: _set_split_field(path, "feature", 99),
+        lambda path: _set_split_field(path, "feature", -1),
+        lambda path: _set_split_field(path, "threshold", "0.5"),
+        lambda path: _set_split_field(path, "samples", True),
     ],
-    ids=["missing", "truncated", "tree_without_kind", "child_without_kind"],
+    ids=[
+        "missing", "truncated", "tree_without_kind", "child_without_kind",
+        "feature_out_of_range", "negative_feature", "string_threshold", "bool_samples",
+    ],
 )
 @pytest.mark.parametrize(
     "command, recomputed",
