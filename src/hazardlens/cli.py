@@ -124,19 +124,21 @@ def _cmd_synth(args) -> int:
 
 def _finished_run(path: str) -> tuple[Path, dict, RunConfig]:
     """The run directory, its summary and its config; checked before
-    anything is written."""
+    anything is written. The summary is read and the config built once per
+    command, and handed to every loader."""
     run_dir = Path(path)
     if not (run_dir / "summary.json").is_file():
         raise InvalidConfig(f"{run_dir} is not a finished run: no summary.json")
-    return run_dir, load_run_summary(run_dir), load_run_config(run_dir)
+    summary = load_run_summary(run_dir)
+    return run_dir, summary, load_run_config(run_dir, summary)
 
 
 def _cmd_transfer(args) -> int:
     run_dir, summary, config = _finished_run(args.run)
     write_transfer(
         Path(args.out) if args.out else run_dir / "transfer_recomputed",
-        load_run_models(run_dir, canonical_family(config.families)),
-        rebuild_eval_splits(run_dir),
+        load_run_models(run_dir, summary, canonical_family(config.families)),
+        rebuild_eval_splits(run_dir, summary, config),
         tuple(summary["counties"]),
         tuple(summary["hazards"]),
         config.policy,
@@ -146,13 +148,13 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_importance(args) -> int:
-    run_dir, _, config = _finished_run(args.run)
+    run_dir, summary, config = _finished_run(args.run)
     out = Path(args.out) if args.out else run_dir / "importance_recomputed"
     mode = args.mode or config.importance_mode
-    groups = load_run_groups(run_dir)
+    groups = load_run_groups(run_dir, config)
     vectors = {}
     skipped = False
-    models = load_run_models(run_dir, "forest") if "forest" in config.families else {}
+    models = load_run_models(run_dir, summary, "forest") if "forest" in config.families else {}
     for (county, hazard), model in sorted(models.items()):
         vector, note = pair_importance(model, mode)
         if vector is None:

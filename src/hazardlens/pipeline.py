@@ -5,8 +5,10 @@
 1. `_prepare_datasets`: load the county CSVs, or generate a synthetic
    scenario with `write_scenario` and load it back;
 2. `_train`: one unit per (county, hazard, model family) - split, CV,
-   refit, test metrics and forest importance - inline or in a process pool;
-3. `_write_models`: every trained model, serialized once, into `models/`;
+   refit, test metrics, forest importance and the model's JSON text -
+   inline or in a process pool;
+3. `_write_models`: the model texts of every pair whose families all
+   succeeded, into `models/`;
 4. `_write_reports`: performance table, metric CSVs, model comparison,
    dispersion and the CV audit table;
 5. `write_importance`: per-county importance and cross-county rankings;
@@ -419,6 +421,7 @@ class FamilyOutcome:
     fbeta: float
     cells: tuple[int, int, int, int]  # tp, fp, fn, tn
     model: object  # ForestModel or BoostedModel
+    model_json: str  # the model's file, serialized by the unit that trained it
 
 
 @dataclass
@@ -457,8 +460,8 @@ def pair_importance(model, mode: str) -> tuple[ImportanceVector | None, str | No
 def execute_job(
     dataset: CountyDataset, hazard: str, config: RunConfig, family: str, job_seed: int
 ) -> JobResult:
-    """Split, cross-validate, refit, and score one family on one (county,
-    hazard) pair; every family of a pair replays the same split."""
+    """Split, cross-validate, refit, score and serialize one family on one
+    (county, hazard) pair; every family of a pair replays the same split."""
     labeled = make_labeled(dataset, hazard)
     train, test = _pair_split(labeled, config, job_seed)
     grid = config.forest_grid if family == "forest" else config.gbt_grid
@@ -474,6 +477,9 @@ def execute_job(
     importance, note = None, None
     if family == "forest":
         importance, note = pair_importance(model, config.importance_mode)
+    # serialized in the unit, so the parent only writes the text; the names
+    # are looked up per call because perfbench/spans.py replaces them
+    to_json = forest_to_json if family == "forest" else gbt_to_json
     return JobResult(
         county=dataset.county_id,
         hazard=hazard,
@@ -489,6 +495,7 @@ def execute_job(
                 fbeta=f_beta(cells, config.beta),
                 cells=(cells.tp, cells.fp, cells.fn, cells.tn),
                 model=model,
+                model_json=to_json(model),
             )
         },
         importance=importance,
@@ -498,11 +505,20 @@ def execute_job(
 
 
 def _execute_unit(args):
-    """One (pair, family) unit of work; a HazardLensError is returned, not raised."""
+    """One (pair, family) unit of work; a HazardLensError is returned, not raised.
+
+    Any other error is a bug and still fails the run, as a RuntimeError whose
+    text names the unit: a pool pickles only an exception's args, so the
+    text carries the original type and message too."""
     try:
         return execute_job(*args)
     except HazardLensError as exc:
         return exc
+    except Exception as exc:
+        dataset, hazard, _, family, _ = args
+        raise RuntimeError(
+            f"unit {dataset.county_id}/{hazard}/{family} failed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _merge_units(parts: list[JobResult]) -> JobResult:
@@ -574,12 +590,13 @@ def canonical_family(families) -> str:
 
 
 def _write_models(models_dir: Path, results: dict, track) -> None:
+    """The model texts of every pair in `results`, i.e. of every pair whose
+    families all succeeded."""
     models_dir.mkdir(parents=True, exist_ok=True)
     for (county, hazard), res in results.items():
         for family, outcome in res.outcomes.items():
-            to_json = forest_to_json if family == "forest" else gbt_to_json
             path = models_dir / f"{county}__{hazard}__{family}.json"
-            path.write_text(to_json(outcome.model), "utf-8")
+            path.write_text(outcome.model_json, "utf-8")
             track(path)
 
 
@@ -906,13 +923,13 @@ def run(config: RunConfig) -> RunReport:
 
 # -- recomputation from a finished run ----------------------------------------
 
-def load_run_models(run_dir, family: str) -> dict[tuple[str, str], object]:
+def load_run_models(run_dir, summary: dict, family: str) -> dict[tuple[str, str], object]:
     """The run's deserialized models of one family, keyed (county, hazard):
-    the file of every pair in summary.json. InvalidConfig names a file that
+    the file of every pair in its summary. InvalidConfig names a file that
     is missing or that does not parse as a model of the family."""
     from_json = forest_from_json if family == "forest" else gbt_from_json
     models = {}
-    for pair in load_run_summary(run_dir)["pairs"]:
+    for pair in summary["pairs"]:
         path = Path(run_dir, "models", f"{pair}__{family}.json")
         try:
             models[tuple(pair.split("__"))] = from_json(path.read_text("utf-8"))
@@ -925,19 +942,17 @@ def load_run_summary(run_dir) -> dict:
     return json.loads(Path(run_dir, "summary.json").read_text("utf-8"))
 
 
-def load_run_config(run_dir) -> RunConfig:
+def load_run_config(run_dir, summary: dict) -> RunConfig:
     """The config a finished run echoed into its summary, checked as any
     config is: InvalidConfig when, say, a county file has moved since. The
     echo leaves out out_dir and workers; out_dir becomes the run directory."""
-    echo = load_run_summary(run_dir).get("config", {})
-    return RunConfig.from_dict({**echo, "out_dir": str(run_dir)})
+    return RunConfig.from_dict({**summary.get("config", {}), "out_dir": str(run_dir)})
 
 
-def load_run_groups(run_dir) -> dict[str, str] | None:
+def load_run_groups(run_dir, config: RunConfig) -> dict[str, str] | None:
     """The feature groups a finished run rolled its importance up with: the
     emitted `data/feature_groups.json` of a synth run, the configured file
     of a CSV run, or None when the run had none."""
-    config = load_run_config(run_dir)
     if config.synth is not None:
         path = Path(run_dir, "data", "feature_groups.json")
         return read_feature_groups(path) if path.is_file() else None
@@ -946,12 +961,13 @@ def load_run_groups(run_dir) -> dict[str, str] | None:
     return None
 
 
-def rebuild_eval_splits(run_dir) -> dict[tuple[str, str], LabeledDataset]:
+def rebuild_eval_splits(
+    run_dir, summary: dict, config: RunConfig
+) -> dict[tuple[str, str], LabeledDataset]:
     """Reconstruct every pair's transfer evaluation data from the recorded
     seeds: the held-out test split, or the full labeled dataset when the
     run evaluated transfers on full data. The CSVs are read under the run's
     missing-value policy."""
-    config = load_run_config(run_dir)
     data_dir = Path(run_dir) / "data"
     if data_dir.is_dir():
         paths = sorted(data_dir.glob("*.csv"))
@@ -961,7 +977,7 @@ def rebuild_eval_splits(run_dir) -> dict[tuple[str, str], LabeledDataset]:
         d.county_id: d for d in _load_counties(paths, config.missing_feature_policy)
     }
     splits = {}
-    for key in load_run_summary(run_dir)["pairs"]:
+    for key in summary["pairs"]:
         county, hazard = key.split("__")
         labeled = make_labeled(by_county[county], hazard)
         if config.transfer_eval_on == "full":

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,9 +454,9 @@ def test_cli_importance_literal_mode_partial_exit(tiny_run):
     # and flagged through the partial-failure exit code
     report, out, _ = tiny_run
     from hazardlens.importance import forest_importance
-    from hazardlens.pipeline import load_run_models
+    from hazardlens.pipeline import load_run_models, load_run_summary
 
-    models = load_run_models(out, "forest")
+    models = load_run_models(out, load_run_summary(out), "forest")
     nonpositive = [
         key
         for key, model in models.items()
@@ -558,16 +559,20 @@ _RECOMPUTE_CONFIGS = st.fixed_dictionaries({
 })
 
 
+def _random_tiny_config(out, overrides, workers=1):
+    return replace(
+        tiny_config(out, workers=workers), **overrides, cv_k=2,
+        gbt_grid={"n_rounds": [2], "max_depth": [2], "learning_rate": [0.3], "l2_reg": [1.0]},
+    )
+
+
 @settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(overrides=_RECOMPUTE_CONFIGS)
 def test_recompute_reproduces_the_run_bytes(tmp_path_factory, overrides):
     out = tmp_path_factory.mktemp("recompute") / "run"
-    run(replace(
-        tiny_config(out), **overrides, cv_k=2,
-        gbt_grid={"n_rounds": [2], "max_depth": [2], "learning_rate": [0.3], "l2_reg": [1.0]},
-    ))
+    run(_random_tiny_config(out, overrides))
     assert main(["transfer", "--run", str(out)]) == 0
     assert main(["importance", "--run", str(out)]) in (0, 3)
     for recomputed, original in (
@@ -581,6 +586,48 @@ def test_recompute_reproduces_the_run_bytes(tmp_path_factory, overrides):
     assert sorted(p.name for p in (out / "importance_recomputed").iterdir()) == sorted(
         p.name for p in (out / "reports").glob("*importance_*.csv")
     )
+
+
+@settings(
+    max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(overrides=_RECOMPUTE_CONFIGS)
+def test_pool_and_inline_runs_write_the_same_bytes(tmp_path_factory, overrides):
+    # pool workers serialize their own models; the manifest hashes every file
+    base = tmp_path_factory.mktemp("workers")
+    manifests = []
+    for workers in (1, 2):
+        run(_random_tiny_config(base / f"w{workers}", overrides, workers=workers))
+        manifests.append((base / f"w{workers}" / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["transfer"], ["importance"], ["importance", "--mode", "paper_literal"]],
+    ids=["transfer", "importance", "importance_literal"],
+)
+def test_cli_recompute_reads_the_run_once(tiny_run, tmp_path, monkeypatch, args):
+    _, out, _ = tiny_run
+    summary_reads, configs_built = [], []
+    read_text = Path.read_text
+    from_dict = RunConfig.from_dict.__func__
+
+    def counting_read_text(path, *a, **k):
+        if path.name == "summary.json":
+            summary_reads.append(path)
+        return read_text(path, *a, **k)
+
+    def counting_from_dict(cls, raw):
+        configs_built.append(raw)
+        return from_dict(cls, raw)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    monkeypatch.setattr(RunConfig, "from_dict", classmethod(counting_from_dict))
+    code = main([args[0], "--run", str(out), "--out", str(tmp_path / "out"), *args[1:]])
+    assert code in (0, 3)
+    assert len(summary_reads) == 1
+    assert len(configs_built) == 1
 
 
 def test_cli_preset_assembles_config(tmp_path, monkeypatch):
@@ -774,3 +821,50 @@ def test_pair_fails_with_first_family_error(tmp_path, monkeypatch, workers, fami
         {"county": "ash", "hazard": "heat", "error": expected,
          "message": f"{families[0]} failed"}
     ]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("families", [("forest", "gbt"), ("gbt", "forest")])
+def test_pair_failing_in_its_second_family_writes_no_model(
+    tmp_path, monkeypatch, workers, families
+):
+    # the first family's unit has serialized its model before the pair fails
+    from hazardlens import selection
+    from hazardlens.errors import TooFewSamples
+
+    def fit(data, point, seed, deeper=None):
+        raise TooFewSamples(f"{families[1]} failed")
+
+    _, predict, grid = selection.FAMILIES[families[1]]
+    monkeypatch.setitem(selection.FAMILIES, families[1], (fit, predict, grid))
+    out = tmp_path / "out"
+    report = run(one_pair_config(out, workers=workers, families=families))
+    assert report.failures == [
+        {"county": "ash", "hazard": "heat", "error": "TooFewSamples",
+         "message": f"{families[1]} failed"}
+    ]
+    assert not report.results
+    assert list((out / "models").iterdir()) == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not [rel for rel in manifest if rel.startswith("models/")]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unexpected_unit_error_names_the_unit(tmp_path, monkeypatch, workers):
+    # a bug, not a pair failure: `hazardlens run` raises (exit 1) rather than
+    # returning 2 or 3, and the message says which unit failed and how
+    from hazardlens import selection
+
+    def fit(data, point, seed, deeper=None):
+        raise ZeroDivisionError("boom")
+
+    _, predict, grid = selection.FAMILIES["gbt"]
+    monkeypatch.setitem(selection.FAMILIES, "gbt", (fit, predict, grid))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(one_pair_config(tmp_path / "out", workers=workers).to_dict())
+    )
+    with pytest.raises(
+        RuntimeError, match="^unit ash/heat/gbt failed: ZeroDivisionError: boom$"
+    ):
+        main(["run", "--config", str(config_path)])
