@@ -18,7 +18,7 @@ from .dataset import (
 )
 from .cart import TreeParams, best_split, gini_impurity, grow_tree, node_importances
 from .forest import ForestModel, predict_proba_forest, train_forest
-from .boosting import BoostedModel, BoostParams, predict_proba_gbt, train_gbt
+from .boosting import BoostedModel, BoostParams, train_gbt
 from .selection import CvSpec, SplitSpec, cross_validate, stratified_split
 from .metrics import (
     Confusion,
@@ -26,8 +26,6 @@ from .metrics import (
     confusion,
     dispersion_summary,
     f_beta,
-    inter_county_std,
-    inter_hazard_std,
 )
 from .importance import (
     ImportanceVector,
@@ -35,7 +33,6 @@ from .importance import (
     RankMatrix,
     build_rank_matrix,
     forest_importance,
-    gbt_importance,
     normalize,
     overall_importance,
     rank_features,
@@ -78,12 +75,9 @@ __all__ = [
     "dispersion_summary",
     "f_beta",
     "forest_importance",
-    "gbt_importance",
     "generate_county",
     "gini_impurity",
     "grow_tree",
-    "inter_county_std",
-    "inter_hazard_std",
     "load_county_csv",
     "make_labeled",
     "node_importances",
@@ -91,7 +85,6 @@ __all__ = [
     "overall_importance",
     "planted_oracle",
     "predict_proba_forest",
-    "predict_proba_gbt",
     "rank_features",
     "run",
     "stratified_split",

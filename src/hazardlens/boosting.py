@@ -276,13 +276,9 @@ def predict_margin_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     return staged_margin_gbt(model, X)[-1]
 
 
-def predict_proba_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
-    """Vector of P(high) = sigmoid(accumulated log-odds)."""
-    return sigmoid(predict_margin_gbt(model, X))
-
-
 def predict_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
-    return np.where(predict_proba_gbt(model, X) > 0.5, HIGH, LOW).astype(np.int64)
+    """High where P(high) = sigmoid(accumulated log-odds) exceeds 0.5."""
+    return np.where(sigmoid(predict_margin_gbt(model, X)) > 0.5, HIGH, LOW).astype(np.int64)
 
 
 def gbt_to_json(model: BoostedModel) -> str:

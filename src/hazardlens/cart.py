@@ -22,7 +22,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDistribution, EmptySubset
+from .errors import DimensionMismatch, NoEntries
 
 WEIGHTED = "weighted"
 PAPER_LITERAL = "paper_literal"
@@ -107,7 +107,7 @@ def gini_impurity(counts) -> float:
     counts = np.asarray(counts, dtype=np.float64)
     total = counts.sum()
     if total <= 0:
-        raise EmptyDistribution("class distribution has zero total count")
+        raise NoEntries("class distribution has zero total count")
     p = counts / total
     return float(1.0 - np.sum(p * p))
 
@@ -147,7 +147,7 @@ def best_split(
     """
     n = y.shape[0]
     if n == 0:
-        raise EmptyDistribution("class distribution has zero total count")
+        raise NoEntries("class distribution has zero total count")
     high = int(np.count_nonzero(y))
     parent_gini = _gini(n - high, high)
     if parent_gini == 0.0:
@@ -202,7 +202,7 @@ def grow_tree(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if y.shape[0] == 0:
-        raise EmptySubset("cannot grow a tree on zero samples")
+        raise NoEntries("cannot grow a tree on zero samples")
     n_features = X.shape[1]
     m = params.features_per_split
     if m is not None and m > n_features:

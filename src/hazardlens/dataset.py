@@ -18,9 +18,9 @@ import numpy as np
 from .errors import (
     DegenerateLabels,
     DuplicateTract,
-    EmptyVector,
     HazardAbsent,
     MissingColumn,
+    NoEntries,
     NonFiniteValue,
     NonNumericCell,
     SchemaMismatch,
@@ -148,7 +148,7 @@ def binarize(exposure) -> tuple[np.ndarray, float]:
     """
     values = np.asarray(exposure, dtype=np.float64)
     if values.size == 0:
-        raise EmptyVector("cannot binarize an empty exposure vector")
+        raise NoEntries("cannot binarize an empty exposure vector")
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NonFiniteValue(f"non-finite exposure at row {bad}")

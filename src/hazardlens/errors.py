@@ -28,10 +28,6 @@ class DuplicateTract(HazardLensError):
     """The same tract_id appears more than once in a file."""
 
 
-class EmptyVector(HazardLensError):
-    """An operation received an empty vector."""
-
-
 class NonFiniteValue(HazardLensError):
     """A value is NaN or infinite where a finite real is required."""
 
@@ -53,42 +49,26 @@ class SchemaMismatch(HazardLensError):
         self.column = column
 
 
-# -- tree / ensemble ------------------------------------------------------
-
-class EmptyDistribution(HazardLensError):
-    """A class distribution with zero total count."""
-
-
-class EmptySubset(HazardLensError):
-    """Tree growth was asked to fit zero samples."""
-
+# -- any stage ----------------------------------------------------------------
 
 class DimensionMismatch(HazardLensError):
-    """Feature vector width does not match the model."""
+    """Inputs that must agree in width or length do not: a feature matrix
+    and its model, labels and predictions, or evaluation sets."""
 
 
-# -- model selection ------------------------------------------------------
+class NoEntries(HazardLensError):
+    """Nothing to work on: an empty vector, subset, class distribution,
+    metric table or transfer matrix."""
 
-class ClassTooSmall(HazardLensError):
-    """A class has too few members to split."""
 
+# -- model selection / metrics ------------------------------------------------
 
 class TooFewSamples(HazardLensError):
-    """Not enough rows for the requested fold count."""
-
-
-# -- metrics ---------------------------------------------------------------
-
-class LengthMismatch(HazardLensError):
-    """Label and prediction vectors differ in length."""
+    """Not enough rows, in all or in one class, to split or fill the folds."""
 
 
 class NoPositives(HazardLensError):
     """F-score is undefined: no positive truth and no positive predictions."""
-
-
-class NoEntries(HazardLensError):
-    """A metric aggregation has no present entries."""
 
 
 # -- importance -------------------------------------------------------------
@@ -105,7 +85,3 @@ class InvalidSpec(HazardLensError):
 
 class InvalidConfig(HazardLensError):
     """A run configuration failed validation."""
-
-
-class EmptyMatrix(HazardLensError):
-    """A transfer matrix with no cells cannot be rendered."""

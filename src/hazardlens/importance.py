@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import BoostedModel
-from .cart import WEIGHTED, iter_splits, node_importances
+from .cart import WEIGHTED, node_importances
 from .errors import AllZeroImportance
 from .forest import ForestModel
 
@@ -54,20 +53,6 @@ def normalize(raw: ImportanceVector) -> ImportanceVector:
         feature_names=raw.feature_names,
         values=raw.values / total,
         normalized=True,
-    )
-
-
-def gbt_importance(model: BoostedModel) -> ImportanceVector:
-    """Total split gain per feature, normalized. Diagnostic only: the
-    canonical importance pipeline runs on forests."""
-    totals = np.zeros(model.n_features, dtype=np.float64)
-    for stage in model.stages:
-        for node in iter_splits(stage):
-            totals[node.feature] += node.gain
-    return normalize(
-        ImportanceVector(
-            feature_names=model.feature_names, values=totals, normalized=False
-        )
     )
 
 

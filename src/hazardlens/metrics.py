@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import HIGH
-from .errors import LengthMismatch, NoEntries, NoPositives
+from .errors import DimensionMismatch, NoEntries, NoPositives
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def confusion(labels, predictions) -> Confusion:
     labels = np.asarray(labels, dtype=np.int64)
     predictions = np.asarray(predictions, dtype=np.int64)
     if labels.shape != predictions.shape:
-        raise LengthMismatch(
+        raise DimensionMismatch(
             f"labels have {labels.shape[0]} entries, predictions "
             f"{predictions.shape[0]}"
         )
@@ -79,10 +79,6 @@ def f_beta(c: Confusion, beta: float) -> float:
     r = recall(c)
     b2 = beta * beta
     return (1.0 + b2) * p * r / (b2 * p + r)
-
-
-def f1(c: Confusion) -> float:
-    return f_beta(c, 1.0)
 
 
 @dataclass
@@ -129,22 +125,6 @@ def _population_std(values: list[float]) -> float:
     arr = arr - arr[0]  # translation-invariant; keeps constant vectors at 0
     mu = float(arr.mean())
     return math.sqrt(float(np.mean((arr - mu) ** 2)))
-
-
-def inter_county_std(table: MetricTable, hazard: str) -> float:
-    """Population std of one hazard's metric across its present counties."""
-    values = table.column(hazard)
-    if not values:
-        raise NoEntries(f"no county has data for hazard {hazard!r}")
-    return _population_std(values)
-
-
-def inter_hazard_std(table: MetricTable, county: str) -> float:
-    """Population std of one county's metric across its present hazards."""
-    values = table.row(county)
-    if not values:
-        raise NoEntries(f"county {county!r} has no hazard entries")
-    return _population_std(values)
 
 
 @dataclass

@@ -855,13 +855,14 @@ def _write_summary(
 def run(config: RunConfig) -> RunReport:
     """Execute the full experiment graph described by the config."""
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
 
     def track(path: Path):
         written.append(path.relative_to(out_dir).as_posix())
 
+    # a county that fails to load leaves no output directory behind
     datasets, groups = _prepare_datasets(config, out_dir, track)
+    out_dir.mkdir(parents=True, exist_ok=True)
     counties = tuple(d.county_id for d in datasets)
     if config.hazards is not None:
         hazards = tuple(config.hazards)
@@ -945,8 +946,31 @@ def load_run_summary(run_dir) -> dict:
 def load_run_config(run_dir, summary: dict) -> RunConfig:
     """The config a finished run echoed into its summary, checked as any
     config is: InvalidConfig when, say, a county file has moved since. The
-    echo leaves out out_dir and workers; out_dir becomes the run directory."""
-    return RunConfig.from_dict({**summary.get("config", {}), "out_dir": str(run_dir)})
+    echo leaves out out_dir and workers; out_dir becomes the run directory.
+
+    A relative county or feature groups path that is missing from the
+    current directory is looked up against the run directory and then each
+    of its parents, nearest first, so a run recomputes from any directory."""
+    raw = {**summary.get("config", {}), "out_dir": str(run_dir)}
+    run_dir = Path(run_dir).resolve()
+    bases = (run_dir, *run_dir.parents)
+    if isinstance(raw.get("counties"), list):
+        raw["counties"] = [_locate(path, bases, "county file") for path in raw["counties"]]
+    if raw.get("feature_groups") is not None:
+        raw["feature_groups"] = _locate(raw["feature_groups"], bases, "feature groups file")
+    return RunConfig.from_dict(raw)
+
+
+def _locate(path, bases, label: str):
+    """`path` itself when it is absolute or a file from here, else the first
+    `base / path` that is a file; InvalidConfig naming every path tried."""
+    if not isinstance(path, str) or Path(path).is_absolute() or Path(path).is_file():
+        return path
+    tried = [Path(path), *(base / path for base in bases)]
+    for candidate in tried[1:]:
+        if candidate.is_file():
+            return str(candidate)
+    raise InvalidConfig(f"{label} not found: {path} (tried {', '.join(map(str, tried))})")
 
 
 def load_run_groups(run_dir, config: RunConfig) -> dict[str, str] | None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMatrix
+from .errors import NoEntries
 from .importance import ImportanceVector, OverallImportance
 from .metrics import DispersionSummary, MetricTable
 from .transfer import TransferMatrix
@@ -201,7 +201,7 @@ def _cell_color(delta: float, transferable: bool) -> tuple[int, int, int]:
 def render_heatmap(matrix: TransferMatrix) -> str:
     """Deterministic SVG: blue cells transfer, red do not, hatched absent."""
     if not matrix.ids:
-        raise EmptyMatrix("transfer matrix has no cells to render")
+        raise NoEntries("transfer matrix has no cells to render")
     size = len(matrix.ids)
     width = _LEFT + size * _CELL_W + 16
     height = _TOP + size * _CELL_H + 16

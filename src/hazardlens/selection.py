@@ -23,7 +23,7 @@ import numpy as np
 from .boosting import BoostParams, predict_gbt, sigmoid, staged_margin_gbt, train_gbt
 from .cart import TreeParams
 from .dataset import HIGH, LOW, LabeledDataset
-from .errors import ClassTooSmall, DegenerateLabels, NoPositives, TooFewSamples
+from .errors import DegenerateLabels, NoPositives, TooFewSamples
 from .forest import predict_forest, staged_proba_forest, train_forest
 from .metrics import confusion, f_beta
 from .seeds import child_seed
@@ -89,7 +89,7 @@ def stratified_split(
             f"single-class dataset ({data.county_id}/{data.hazard_id})"
         )
     if min(n_high, n_low) < 2:
-        raise ClassTooSmall("each class needs at least 2 members to split")
+        raise TooFewSamples("each class needs at least 2 members to split")
 
     rng = np.random.default_rng(spec.seed)
     train_mask = np.zeros(data.n, dtype=bool)

@@ -205,29 +205,23 @@ def generate_county(spec: ScenarioSpec) -> CountyDataset:
 
     informative_sets = _hazard_informative_sets(spec)
 
+    def own_exposure(hazard_id: str, eps: np.ndarray) -> np.ndarray:
+        law = _draw_law(spec, informative_sets[hazard_id], _law_rng(spec, hazard_id))
+        return (1.0 - spec.noise) * _standardize(law(X)) + spec.noise * eps
+
     hazards: dict[str, np.ndarray] = {}
-    base_exposure: np.ndarray | None = None
+    first: np.ndarray | None = None  # the first hazard's exposure
     for hazard_id in spec.hazards:
         eps = data_rng.standard_normal(spec.n_tracts)
-        if spec.coupling == COUPLING_SHARED:
-            if base_exposure is None:
-                law = _draw_law(spec, informative_sets[hazard_id], _law_rng(spec, hazard_id))
-                z = _standardize(law(X))
-                base_exposure = (1.0 - spec.noise) * z + spec.noise * eps
-            exposure = base_exposure
-        elif spec.coupling == COUPLING_HAZARD_CAUSED:
-            if base_exposure is None:
-                law = _draw_law(spec, informative_sets[hazard_id], _law_rng(spec, hazard_id))
-                z = _standardize(law(X))
-                base_exposure = (1.0 - spec.noise) * z + spec.noise * eps
-                exposure = base_exposure
-            else:
-                mix = max(spec.noise, 0.1)
-                exposure = (1.0 - mix) * base_exposure + mix * eps
-        else:  # feature-caused or independent: own law, own noise
-            law = _draw_law(spec, informative_sets[hazard_id], _law_rng(spec, hazard_id))
-            z = _standardize(law(X))
-            exposure = (1.0 - spec.noise) * z + spec.noise * eps
+        if first is None or spec.coupling in (COUPLING_FEATURE_CAUSED, COUPLING_INDEPENDENT):
+            exposure = own_exposure(hazard_id, eps)
+        elif spec.coupling == COUPLING_SHARED:
+            exposure = first
+        else:  # hazard-caused: the first hazard's exposure, re-noised
+            mix = max(spec.noise, 0.1)
+            exposure = (1.0 - mix) * first + mix * eps
+        if first is None:
+            first = exposure
         scale_rng = np.random.default_rng(child_seed(law_seed, "scale", hazard_id))
         a = float(scale_rng.uniform(0.5, 2.0))
         b = float(scale_rng.uniform(-1.0, 1.0))

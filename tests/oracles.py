@@ -1,7 +1,7 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
-The importance oracles re-derive quantities from serialized JSON documents
-only, touching none of the library's accumulation code paths. The CV oracle
+The importance oracle re-derives forest importance from the serialized JSON
+document only, touching none of the library's accumulation code paths. The CV oracle
 fits every grid point from scratch, with no sharing between tree counts.
 The split oracles score one (feature, threshold) at a time in scalar floats,
 with the same operations as the column-wise kernels, so results compare bit
@@ -45,23 +45,6 @@ def forest_importance_from_json(text: str, mode: str) -> np.ndarray:
 
     for tree in payload["trees"]:
         walk(tree, tree["samples"])
-    return totals
-
-
-def gbt_gain_from_json(text: str) -> np.ndarray:
-    """Re-accumulate raw split gain per feature from a serialized model."""
-    payload = json.loads(text)
-    totals = np.zeros(len(payload["feature_names"]), dtype=np.float64)
-
-    def walk(node):
-        if node["kind"] == "leaf":
-            return
-        totals[node["feature"]] += node["gain"]
-        walk(node["left"])
-        walk(node["right"])
-
-    for stage in payload["stages"]:
-        walk(stage)
     return totals
 
 

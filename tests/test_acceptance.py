@@ -27,8 +27,6 @@ from hazardlens.metrics import (
     confusion,
     dispersion_summary,
     f_beta,
-    inter_county_std,
-    inter_hazard_std,
 )
 from hazardlens.cart import gini_impurity
 from hazardlens.pipeline import run, synth6x3_config
@@ -127,7 +125,7 @@ def test_criterion_2_formula_exactness():
     table = MetricTable(("a", "b"), ("h",))
     table.set("a", "h", 0.6)
     table.set("b", "h", 0.8)
-    close(inter_county_std(table, "h"), 0.1)
+    close(dispersion_summary(table).per_hazard_std["h"], 0.1)
 
     harris = [0.8409, 0.6514, 0.6842]
     t2 = MetricTable(("harris",), ("heat", "flood", "air"))
@@ -135,7 +133,7 @@ def test_criterion_2_formula_exactness():
         t2.set("harris", hazard, value)
     mu = sum(harris) / 3
     expected = (sum((v - mu) ** 2 for v in harris) / 3) ** 0.5
-    close(inter_hazard_std(t2, "harris"), expected)
+    close(dispersion_summary(t2).per_county_std["harris"], expected)
 
     grid = MetricTable(("a", "b"), ("x", "y"))
     for county in ("a", "b"):

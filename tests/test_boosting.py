@@ -17,11 +17,17 @@ from hazardlens.boosting import (
     _grow_reg_tree,
     gbt_from_json,
     gbt_to_json,
-    predict_proba_gbt,
+    predict_margin_gbt,
+    sigmoid,
     train_gbt,
 )
 from hazardlens.cart import tree_to_dict
 from hazardlens.errors import DegenerateLabels, DimensionMismatch
+
+
+def proba(model, X):
+    """P(high) per row, as predict_gbt thresholds it."""
+    return sigmoid(predict_margin_gbt(model, X))
 
 
 def test_balanced_labels_zero_base_score(rng):
@@ -69,7 +75,7 @@ def test_predict_constant_model_is_sigmoid_base(rng):
     X = np.ones((12, 2))  # constant features: no split is admissible
     y = np.array([0, 1] * 6, dtype=np.int64)
     model = train_gbt(labeled_from_arrays(X, y), BoostParams(n_rounds=3))
-    np.testing.assert_allclose(predict_proba_gbt(model, X), 0.5, atol=1e-12)
+    np.testing.assert_allclose(proba(model, X), 0.5, atol=1e-12)
 
 
 def test_predict_single_constant_stage():
@@ -80,7 +86,7 @@ def test_predict_single_constant_stage():
         seed=0,
         feature_names=("a", "b"),
     )
-    probs = predict_proba_gbt(model, np.zeros((3, 2)))
+    probs = proba(model, np.zeros((3, 2)))
     np.testing.assert_allclose(probs, 1.0 / (1.0 + math.exp(-1.0)), atol=1e-12)
     assert probs[0] == pytest.approx(0.7310585786300049, abs=1e-12)
 
@@ -90,7 +96,7 @@ def test_outputs_strictly_inside_unit_interval(rng):
     y = (X[:, 0] > 0).astype(np.int64)
     model = train_gbt(labeled_from_arrays(X, y),
                       BoostParams(n_rounds=40, learning_rate=0.3, l2_reg=1.0))
-    probs = predict_proba_gbt(model, X)
+    probs = proba(model, X)
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
 
@@ -125,7 +131,7 @@ def test_errors(rng):
     y = (X[:, 0] > 0).astype(np.int64)
     model = train_gbt(labeled_from_arrays(X, y), BoostParams(n_rounds=2))
     with pytest.raises(DimensionMismatch):
-        predict_proba_gbt(model, np.zeros((3, 5)))
+        proba(model, np.zeros((3, 5)))
 
 
 def test_serialization_round_trip(rng):
@@ -136,7 +142,7 @@ def test_serialization_round_trip(rng):
     rebuilt = gbt_from_json(text)
     assert gbt_to_json(rebuilt) == text
     np.testing.assert_array_equal(
-        predict_proba_gbt(model, X), predict_proba_gbt(rebuilt, X)
+        proba(model, X), proba(rebuilt, X)
     )
 
 

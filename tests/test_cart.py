@@ -25,7 +25,7 @@ from hazardlens.cart import (
     tree_values,
     trees_values,
 )
-from hazardlens.errors import EmptyDistribution, EmptySubset
+from hazardlens.errors import NoEntries
 from hazardlens.forest import ForestModel, staged_proba_forest
 
 
@@ -36,7 +36,7 @@ def test_gini_hand_values():
 
 
 def test_gini_empty():
-    with pytest.raises(EmptyDistribution):
+    with pytest.raises(NoEntries):
         gini_impurity([0, 0])
 
 
@@ -179,7 +179,7 @@ def test_grow_depth_zero_majority_leaf(rng):
 
 
 def test_grow_empty_subset():
-    with pytest.raises(EmptySubset):
+    with pytest.raises(NoEntries):
         grow_tree(np.empty((0, 2)), np.empty(0, dtype=int), TreeParams(),
                   np.random.default_rng(0))
 

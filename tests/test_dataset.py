@@ -16,9 +16,9 @@ from hazardlens.dataset import (
 from hazardlens.errors import (
     DegenerateLabels,
     DuplicateTract,
-    EmptyVector,
     HazardAbsent,
     MissingColumn,
+    NoEntries,
     NonFiniteValue,
     NonNumericCell,
     SchemaMismatch,
@@ -49,7 +49,7 @@ def test_binarize_two_point():
 
 
 def test_binarize_errors():
-    with pytest.raises(EmptyVector):
+    with pytest.raises(NoEntries):
         binarize([])
     with pytest.raises(NonFiniteValue):
         binarize([1.0, float("nan"), 2.0])

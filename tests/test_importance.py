@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import labeled_from_arrays
-from oracles import forest_importance_from_json, gbt_gain_from_json, kendall_tau
-from hazardlens.boosting import (
-    BoostedModel,
-    BoostParams,
-    RegLeaf,
-    RegSplit,
-    gbt_to_json,
-    train_gbt,
-)
+from oracles import forest_importance_from_json, kendall_tau
 from hazardlens.cart import Leaf, PAPER_LITERAL, Split, TreeParams, WEIGHTED, node_importances
 from hazardlens.errors import AllZeroImportance
 from hazardlens.forest import ForestModel, forest_to_json, train_forest
@@ -18,7 +10,6 @@ from hazardlens.importance import (
     ImportanceVector,
     build_rank_matrix,
     forest_importance,
-    gbt_importance,
     normalize,
     overall_importance,
     rank_features,
@@ -170,55 +161,6 @@ def test_overall_invariant_to_county_relabeling(rng):
     np.testing.assert_allclose(
         overall_importance(m1).scores, overall_importance(m2).scores, atol=1e-15
     )
-
-
-def test_gbt_importance_single_split():
-    stage = RegSplit(
-        feature=2, threshold=0.0, gain=1.25, n=10,
-        left=RegLeaf(weight=-0.5, n=5), right=RegLeaf(weight=0.5, n=5),
-    )
-    model = BoostedModel(
-        stages=[stage],
-        params=BoostParams(n_rounds=1),
-        base_score=0.0,
-        seed=0,
-        feature_names=("a", "b", "c", "d"),
-    )
-    out = gbt_importance(model)
-    assert out.values.tolist() == [0.0, 0.0, 1.0, 0.0]
-
-
-def test_gbt_importance_equal_gains():
-    stages = [
-        RegSplit(feature=0, threshold=0.0, gain=0.7, n=8,
-                 left=RegLeaf(weight=0.0, n=4), right=RegLeaf(weight=0.1, n=4)),
-        RegSplit(feature=1, threshold=0.0, gain=0.7, n=8,
-                 left=RegLeaf(weight=0.0, n=4), right=RegLeaf(weight=0.1, n=4)),
-    ]
-    model = BoostedModel(
-        stages=stages, params=BoostParams(n_rounds=2), base_score=0.0,
-        seed=0, feature_names=("a", "b"),
-    )
-    assert gbt_importance(model).values.tolist() == [0.5, 0.5]
-
-
-def test_gbt_importance_matches_json_walk(rng):
-    X = rng.normal(size=(60, 4))
-    y = ((X[:, 0] - X[:, 2]) > 0).astype(np.int64)
-    model = train_gbt(
-        labeled_from_arrays(X, y), BoostParams(n_rounds=3, learning_rate=0.3)
-    )
-    gains = gbt_gain_from_json(gbt_to_json(model))
-    expected = gains / gains.sum()
-    np.testing.assert_allclose(gbt_importance(model).values, expected, atol=1e-12)
-
-
-def test_gbt_importance_all_zero(rng):
-    X = np.ones((10, 2))
-    y = np.array([0, 1] * 5, dtype=np.int64)
-    model = train_gbt(labeled_from_arrays(X, y), BoostParams(n_rounds=2))
-    with pytest.raises(AllZeroImportance):
-        gbt_importance(model)
 
 
 def test_noise_feature_keeps_overall_order_kendall():

@@ -2,16 +2,13 @@ import math
 
 import pytest
 
-from hazardlens.errors import LengthMismatch, NoEntries, NoPositives
+from hazardlens.errors import DimensionMismatch, NoEntries, NoPositives
 from hazardlens.metrics import (
     Confusion,
     MetricTable,
     confusion,
     dispersion_summary,
-    f1,
     f_beta,
-    inter_county_std,
-    inter_hazard_std,
     precision,
     recall,
 )
@@ -36,7 +33,7 @@ def test_confusion_hand_counted_mix():
 
 
 def test_confusion_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         confusion([1, 0], [1])
 
 
@@ -73,7 +70,7 @@ def test_f1_equals_harmonic_mean(rng):
             continue
         c = Confusion(tp=tp, fp=fp, fn=fn, tn=int(rng.integers(0, 20)))
         p, r = precision(c), recall(c)
-        assert f1(c) == pytest.approx(2 * p * r / (p + r), abs=1e-12)
+        assert f_beta(c, 1.0) == pytest.approx(2 * p * r / (p + r), abs=1e-12)
 
 
 def test_f_beta_monotone_in_tp():
@@ -107,9 +104,9 @@ def table_from_grid(counties, hazards, rows):
 
 def test_inter_county_std_examples():
     t = table_from_grid(["a", "b", "c"], ["h"], [[0.8], [0.8], [0.8]])
-    assert inter_county_std(t, "h") == 0.0
+    assert dispersion_summary(t).per_hazard_std["h"] == 0.0
     t = table_from_grid(["a", "b"], ["h"], [[0.6], [0.8]])
-    assert inter_county_std(t, "h") == pytest.approx(0.1, abs=1e-15)
+    assert dispersion_summary(t).per_hazard_std["h"] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_inter_county_std_uses_present_count_only():
@@ -121,31 +118,35 @@ def test_inter_county_std_uses_present_count_only():
     present = [v for v in values if v is not None]
     mu = sum(present) / 4
     expected = math.sqrt(sum((v - mu) ** 2 for v in present) / 4)
-    assert inter_county_std(t, "air") == pytest.approx(expected, abs=1e-15)
+    assert dispersion_summary(t).per_hazard_std["air"] == pytest.approx(expected, abs=1e-15)
 
 
 def test_inter_hazard_std_examples():
     t = table_from_grid(["c"], ["h1"], [[0.77]])
-    assert inter_hazard_std(t, "c") == 0.0
+    assert dispersion_summary(t).per_county_std["c"] == 0.0
 
     harris = [0.8409, 0.6514, 0.6842]
     t = table_from_grid(["harris"], ["heat", "flood", "air"], [harris])
     mu = sum(harris) / 3
     expected = math.sqrt(sum((v - mu) ** 2 for v in harris) / 3)
-    assert inter_hazard_std(t, "harris") == pytest.approx(expected, abs=1e-15)
+    assert dispersion_summary(t).per_county_std["harris"] == pytest.approx(expected, abs=1e-15)
 
     shuffled = table_from_grid(
         ["harris"], ["air", "heat", "flood"], [[0.6842, 0.8409, 0.6514]]
     )
-    assert inter_hazard_std(shuffled, "harris") == inter_hazard_std(t, "harris")
+    assert (dispersion_summary(shuffled).per_county_std["harris"]
+            == dispersion_summary(t).per_county_std["harris"])
 
 
 def test_std_errors():
     t = MetricTable(("a",), ("h",))
     with pytest.raises(NoEntries):
-        inter_county_std(t, "h")
-    with pytest.raises(NoEntries):
-        inter_hazard_std(t, "a")
+        dispersion_summary(t)
+    # a hazard or county with no present entry has no dispersion to report
+    t = table_from_grid(["a", "b"], ["h", "g"], [[0.5, None], [None, None]])
+    summary = dispersion_summary(t)
+    assert set(summary.per_hazard_std) == {"h"}
+    assert set(summary.per_county_std) == {"a"}
 
 
 def test_std_affine_invariance(rng):
@@ -155,8 +156,8 @@ def test_std_affine_invariance(rng):
     t2 = table_from_grid(
         ["c"], [f"h{i}" for i in range(5)], [[a * v + b for v in values]]
     )
-    assert inter_hazard_std(t2, "c") == pytest.approx(
-        abs(a) * inter_hazard_std(t1, "c"), abs=1e-12
+    assert dispersion_summary(t2).per_county_std["c"] == pytest.approx(
+        abs(a) * dispersion_summary(t1).per_county_std["c"], abs=1e-12
     )
 
 

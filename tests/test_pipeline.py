@@ -413,6 +413,55 @@ def test_cli_transfer_on_a_run_whose_county_file_moved_fails_cleanly(tmp_path, c
     assert not (out / "transfer_recomputed").exists()
 
 
+@pytest.mark.parametrize("command", ["transfer", "importance"])
+def test_cli_recompute_from_any_directory(tmp_path, monkeypatch, capsys, command):
+    # relative paths in the config are found from the run directory's parents
+    work = tmp_path / "w"
+    (work / "inputs").mkdir(parents=True)
+    county_csv(work / "inputs/good.csv", seed=1)
+    county_csv(work / "inputs/other.csv", seed=3)
+    (work / "groups.json").write_text(json.dumps({"fa": "climate", "fb": "built", "fc": "built"}))
+    monkeypatch.chdir(work)
+    run(RunConfig(
+        seed=4,
+        out_dir="train",
+        county_files=["inputs/good.csv", "inputs/other.csv"],
+        feature_groups="groups.json",
+        forest_grid={"n_trees": [5], "max_depth": [3]},
+        families=["forest"],
+        cv_k=3,
+        top_k=2,
+    ))
+    assert main([command, "--run", "train", "--out", str(tmp_path / "here")]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--run", "w/train", "--out", "above"]) == 0
+    written = sorted(p.name for p in (tmp_path / "here").iterdir())
+    assert written
+    assert sorted(p.name for p in (tmp_path / "above").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "above" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+    (work / "inputs").rename(tmp_path / "moved")
+    capsys.readouterr()
+    assert main([command, "--run", "w/train", "--out", "gone"]) == 2
+    err = capsys.readouterr().err
+    root = tmp_path.resolve()
+    assert "county file not found: inputs/good.csv" in err
+    for base in (root / "w/train", root / "w", root):
+        assert str(base / "inputs/good.csv") in err
+    assert not (tmp_path / "gone").exists()
+
+
+def test_rejected_county_leaves_no_out_dir(tmp_path):
+    lone = tmp_path / "lone.csv"
+    lone.write_text("tract_id,fa,hazard__heat\nt0,1.0,2.0\nt1,2.0,1.0\n")
+    config_path = tmp_path / "config.json"
+    out = tmp_path / "od"
+    config_path.write_text(json.dumps({"seed": 1, "out_dir": str(out), "counties": [str(lone)]}))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert not out.exists()
+
+
 def test_cli_partial_failure_exit_code(tmp_path):
     good = county_csv(tmp_path / "good.csv", seed=1)
     flat = county_csv(tmp_path / "flat.csv", seed=2, constant_hazard=True)
@@ -801,9 +850,9 @@ def test_one_pair_pool_matches_inline(tmp_path):
 @pytest.mark.parametrize("families", [("forest", "gbt"), ("gbt", "forest")])
 def test_pair_fails_with_first_family_error(tmp_path, monkeypatch, workers, families):
     from hazardlens import selection
-    from hazardlens.errors import ClassTooSmall, TooFewSamples
+    from hazardlens.errors import NoPositives, TooFewSamples
 
-    raised = {"forest": TooFewSamples, "gbt": ClassTooSmall}
+    raised = {"forest": TooFewSamples, "gbt": NoPositives}
 
     def failing(family):
         def fit(data, point, seed, deeper=None):
@@ -868,3 +917,9 @@ def test_unexpected_unit_error_names_the_unit(tmp_path, monkeypatch, workers):
         RuntimeError, match="^unit ash/heat/gbt failed: ZeroDivisionError: boom$"
     ):
         main(["run", "--config", str(config_path)])
+
+
+def test_every_exported_name_resolves():
+    import hazardlens
+
+    assert [name for name in hazardlens.__all__ if not hasattr(hazardlens, name)] == []

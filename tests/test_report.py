@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hazardlens.errors import EmptyMatrix
+from hazardlens.errors import NoEntries
 from hazardlens.importance import ImportanceVector, build_rank_matrix, overall_importance
 from hazardlens.metrics import MetricTable
 from hazardlens.report import (
@@ -61,7 +61,7 @@ def test_heatmap_absent_cells_hatched_and_unlabeled():
 def test_heatmap_empty_matrix():
     matrix = TransferMatrix(axis="county", fixed_id="x", ids=(),
                             baseline="target_native", threshold=-15.0)
-    with pytest.raises(EmptyMatrix):
+    with pytest.raises(NoEntries):
         render_heatmap(matrix)
 
 

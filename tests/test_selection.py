@@ -12,7 +12,7 @@ from hazardlens import selection
 from hazardlens.cart import tree_to_dict
 from hazardlens.forest import predict_proba_forest, staged_proba_forest, train_forest
 from hazardlens.dataset import HIGH, LOW
-from hazardlens.errors import ClassTooSmall, DegenerateLabels, TooFewSamples
+from hazardlens.errors import DegenerateLabels, TooFewSamples
 from hazardlens.selection import (
     FAMILIES,
     CvSpec,
@@ -78,7 +78,7 @@ def test_split_errors(rng):
             labeled_from_arrays(X, np.ones(6, dtype=np.int64)), SplitSpec()
         )
     y = np.array([0, 0, 0, 0, 0, 1], dtype=np.int64)
-    with pytest.raises(ClassTooSmall):
+    with pytest.raises(TooFewSamples, match="each class"):
         stratified_split(labeled_from_arrays(X, y), SplitSpec())
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,15 @@ from hazardlens.dataset import make_labeled
 from hazardlens.errors import InvalidSpec
 from hazardlens.forest import train_forest
 from hazardlens.importance import forest_importance
-from hazardlens.metrics import confusion, f1
+from hazardlens.metrics import confusion, f_beta
 from hazardlens.selection import SplitSpec, stratified_split
 from hazardlens.synth import (
     COUPLING_INDEPENDENT,
+    COUPLINGS,
     COUPLING_SHARED,
     LAW_THRESHOLD_INTERACTION,
     LAW_TREE_RULE,
+    LAWS,
     CountyPlan,
     ScenarioSpec,
     build_scenario,
@@ -47,7 +51,7 @@ def test_noise_free_single_feature_law_is_monotone():
     stumpy = grow_tree(labeled.features, labeled.labels, TreeParams(max_depth=1),
                        np.random.default_rng(0))
     preds = (tree_values(stumpy, labeled.features) > 0.5).astype(np.int64)
-    assert f1(confusion(labeled.labels, preds)) == 1.0
+    assert f_beta(confusion(labeled.labels, preds), 1.0) == 1.0
 
 
 def test_shared_law_hazards_have_identical_labels():
@@ -122,7 +126,6 @@ def test_noise_zero_single_feature_importance_recovery():
 
 def test_noise_weakly_degrades_test_fbeta():
     from hazardlens.forest import predict_forest
-    from hazardlens.metrics import f_beta
 
     medians = []
     for noise in (0.0, 0.2, 0.4):
@@ -169,3 +172,46 @@ def test_synth6x3_shape():
     assert set(groups.values()) == {
         "built_environment", "human_mobility", "land_cover", "social_demographic"
     }
+
+
+# sha256 of features then each hazard's name and exposures, in spec order
+GENERATED_DIGESTS = {
+    ("shared-law", "linear-logit"):
+        "c72d8cd47d855906bb11a887a9ed93746b0f9d74895068752b88bcda8622dc1d",
+    ("shared-law", "threshold-interaction"):
+        "21a37b2cb6e41461dc17d4545efe0e3beb451f3e78c05e41249939ff970406bc",
+    ("shared-law", "tree-rule"):
+        "339c7488a1b46c8797d2d43784af96d09000aed3ad42a7ec833ff5dc7b127f25",
+    ("independent", "linear-logit"):
+        "d7c376c44ed4be62f6352a4ecf227f3d8d88f049b3aa28c5b06fd2441fc040f7",
+    ("independent", "threshold-interaction"):
+        "f42c47d80101c53ca1eac9e4f6548e2de33c4b0fce6f61dfa7df9331b1264ec9",
+    ("independent", "tree-rule"):
+        "154476e3c79c9834591c8e8ed8d2945eda1e20fbe8702730b8e537accbc987d2",
+    ("feature-caused", "linear-logit"):
+        "d9300106c8f99df476f5388e9b935af459d2283c8c98853ea773d4b04927e46a",
+    ("feature-caused", "threshold-interaction"):
+        "7e193906446ad52310d5d1d41de1590b444c0cdcdbe7ce607bfc37cbe1ce2db1",
+    ("feature-caused", "tree-rule"):
+        "d2d953a15e5f19bfb8c9feccc1b2684b49cd917a1be3dc903c0e5e9eabce36ce",
+    ("hazard-caused", "linear-logit"):
+        "1ce85f062e4e9f7f938980c78d3afcca5c4672689e3b0b266915f7393ad58929",
+    ("hazard-caused", "threshold-interaction"):
+        "774c4e603052c6f1ffc3895444b95ec7fd039f015c540d79585d97af30096bfb",
+    ("hazard-caused", "tree-rule"):
+        "482dcffbcee42882ef7ba8e17b405b7676a54ca1f2f45ed637603c7a69948aff",
+}
+
+
+@pytest.mark.parametrize("coupling", COUPLINGS)
+@pytest.mark.parametrize("law", LAWS)
+def test_generated_bytes_are_pinned_for_every_coupling_and_law(coupling, law):
+    dataset = generate_county(ScenarioSpec(
+        county_id="pin", n_tracts=24, n_features=10, informative=(1, 4, 6),
+        law=law, coupling=coupling, noise=0.25, seed=11,
+    ))
+    digest = hashlib.sha256(dataset.features.tobytes())
+    for hazard, exposure in dataset.hazards.items():
+        digest.update(hazard.encode())
+        digest.update(exposure.tobytes())
+    assert digest.hexdigest() == GENERATED_DIGESTS[(coupling, law)]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import labeled_from_arrays
-from hazardlens.boosting import BoostParams, predict_gbt, predict_proba_gbt, train_gbt
+from hazardlens.boosting import BoostParams, predict_gbt, predict_margin_gbt, train_gbt
 from hazardlens.cart import TreeParams
 from hazardlens.dataset import make_labeled
 from hazardlens.errors import SchemaMismatch
@@ -193,7 +193,7 @@ def test_stacked_prediction_equals_per_block_prediction(sizes, seed):
     blocks = [rng.choice(values, size=(n, 3)) for n in sizes]
     stack = np.concatenate(blocks)
     for model, predict in ((forest, predict_forest), (forest, predict_proba_forest),
-                           (gbt, predict_gbt), (gbt, predict_proba_gbt)):
+                           (gbt, predict_gbt), (gbt, predict_margin_gbt)):
         whole = predict(model, stack)
         parts = np.concatenate([predict(model, block) for block in blocks])
         assert whole.tobytes() == parts.tobytes()
