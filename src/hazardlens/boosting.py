@@ -212,12 +212,11 @@ def train_gbt(
     data: LabeledDataset,
     params: BoostParams,
     seed: int = 0,
-    base_score: float | None = None,
 ) -> BoostedModel:
     """Boost params.n_rounds trees against logistic loss.
 
-    base_score defaults to the log-odds of the high-label prevalence, which
-    is 0 for balanced labels. The per-round training loss (including the
+    The base score is the log-odds of the high-label prevalence, which is 0
+    for balanced labels. The per-round training loss (including the
     round-0 base loss) is recorded on the model.
     """
     low, high = data.class_counts()
@@ -230,9 +229,8 @@ def train_gbt(
     y = data.labels[order].astype(np.float64)
     columns = column_order(X)  # GBT samples no rows: every round shares it
 
-    if base_score is None:
-        p = high / (low + high)
-        base_score = math.log(p / (1.0 - p))
+    p = high / (low + high)
+    base_score = math.log(p / (1.0 - p))
 
     margins = np.full(y.shape[0], base_score, dtype=np.float64)
     losses = [_logloss(margins, y)]
@@ -249,7 +247,7 @@ def train_gbt(
     return BoostedModel(
         stages=stages,
         params=params,
-        base_score=float(base_score),
+        base_score=base_score,
         seed=seed,
         feature_names=data.schema.feature_names,
         train_loss=losses,

@@ -157,34 +157,19 @@ def binarize(exposure) -> tuple[np.ndarray, float]:
     return labels, threshold
 
 
-def make_labeled(
-    dataset: CountyDataset,
-    hazard_id: str,
-    missing_policy: str = "drop",
-) -> LabeledDataset:
+def make_labeled(dataset: CountyDataset, hazard_id: str) -> LabeledDataset:
     """Binarize one hazard of a county into a LabeledDataset.
 
-    ``missing_policy`` controls rows whose exposure for this hazard is NaN:
-    "drop" removes them for this hazard only, "error" raises NonFiniteValue.
-    Raises HazardAbsent when the county has no data for the hazard, and
-    DegenerateLabels when binarization leaves a single class.
+    Rows whose exposure for this hazard is NaN are dropped, for this hazard
+    only. Raises HazardAbsent when the county has no data for the hazard,
+    and DegenerateLabels when binarization leaves a single class.
     """
     if hazard_id not in dataset.hazards:
         raise HazardAbsent(
             f"hazard {hazard_id!r} absent in county {dataset.county_id!r}"
         )
     exposure = dataset.hazards[hazard_id]
-    keep = np.isfinite(exposure)
-    if not np.all(keep):
-        if missing_policy == "error":
-            bad = int(np.flatnonzero(~keep)[0])
-            raise NonFiniteValue(
-                f"missing {hazard_id!r} exposure at tract "
-                f"{dataset.tract_ids[bad]!r} in county {dataset.county_id!r}"
-            )
-        if missing_policy != "drop":
-            raise ValueError(f"unknown missing policy {missing_policy!r}")
-    idx = np.flatnonzero(keep)
+    idx = np.flatnonzero(np.isfinite(exposure))
     if idx.size == 0:
         raise HazardAbsent(
             f"hazard {hazard_id!r} has no recorded values in county "
@@ -273,25 +258,18 @@ def _raise_first_bad_cell(path, rows, header, feature_cols, hazard_cols, missing
                 )
 
 
-def load_county_csv(
-    path,
-    schema: FeatureSchema | None = None,
-    county_id: str | None = None,
-    missing_feature_policy: str = "error",
-) -> CountyDataset:
-    """Read one county CSV into a CountyDataset.
+def load_county_csv(path, missing_feature_policy: str = "error") -> CountyDataset:
+    """Read one county CSV into a CountyDataset named after its file.
 
     Columns prefixed ``hazard__`` are exposures, ``tract_id`` is the key,
-    everything else is a feature. With an explicit schema, exactly those
-    feature columns are read (in schema order); extra feature columns are
-    ignored. Empty hazard cells mean "no exposure recorded". Empty feature
-    cells are an error under the default strict policy; the opt-in
-    "impute_median" policy fills them with the column median instead.
+    everything else is a feature, read in file order. Empty hazard cells
+    mean "no exposure recorded". Empty feature cells are an error under the
+    default strict policy; the opt-in "impute_median" policy fills them with
+    the column median instead.
     """
     path = str(path)
-    if county_id is None:
-        county_id = path.rsplit("/", 1)[-1]
-        county_id = county_id[:-4] if county_id.endswith(".csv") else county_id
+    county_id = path.rsplit("/", 1)[-1]
+    county_id = county_id[:-4] if county_id.endswith(".csv") else county_id
     if missing_feature_policy not in MISSING_FEATURE_POLICIES:
         raise ValueError(f"unknown missing feature policy {missing_feature_policy!r}")
 
@@ -311,24 +289,11 @@ def load_county_csv(
         for i, name in enumerate(header)
         if name.startswith(HAZARD_PREFIX)
     ]
-    file_features = [
+    feature_cols = [
         (name, i)
         for i, name in enumerate(header)
         if i != tract_pos and not name.startswith(HAZARD_PREFIX)
     ]
-
-    if schema is None:
-        feature_cols = file_features
-        schema = FeatureSchema(tuple(name for name, _ in feature_cols))
-    else:
-        positions = {name: i for name, i in file_features}
-        feature_cols = []
-        for name in schema.feature_names:
-            if name not in positions:
-                raise MissingColumn(
-                    f"{path}: feature column {name!r} required by schema is missing"
-                )
-            feature_cols.append((name, positions[name]))
 
     parsed = _parse_columns(rows, len(header), feature_cols, hazard_cols, missing_feature_policy)
     if parsed is None:
@@ -357,7 +322,7 @@ def load_county_csv(
 
     return CountyDataset(
         county_id=county_id,
-        schema=schema,
+        schema=FeatureSchema(tuple(name for name, _ in feature_cols)),
         tract_ids=tuple(tract_ids),
         features=features,
         hazards=hazards,

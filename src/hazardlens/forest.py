@@ -38,7 +38,7 @@ class ForestModel:
     trees: list[TreeNode]
     params: TreeParams
     n_trees: int
-    bootstrap: bool
+    bootstrap: bool  # always True; model JSON v1 records it
     seed: int
     feature_names: tuple[str, ...]
 
@@ -62,14 +62,11 @@ def grow_forest_tree(
     params: TreeParams,
     seed: int,
     index: int,
-    bootstrap: bool,
 ) -> TreeNode:
     """Grow tree `index`: bootstrap draw then growth, all from one stream."""
     rng = tree_rng(seed, index)
-    if bootstrap:
-        idx = rng.integers(0, y.shape[0], size=y.shape[0])
-        return grow_tree(X[idx], y[idx], params, rng)
-    return grow_tree(X, y, params, rng)
+    idx = rng.integers(0, y.shape[0], size=y.shape[0])
+    return grow_tree(X[idx], y[idx], params, rng)
 
 
 def train_forest(
@@ -77,16 +74,16 @@ def train_forest(
     params: TreeParams,
     n_trees: int,
     seed: int,
-    bootstrap: bool = True,
     deeper: ForestModel | None = None,
 ) -> ForestModel:
-    """Train a forest of n_trees CART trees on a labeled county dataset.
+    """Train a forest of n_trees CART trees, each on its own bootstrap
+    sample of a labeled county dataset.
 
     Unless params pins features_per_split, each node considers
     ceil(sqrt(F)) candidate features. Requires both classes present.
 
     `deeper`, when given, is a forest this function trained on the same
-    data with the same seed and bootstrap, whose params differ at most in a
+    data with the same seed, whose params differ at most in a
     deeper max_depth (None counts as deepest). Its tree i is taken as tree
     i whenever growth under params.max_depth would give it back
     (cart.regrows_unchanged); every other tree is grown.
@@ -106,30 +103,30 @@ def train_forest(
         params = replace(
             params, features_per_split=math.ceil(math.sqrt(data.schema.feature_count))
         )
-    kept = _reusable_trees(deeper, params, n_trees, seed, bootstrap) if deeper else {}
+    kept = _reusable_trees(deeper, params, n_trees, seed) if deeper else {}
     trees = [
-        kept[i] if i in kept else grow_forest_tree(X, y, params, seed, i, bootstrap)
+        kept[i] if i in kept else grow_forest_tree(X, y, params, seed, i)
         for i in range(n_trees)
     ]
     return ForestModel(
         trees=trees,
         params=params,
         n_trees=n_trees,
-        bootstrap=bootstrap,
+        bootstrap=True,
         seed=seed,
         feature_names=data.schema.feature_names,
     )
 
 
 def _reusable_trees(
-    deeper: ForestModel, params: TreeParams, n_trees: int, seed: int, bootstrap: bool
+    deeper: ForestModel, params: TreeParams, n_trees: int, seed: int
 ) -> dict[int, TreeNode]:
     """Trees of `deeper` among the first n_trees, by index, that growth
     under `params` gives back."""
     limit = deeper.params.max_depth
     if (
         deeper.seed != seed
-        or deeper.bootstrap != bootstrap
+        or not deeper.bootstrap
         or replace(deeper.params, max_depth=params.max_depth) != params
         or (limit is not None and (params.max_depth is None or limit < params.max_depth))
     ):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import copy
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +133,8 @@ class RunConfig:
                 raise InvalidConfig(
                     f"hazards must be a list of hazard ids, got {self.hazards!r}"
                 )
+            if not self.hazards:
+                raise InvalidConfig("at least one hazard required")
             if any("__" in hazard for hazard in self.hazards):
                 raise InvalidConfig("hazard ids must not contain '__'")
         if self.synth is not None and not isinstance(self.synth, dict):
@@ -184,6 +186,12 @@ class RunConfig:
             self.policy  # TransferPolicy checks the transfer settings
         except ValueError as exc:
             raise InvalidConfig(str(exc)) from None
+        if self.synth is not None:
+            # only the specs: generation waits for run()
+            try:
+                scenario_specs(self.synth, self.seed)
+            except (TypeError, KeyError, ValueError, AttributeError, HazardLensError) as exc:
+                raise InvalidConfig(f"malformed synth block: {exc!r}") from None
 
     @property
     def policy(self) -> TransferPolicy:
@@ -422,6 +430,8 @@ class FamilyOutcome:
     cells: tuple[int, int, int, int]  # tp, fp, fn, tn
     model: object  # ForestModel or BoostedModel
     model_json: str  # the model's file, serialized by the unit that trained it
+    importance: ImportanceVector | None = None  # normalized; forest only
+    importance_note: str | None = None  # why a forest has no importance
 
 
 @dataclass
@@ -433,8 +443,6 @@ class JobResult:
     train_n: int
     test_n: int
     outcomes: dict[str, FamilyOutcome]
-    importance: ImportanceVector | None  # normalized; forest units only
-    importance_note: str | None
     test: LabeledDataset
 
 
@@ -496,10 +504,10 @@ def execute_job(
                 cells=(cells.tp, cells.fp, cells.fn, cells.tn),
                 model=model,
                 model_json=to_json(model),
+                importance=importance,
+                importance_note=note,
             )
         },
-        importance=importance,
-        importance_note=note,
         test=test,
     )
 
@@ -519,17 +527,6 @@ def _execute_unit(args):
         raise RuntimeError(
             f"unit {dataset.county_id}/{hazard}/{family} failed: {type(exc).__name__}: {exc}"
         ) from exc
-
-
-def _merge_units(parts: list[JobResult]) -> JobResult:
-    """One pair's result from its per-family units, in config order."""
-    merged = replace(parts[0], outcomes={})
-    for part in parts:
-        merged.outcomes.update(part.outcomes)
-        if "forest" in part.outcomes:
-            merged.importance = part.importance
-            merged.importance_note = part.importance_note
-    return merged
 
 
 def _train(
@@ -554,7 +551,8 @@ def _train(
         for family in families
     ]
     if config.workers > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a fork pool starts all max_workers processes at its first submit
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(units))) as pool:
             done = list(pool.map(_execute_unit, units))
     else:
         done = list(map(_execute_unit, units))
@@ -566,7 +564,10 @@ def _train(
         # a pair fails with its first failing family in config order
         failed = next((p for p in parts if not isinstance(p, JobResult)), None)
         if failed is None:
-            results[(county, hazard)] = _merge_units(parts)
+            # the pair's outcomes are the union of its units', in config order
+            for part in parts[1:]:
+                parts[0].outcomes.update(part.outcomes)
+            results[(county, hazard)] = parts[0]
         elif isinstance(failed, HazardAbsent):
             absent.append((county, hazard))
         else:
@@ -799,7 +800,9 @@ def _write_summary(
                 "threshold": res.threshold,
                 "train_n": res.train_n,
                 "test_n": res.test_n,
-                "importance_note": res.importance_note,
+                "importance_note": (
+                    res.outcomes["forest"].importance_note if "forest" in res.outcomes else None
+                ),
                 "families": {
                     family: {
                         "best_params": outcome.best_params,
@@ -878,8 +881,9 @@ def run(config: RunConfig) -> RunReport:
     # importance (forest) and transfer (canonical family) from the trained models
     vectors: dict[str, dict[str, ImportanceVector]] = {}
     for (county, hazard), res in results.items():
-        if res.importance is not None:
-            vectors.setdefault(hazard, {})[county] = res.importance
+        forest = res.outcomes.get("forest")
+        if forest is not None and forest.importance is not None:
+            vectors.setdefault(hazard, {})[county] = forest.importance
     overall_by_hazard = write_importance(
         out_dir / "reports", vectors, config.top_k, groups, track
     )

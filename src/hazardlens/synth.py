@@ -43,17 +43,16 @@ DEFAULT_HAZARDS = ("air", "flood", "heat")
 class ScenarioSpec:
     """Recipe for one synthetic county.
 
-    `informative` lists the planted feature indices; `weights` (optional)
-    fixes their relative strength. `law_seed` controls the law parameters
-    separately from the tract draw: give two counties the same law_seed and
-    they obey the same exposure law over independently drawn tracts.
+    `informative` lists the planted feature indices. `law_seed` controls the
+    law parameters separately from the tract draw: give two counties the same
+    law_seed and they obey the same exposure law over independently drawn
+    tracts.
     """
 
     county_id: str
     n_tracts: int
     n_features: int = 35
     informative: tuple[int, ...] = (0, 1, 2, 3, 4)
-    weights: tuple[float, ...] | None = None
     law: str = LAW_LINEAR_LOGIT
     noise: float = 0.2
     coupling: str = COUPLING_SHARED
@@ -74,8 +73,6 @@ class ScenarioSpec:
             raise InvalidSpec("informative indices must be unique")
         if min(s) < 0 or max(s) >= self.n_features:
             raise InvalidSpec("informative indices must lie inside the schema")
-        if self.weights is not None and len(self.weights) != len(s):
-            raise InvalidSpec("weights must match the informative set")
         if not 0.0 <= self.noise < 1.0:
             raise InvalidSpec("noise must lie in [0, 1)")
         if self.law not in LAWS:
@@ -115,10 +112,7 @@ def _draw_law(spec: ScenarioSpec, informative: tuple[int, ...], law_rng: np.rand
     """Law parameters for one hazard, drawn independently of tract count."""
     s = np.asarray(informative, dtype=np.intp)
     if spec.law == LAW_LINEAR_LOGIT:
-        if spec.weights is not None and informative == spec.informative:
-            w = np.asarray(spec.weights, dtype=np.float64)
-        else:
-            w = law_rng.uniform(0.5, 1.5, size=s.shape[0])
+        w = law_rng.uniform(0.5, 1.5, size=s.shape[0])
         w = w / math.sqrt(float(np.sum(w * w)))
 
         def apply(X: np.ndarray) -> np.ndarray:
@@ -358,22 +352,10 @@ FEATURE_GROUPS = ("built_environment", "human_mobility", "land_cover", "social_d
 _GROUP_SIZES = (12, 4, 5, 14)
 
 
-def synth6x3_feature_groups(n_features: int = 35) -> dict[str, str]:
+def synth6x3_feature_groups() -> dict[str, str]:
     """Feature name -> group mapping for the default 35-feature schema."""
-    groups: dict[str, str] = {}
-    j = 0
-    sizes = list(_GROUP_SIZES)
-    sizes[-1] += n_features - sum(_GROUP_SIZES)  # absorb any size delta
-    for group, size in zip(FEATURE_GROUPS, sizes):
-        for _ in range(max(0, size)):
-            if j >= n_features:
-                break
-            groups[f"f{j:02d}"] = group
-            j += 1
-    while j < n_features:
-        groups[f"f{j:02d}"] = FEATURE_GROUPS[-1]
-        j += 1
-    return groups
+    in_order = (group for group, size in zip(FEATURE_GROUPS, _GROUP_SIZES) for _ in range(size))
+    return {f"f{j:02d}": group for j, group in enumerate(in_order)}
 
 
 def synth6x3_specs(seed: int, noise: float = 0.3) -> list[ScenarioSpec]:

@@ -65,9 +65,7 @@ def test_criterion_1_importance_oracle_equivalence():
         if y.min() == y.max():
             y[0] = 1 - y[0]
         data = labeled_from_arrays(X, y)
-        model = train_forest(
-            data, TreeParams(max_depth=6), n_trees=4, seed=case, bootstrap=True
-        )
+        model = train_forest(data, TreeParams(max_depth=6), n_trees=4, seed=case)
         text = forest_to_json(model)
         for mode in (WEIGHTED, PAPER_LITERAL):
             mine = forest_importance(model, mode).values

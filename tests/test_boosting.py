@@ -42,18 +42,27 @@ def test_root_leaf_weight_is_newton_step(rng):
     y = np.array([1, 1, 1, 0], dtype=np.int64)
     data = labeled_from_arrays(X, y)
 
-    # default base score is the prevalence log-odds: the Newton step is 0
+    # the base score is the prevalence log-odds: the Newton step is 0
     params = BoostParams(n_rounds=1, learning_rate=1.0, l2_reg=0.0, max_depth=0)
     model = train_gbt(data, params)
     assert isinstance(model.stages[0], RegLeaf)
     assert model.stages[0].weight == pytest.approx(0.0, abs=1e-12)
 
-    # forcing base 0 makes it the closed-form step -sum(g)/sum(h)
-    model = train_gbt(data, params, base_score=0.0)
-    p = 0.5
-    g_sum = 4 * p - 3
-    h_sum = 4 * p * (1 - p)
-    assert model.stages[0].weight == pytest.approx(-g_sum / h_sum, abs=1e-12)
+    # balanced labels put the base score at 0, so p = 0.5 on every row and
+    # each leaf below the root is the closed-form step -G / (H + lambda)
+    X = np.column_stack([np.arange(6.0), np.zeros(6)])  # the second column cannot split
+    y = np.array([0, 0, 1, 0, 1, 1], dtype=np.int64)
+    params = BoostParams(n_rounds=1, learning_rate=1.0, l2_reg=1.0, max_depth=1)
+    model = train_gbt(labeled_from_arrays(X, y), params)
+    assert model.base_score == 0.0
+    root = model.stages[0]
+    assert isinstance(root, RegSplit)
+    go_left = X[:, root.feature] <= root.threshold
+    for leaf, rows in ((root.left, go_left), (root.right, ~go_left)):
+        assert isinstance(leaf, RegLeaf)
+        g_sum = float(np.sum(0.5 - y[rows]))
+        h_sum = 0.25 * int(rows.sum())
+        assert leaf.weight == pytest.approx(-g_sum / (h_sum + 1.0), abs=1e-12)
 
 
 def test_rounds_must_be_positive():

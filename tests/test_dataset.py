@@ -95,13 +95,6 @@ def test_load_small_file(tmp_path):
     assert ds.features[1].tolist() == [60.0, 2.5]
 
 
-def test_load_missing_schema_column(tmp_path):
-    path = write_csv(tmp_path / "a.csv", "tract_id,Density,hazard__heat\nt1,1.0,2.0\n")
-    schema = FeatureSchema(("Income", "Density"))
-    with pytest.raises(MissingColumn, match="Income"):
-        load_county_csv(path, schema=schema)
-
-
 def test_load_missing_tract_column(tmp_path):
     path = write_csv(tmp_path / "a.csv", "Income,Density\n1.0,2.0\n")
     with pytest.raises(MissingColumn, match="tract_id"):
@@ -219,10 +212,11 @@ def test_csv_round_trip_is_byte_stable(tmp_path, rng):
         features=rng.normal(size=(n, f)),
         hazards={"heat": np.where(rng.random(n) < 0.2, np.nan, rng.normal(size=n))},
     )
-    first = tmp_path / "first.csv"
+    first = tmp_path / "rt.csv"
     second = tmp_path / "second.csv"
     write_county_csv(ds, first)
-    reloaded = load_county_csv(first, county_id="rt")
+    reloaded = load_county_csv(first)
+    assert reloaded.county_id == "rt"
     write_county_csv(reloaded, second)
     assert first.read_bytes() == second.read_bytes()
     np.testing.assert_array_equal(ds.features, reloaded.features)
@@ -260,7 +254,7 @@ def test_make_labeled_examples():
         make_labeled(constant, "heat")
 
 
-def test_make_labeled_drop_and_error_policies():
+def test_make_labeled_drops_missing_exposure():
     ds = make_county(
         "gapville", ("a", "b"), [[1, 2], [3, 4], [5, 6], [7, 8]],
         hazards={"flood": np.array([1.0, np.nan, 3.0, 5.0])},
@@ -268,8 +262,6 @@ def test_make_labeled_drop_and_error_policies():
     labeled = make_labeled(ds, "flood")
     assert labeled.n == 3
     assert labeled.tract_ids == ("gapville-0", "gapville-2", "gapville-3")
-    with pytest.raises(NonFiniteValue):
-        make_labeled(ds, "flood", missing_policy="error")
 
 
 def test_schema_invariants():

@@ -24,12 +24,15 @@ def separable_data(rng, n=60):
     return labeled_from_arrays(X, y)
 
 
-def test_single_tree_no_bootstrap_reduces_to_cart(rng):
+def test_single_tree_reduces_to_cart_on_its_bootstrap_draw(rng):
     data = separable_data(rng)
     params = TreeParams(features_per_split=2)
-    model = train_forest(data, params, n_trees=1, seed=7, bootstrap=False)
-    # replicate: same canonical row order (tract ids ascend), same stream
-    direct = grow_tree(data.features, data.labels, params, tree_rng(7, 0))
+    model = train_forest(data, params, n_trees=1, seed=7)
+    # replicate: same canonical row order (tract ids ascend), same stream,
+    # whose first draw is the bootstrap sample
+    stream = tree_rng(7, 0)
+    idx = stream.integers(0, data.n, data.n)
+    direct = grow_tree(data.features[idx], data.labels[idx], params, stream)
     assert tree_to_dict(model.trees[0]) == tree_to_dict(direct)
     grid = rng.normal(size=(40, 2))
     from hazardlens.cart import tree_values
@@ -81,9 +84,9 @@ def test_parallel_equals_sequential_tree_streams(rng):
     params = TreeParams(max_depth=4, features_per_split=1)
     order = np.argsort(np.asarray(data.tract_ids, dtype=object), kind="stable")
     X, y = data.features[order], data.labels[order]
-    sequential = [grow_forest_tree(X, y, params, 21, i, True) for i in range(6)]
+    sequential = [grow_forest_tree(X, y, params, 21, i) for i in range(6)]
     shuffled_build = {
-        i: grow_forest_tree(X, y, params, 21, i, True)
+        i: grow_forest_tree(X, y, params, 21, i)
         for i in [4, 0, 5, 2, 1, 3]
     }
     for i in range(6):
@@ -190,16 +193,18 @@ def tree_depth(node) -> int:
 
 
 def test_searched_leaf_at_the_limit_blocks_reuse(monkeypatch):
-    # Two tied rows at (0, 0) with labels 0 and 1 end up in an impure leaf at
-    # depth 2 of the unlimited tree: its search drew a candidate and found no
-    # threshold. The tree is no deeper than 2, but growth under max_depth=2
-    # skips that draw, so the right child draws a different feature.
+    # Seed 90's bootstrap draw (rows 5 2 0 5 1 4 2 3) takes each of the two
+    # tied rows at (0, 0), labels 0 and 1, once. They end up in an impure
+    # leaf at depth 2 of the unlimited tree: its search drew a candidate and
+    # found no threshold. The tree is no deeper than 2, but growth under
+    # max_depth=2 skips that draw, so the right child draws a different
+    # feature.
     X = np.array([[0, 0], [0, 0], [0, 1], [0, 1], [2, 5], [3, 5], [2, 5], [3, 5]], float)
     y = np.array([0, 1, 0, 0, 0, 1, 0, 1])
     data = labeled_from_arrays(X, y)
     shallow = TreeParams(max_depth=2, features_per_split=1)
-    unlimited = train_forest(data, TreeParams(features_per_split=1), 1, seed=0, bootstrap=False)
-    independent = train_forest(data, shallow, 1, seed=0, bootstrap=False)
+    unlimited = train_forest(data, TreeParams(features_per_split=1), 1, seed=90)
+    independent = train_forest(data, shallow, 1, seed=90)
     tree = unlimited.trees[0]
     assert tree_depth(tree) == 2
     assert tree_to_dict(tree) != tree_to_dict(independent.trees[0])
@@ -213,7 +218,7 @@ def test_searched_leaf_at_the_limit_blocks_reuse(monkeypatch):
         return grow_tree(*args)
 
     monkeypatch.setattr(forest, "grow_tree", counting_grow_tree)
-    shared = train_forest(data, shallow, 1, seed=0, bootstrap=False, deeper=unlimited)
+    shared = train_forest(data, shallow, 1, seed=90, deeper=unlimited)
     assert len(grown) == 1
     assert tree_to_dict(shared.trees[0]) == tree_to_dict(independent.trees[0])
 

@@ -3,9 +3,17 @@ import pytest
 
 from conftest import labeled_from_arrays
 from oracles import forest_importance_from_json, kendall_tau
-from hazardlens.cart import Leaf, PAPER_LITERAL, Split, TreeParams, WEIGHTED, node_importances
+from hazardlens.cart import (
+    Leaf,
+    PAPER_LITERAL,
+    Split,
+    TreeParams,
+    WEIGHTED,
+    grow_tree,
+    node_importances,
+)
 from hazardlens.errors import AllZeroImportance
-from hazardlens.forest import ForestModel, forest_to_json, train_forest
+from hazardlens.forest import ForestModel, forest_to_json, train_forest, tree_rng
 from hazardlens.importance import (
     ImportanceVector,
     build_rank_matrix,
@@ -62,11 +70,15 @@ def test_single_tree_forest_equals_cart(rng):
     X = rng.normal(size=(30, 3))
     y = (X[:, 1] > 0).astype(np.int64)
     data = labeled_from_arrays(X, y)
-    model = train_forest(
-        data, TreeParams(features_per_split=3), n_trees=1, seed=4, bootstrap=False
-    )
+    params = TreeParams(features_per_split=3)
+    model = train_forest(data, params, n_trees=1, seed=4)
     raw = forest_importance(model)
-    per_node = node_importances(model.trees[0], WEIGHTED)
+    # CART on the tree's own bootstrap draw: tract ids ascend, so the rows
+    # are already in canonical order
+    stream = tree_rng(4, 0)
+    idx = stream.integers(0, data.n, data.n)
+    direct = grow_tree(X[idx], y[idx], params, stream)
+    per_node = node_importances(direct, WEIGHTED)
     for j in range(3):
         assert raw.values[j] == per_node.get(j, 0.0)
 

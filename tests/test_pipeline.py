@@ -242,22 +242,23 @@ def test_config_validation(tmp_path):
         RunConfig(seed=1, out_dir="x")  # no data source
     with pytest.raises(InvalidConfig):
         RunConfig(seed=1, out_dir="x", county_files=["/nope/missing.csv"])
-    with pytest.raises(InvalidConfig):
-        RunConfig(seed=1, out_dir="x", synth={}, families=["svm"])
-    with pytest.raises(InvalidConfig):
-        RunConfig(seed=1, out_dir="x", synth={}, workers=0)
-    with pytest.raises(InvalidConfig):
-        RunConfig(seed=1, out_dir="x", synth={}, transfer_threshold=5.0)
-    with pytest.raises(InvalidConfig):
-        RunConfig(seed=1, out_dir="x", synth={}, train_fraction=1.5)
-    with pytest.raises(InvalidConfig):
-        RunConfig(seed=1, out_dir="x", synth={}, cv_k=1)
-    with pytest.raises(InvalidConfig):
-        RunConfig(seed=1, out_dir="x", synth={}, feature_groups="/nope/groups.json")
+    synth = {"preset": "synth6x3"}
+    with pytest.raises(InvalidConfig, match="unknown model family"):
+        RunConfig(seed=1, out_dir="x", synth=synth, families=["svm"])
+    with pytest.raises(InvalidConfig, match="workers must be"):
+        RunConfig(seed=1, out_dir="x", synth=synth, workers=0)
+    with pytest.raises(InvalidConfig, match="threshold must be negative"):
+        RunConfig(seed=1, out_dir="x", synth=synth, transfer_threshold=5.0)
+    with pytest.raises(InvalidConfig, match="train_fraction"):
+        RunConfig(seed=1, out_dir="x", synth=synth, train_fraction=1.5)
+    with pytest.raises(InvalidConfig, match="k must be"):
+        RunConfig(seed=1, out_dir="x", synth=synth, cv_k=1)
+    with pytest.raises(InvalidConfig, match="feature groups file not found"):
+        RunConfig(seed=1, out_dir="x", synth=synth, feature_groups="/nope/groups.json")
     groups = tmp_path / "groups.json"
     groups.write_text(json.dumps({"fa": "climate"}))
     with pytest.raises(InvalidConfig, match="mutually exclusive"):
-        RunConfig(seed=1, out_dir="x", synth={}, feature_groups=str(groups))
+        RunConfig(seed=1, out_dir="x", synth=synth, feature_groups=str(groups))
 
 
 def test_from_dict_accepts_exactly_the_keys_to_dict_emits():
@@ -303,6 +304,13 @@ def test_preset_named_in_a_json_config_supplies_its_grids():
         {"hazards": ["heat", "heat"]},
         {"families": ["forest", "forest"]},
         {"synth": {"preset": "nope"}},
+        {"hazards": []},
+        # malformed synth blocks: each is caught before anything is generated
+        {"synth": {"counties": [{"name": "a", "n_tracts": 40}], "bogus": 1}},
+        {"synth": {"counties": [{"name": "a"}]}},
+        {"synth": {"counties": "x"}},
+        {"synth": {"preset": "synth6x3", "noise": "loud"}},
+        {"synth": {}},
     ],
 )
 def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
@@ -844,6 +852,32 @@ def test_one_pair_pool_matches_inline(tmp_path):
     assert (tmp_path / "w1/manifest.json").read_bytes() == (
         tmp_path / "w2/manifest.json"
     ).read_bytes()
+
+
+def test_pool_starts_no_more_processes_than_units(tmp_path, monkeypatch):
+    # a fork pool starts all max_workers processes at once, so the pool is
+    # sized to the run's two units, not to workers=8
+    from hazardlens import pipeline
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    report = run(one_pair_config(tmp_path / "out", workers=8))
+    assert sizes == [2]
+    assert not report.failures and len(report.results) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
