@@ -224,9 +224,8 @@ def train_gbt(
         raise DegenerateLabels(
             f"cannot boost on single-class data ({data.county_id}/{data.hazard_id})"
         )
-    order = np.argsort(np.asarray(data.tract_ids, dtype=object), kind="stable")
-    X = np.ascontiguousarray(data.features[order])
-    y = data.labels[order].astype(np.float64)
+    X, labels = data.in_tract_order()
+    y = labels.astype(np.float64)
     columns = column_order(X)  # GBT samples no rows: every round shares it
 
     p = high / (low + high)

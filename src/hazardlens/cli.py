@@ -20,13 +20,13 @@ from .pipeline import (
     RunConfig,
     canonical_family,
     load_run_config,
-    load_run_groups,
     load_run_models,
     load_run_summary,
     pair_importance,
     rebuild_eval_splits,
     run,
     scenario_specs,
+    study_inputs,
     write_importance,
     write_scenario,
     write_transfer,
@@ -151,7 +151,7 @@ def _cmd_importance(args) -> int:
     run_dir, summary, config = _finished_run(args.run)
     out = Path(args.out) if args.out else run_dir / "importance_recomputed"
     mode = args.mode or config.importance_mode
-    groups = load_run_groups(run_dir, config)
+    _, groups = study_inputs(config, run_dir)
     vectors = {}
     skipped = False
     models = load_run_models(run_dir, summary, "forest") if "forest" in config.families else {}

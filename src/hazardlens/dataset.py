@@ -126,6 +126,11 @@ class LabeledDataset:
         high = int(np.sum(self.labels == HIGH))
         return self.n - high, high
 
+    def in_tract_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(features, labels) in tract id order, whatever order rows came in."""
+        order = np.argsort(np.asarray(self.tract_ids, dtype=object), kind="stable")
+        return np.ascontiguousarray(self.features[order]), self.labels[order]
+
     def take(self, indices: np.ndarray) -> "LabeledDataset":
         """Row subset preserving the given index order."""
         indices = np.asarray(indices, dtype=np.intp)

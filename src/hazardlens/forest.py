@@ -47,10 +47,6 @@ class ForestModel:
         return len(self.feature_names)
 
 
-def _canonical_order(data: LabeledDataset) -> np.ndarray:
-    return np.argsort(np.asarray(data.tract_ids, dtype=object), kind="stable")
-
-
 def tree_rng(seed: int, index: int) -> np.random.Generator:
     """Index-derived stream for tree `index` of a forest seeded with `seed`."""
     return np.random.default_rng((int(seed), int(index)))
@@ -95,9 +91,7 @@ def train_forest(
         raise DegenerateLabels(
             f"cannot train on single-class data ({data.county_id}/{data.hazard_id})"
         )
-    order = _canonical_order(data)
-    X = np.ascontiguousarray(data.features[order])
-    y = data.labels[order]
+    X, y = data.in_tract_order()
 
     if params.features_per_split is None:
         params = replace(

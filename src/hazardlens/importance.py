@@ -61,18 +61,11 @@ def rank_features(vector: ImportanceVector) -> np.ndarray:
 
     [0.5, 0.3, 0.2] -> [3, 2, 1]; [0.4, 0.4, 0.2] -> [2.5, 2.5, 1].
     """
-    values = vector.values
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0], dtype=np.float64)
-    i = 0
-    while i < order.shape[0]:
-        j = i
-        while j + 1 < order.shape[0] and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0  # positions i..j hold ranks i+1..j+1
-        ranks[order[i : j + 1]] = mean_rank
-        i = j + 1
-    return ranks
+    # a run of equal values at sorted positions first..first+count-1 holds
+    # ranks first+1..first+count, and each member takes their mean
+    _, inverse, counts = np.unique(vector.values, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts
+    return ((2 * first + counts - 1) / 2.0 + 1.0)[inverse]
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 `run` executes the experiment graph as named stages, in this order:
 
-1. `_prepare_datasets`: load the county CSVs, or generate a synthetic
-   scenario with `write_scenario` and load it back;
+1. `_prepare_datasets`: generate a synth study's scenario with
+   `write_scenario`, then load the county CSVs that `study_inputs` names;
 2. `_train`: one unit per (county, hazard, model family) - split, CV,
    refit, test metrics, forest importance and the model's JSON text -
    inline or in a process pool;
@@ -18,10 +18,11 @@
 `write_scenario`, `write_importance` and `write_transfer` are also the whole
 implementation of the CLI's `synth`, `importance` and `transfer` commands,
 which recompute from a finished run's `models/` (`load_run_models`), its
-feature groups (`load_run_groups`) and its re-derived evaluation splits
-(`rebuild_eval_splits`). Unit seeds derive from (master seed, county,
-hazard), so any worker count produces byte-identical output for the same
-seed.
+feature groups (`study_inputs`) and its re-derived evaluation splits
+(`rebuild_eval_splits`). `study_inputs` is the one place that maps a config
+to its county CSVs and groups, for `run` and recompute alike. Unit seeds
+derive from (master seed, county, hazard), so any worker count produces
+byte-identical output for the same seed.
 """
 
 from __future__ import annotations
@@ -347,32 +348,23 @@ def scenario_specs(synth: dict, seed: int) -> tuple[list[ScenarioSpec], dict | N
     synth_seed = child_seed(seed, "synth")
     if preset == "synth6x3":  # RunConfig and the CLI accept no other preset
         return synth6x3_specs(synth_seed, **synth), synth6x3_feature_groups()
-    plans = [
-        CountyPlan(
-            name=c["name"],
-            n_tracts=c["n_tracts"],
-            hazards=tuple(c.get("hazards", ("heat", "flood", "air"))),
-        )
-        for c in synth.pop("counties")
-    ]
+    plans = [CountyPlan(**county) for county in synth.pop("counties")]
     return build_scenario(plans, seed=synth_seed, **synth), None
 
 
 def write_scenario(
     specs: list[ScenarioSpec], groups: dict | None, out_dir: Path, track
-) -> list[Path]:
+) -> None:
     """Generate every county into `<county>.csv` under out_dir, with the
     planted truth in `oracle.json` and the groups, if any, in
-    `feature_groups.json`; returns the CSV paths. `track` sees every file."""
+    `feature_groups.json`. `track` sees every file."""
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle = {}
-    paths = []
     for spec in specs:
         county = generate_county(spec)
         path = out_dir / f"{county.county_id}.csv"
         write_county_csv(county, path)
         track(path)
-        paths.append(path)
         told = planted_oracle(spec)
         oracle[county.county_id] = {
             "informative": list(told.top_features),
@@ -386,7 +378,22 @@ def write_scenario(
         if payload is not None:
             _write_json(out_dir / name, payload)
             track(out_dir / name)
-    return paths
+
+
+def study_inputs(config: RunConfig, run_dir) -> tuple[list, dict | None]:
+    """A study's county CSVs and feature groups, by `config.synth` alone: a
+    synth study's `<run_dir>/data/<county>.csv` per county of its specs and
+    the specs' groups, or a CSV study's county files and groups file.
+    InvalidConfig names a generated CSV that is missing."""
+    if config.synth is None:
+        groups = read_feature_groups(config.feature_groups) if config.feature_groups else None
+        return config.county_files, groups
+    specs, groups = scenario_specs(config.synth, config.seed)
+    paths = [Path(run_dir, "data", f"{spec.county_id}.csv") for spec in specs]
+    for path in paths:
+        if not path.is_file():
+            raise InvalidConfig(f"generated county file not found: {path}")
+    return paths, groups
 
 
 def _load_counties(paths, missing_feature_policy: str) -> list[CountyDataset]:
@@ -407,15 +414,10 @@ def _load_counties(paths, missing_feature_policy: str) -> list[CountyDataset]:
 def _prepare_datasets(
     config: RunConfig, out_dir: Path, track
 ) -> tuple[list[CountyDataset], dict | None]:
-    """Load CSV counties, or generate + emit + reload synthetic ones."""
+    """The study's counties and groups, a synth study generated first."""
     if config.synth is not None:
-        specs, groups = scenario_specs(config.synth, config.seed)
-        paths = write_scenario(specs, groups, out_dir / "data", track)
-    else:
-        paths = config.county_files
-        groups = None
-        if config.feature_groups:
-            groups = read_feature_groups(config.feature_groups)
+        write_scenario(*scenario_specs(config.synth, config.seed), out_dir / "data", track)
+    paths, groups = study_inputs(config, out_dir)
     return _load_counties(paths, config.missing_feature_policy), groups
 
 
@@ -977,30 +979,14 @@ def _locate(path, bases, label: str):
     raise InvalidConfig(f"{label} not found: {path} (tried {', '.join(map(str, tried))})")
 
 
-def load_run_groups(run_dir, config: RunConfig) -> dict[str, str] | None:
-    """The feature groups a finished run rolled its importance up with: the
-    emitted `data/feature_groups.json` of a synth run, the configured file
-    of a CSV run, or None when the run had none."""
-    if config.synth is not None:
-        path = Path(run_dir, "data", "feature_groups.json")
-        return read_feature_groups(path) if path.is_file() else None
-    if config.feature_groups:
-        return read_feature_groups(config.feature_groups)
-    return None
-
-
 def rebuild_eval_splits(
     run_dir, summary: dict, config: RunConfig
 ) -> dict[tuple[str, str], LabeledDataset]:
     """Reconstruct every pair's transfer evaluation data from the recorded
     seeds: the held-out test split, or the full labeled dataset when the
-    run evaluated transfers on full data. The CSVs are read under the run's
-    missing-value policy."""
-    data_dir = Path(run_dir) / "data"
-    if data_dir.is_dir():
-        paths = sorted(data_dir.glob("*.csv"))
-    else:
-        paths = [Path(p) for p in config.county_files]
+    run evaluated transfers on full data. The CSVs `study_inputs` names are
+    read under the run's missing-value policy."""
+    paths, _ = study_inputs(config, run_dir)
     by_county = {
         d.county_id: d for d in _load_counties(paths, config.missing_feature_policy)
     }

@@ -140,13 +140,7 @@ def _tree_params(point: dict) -> TreeParams:
 
 
 def _boost_params(point: dict) -> BoostParams:
-    return BoostParams(
-        n_rounds=point.get("n_rounds", DEFAULT_SIZE),
-        learning_rate=point.get("learning_rate", 0.1),
-        l2_reg=point.get("l2_reg", 1.0),
-        max_depth=point.get("max_depth", 3),
-        min_samples_leaf=point.get("min_samples_leaf", 1),
-    )
+    return BoostParams(**point)  # the gbt grid keys are BoostParams' fields
 
 
 def _forest_family(data: LabeledDataset, point: dict, seed: int, deeper=None):

@@ -235,27 +235,14 @@ class PlantedOracle:
     """What the generator guarantees, for use as test ground truth."""
 
     top_features: tuple[int, ...]
-    expected_cross_hazard_transferable: bool | None
     per_hazard_informative: tuple[tuple[int, ...], ...]
 
 
 def planted_oracle(spec: ScenarioSpec) -> PlantedOracle:
-    """Planted informative features and the expected transfer pattern.
-
-    shared-law hazards are mutually transferable by construction;
-    independent hazards are mutually non-transferable; the caused couplings
-    make no strict promise.
-    """
+    """Planted informative features, overall and per hazard in spec order."""
     sets = _hazard_informative_sets(spec)
-    if spec.coupling == COUPLING_SHARED:
-        expected = True
-    elif spec.coupling == COUPLING_INDEPENDENT:
-        expected = False
-    else:
-        expected = None
     return PlantedOracle(
         top_features=tuple(sorted(spec.informative)),
-        expected_cross_hazard_transferable=expected,
         per_hazard_informative=tuple(sets[h] for h in spec.hazards),
     )
 
@@ -264,7 +251,13 @@ def planted_oracle(spec: ScenarioSpec) -> PlantedOracle:
 class CountyPlan:
     name: str
     n_tracts: int
-    hazards: tuple[str, ...]
+    hazards: tuple[str, ...] = ("heat", "flood", "air")
+
+    def __post_init__(self):
+        # a string would otherwise be read as single-letter hazard ids
+        if isinstance(self.hazards, str) or not all(isinstance(h, str) for h in self.hazards):
+            raise InvalidSpec(f"hazards must be a list of hazard ids, got {self.hazards!r}")
+        object.__setattr__(self, "hazards", tuple(self.hazards))
 
 
 def build_scenario(
@@ -285,33 +278,22 @@ def build_scenario(
     budget allows.
     """
     pick_rng = np.random.default_rng(child_seed(seed, "law-pick"))
+
+    def pick() -> tuple[int, ...]:
+        drawn = pick_rng.choice(n_features, size=informative_count, replace=False)
+        return tuple(sorted(int(j) for j in drawn))
+
     if share_law_across_counties:
-        base = tuple(
-            sorted(
-                int(j)
-                for j in pick_rng.choice(n_features, size=informative_count, replace=False)
-            )
-        )
+        base = pick()
         sets = [base for _ in plans]
+    elif len(plans) * informative_count <= n_features:
+        perm = pick_rng.permutation(n_features)
+        sets = [
+            tuple(sorted(int(j) for j in perm[i * informative_count : (i + 1) * informative_count]))
+            for i in range(len(plans))
+        ]
     else:
-        if len(plans) * informative_count <= n_features:
-            perm = pick_rng.permutation(n_features)
-            sets = [
-                tuple(sorted(int(j) for j in perm[i * informative_count : (i + 1) * informative_count]))
-                for i in range(len(plans))
-            ]
-        else:
-            sets = [
-                tuple(
-                    sorted(
-                        int(j)
-                        for j in pick_rng.choice(
-                            n_features, size=informative_count, replace=False
-                        )
-                    )
-                )
-                for _ in plans
-            ]
+        sets = [pick() for _ in plans]
     specs = []
     for plan, informative in zip(plans, sets):
         law_seed = (

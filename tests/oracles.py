@@ -57,6 +57,22 @@ def route_row(tree, x) -> float:
     return node.weight if isinstance(node, RegLeaf) else node.counts[1] / node.n
 
 
+def mean_ranks(values) -> np.ndarray:
+    """Ranks ascending with value, ties sharing the mean of the ranks they
+    occupy, walked tie run by tie run over a stable sort."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.shape[0], dtype=np.float64)
+    i = 0
+    while i < order.shape[0]:
+        j = i
+        while j + 1 < order.shape[0] and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # positions i..j: ranks i+1..j+1
+        i = j + 1
+    return ranks
+
+
 def kendall_tau(a, b) -> float:
     """Plain O(n^2) Kendall rank correlation; no tie handling needed here."""
     a = np.asarray(a, dtype=np.float64)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import labeled_from_arrays
-from oracles import forest_importance_from_json, kendall_tau
+from oracles import forest_importance_from_json, kendall_tau, mean_ranks
 from hazardlens.cart import (
     Leaf,
     PAPER_LITERAL,
@@ -116,6 +118,14 @@ def test_normalized_sums_to_one(rng):
 def test_rank_features_examples():
     assert rank_features(vector([0.5, 0.3, 0.2])).tolist() == [3.0, 2.0, 1.0]
     assert rank_features(vector([0.4, 0.4, 0.2])).tolist() == [2.5, 2.5, 1.0]
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 1e-300, 0.125, 0.2, 0.5, 1.0]), min_size=1,
+                max_size=40))
+def test_rank_features_bit_equal_to_the_tie_run_walk(values):
+    # few distinct values, so most vectors hold ties, and -0.0 ties with 0.0
+    expected = mean_ranks(values)
+    assert rank_features(vector(values)).tobytes() == expected.tobytes()
 
 
 def test_overall_importance_bounds():

@@ -261,6 +261,18 @@ def test_config_validation(tmp_path):
         RunConfig(seed=1, out_dir="x", synth=synth, feature_groups=str(groups))
 
 
+@pytest.mark.parametrize(
+    "county",
+    [
+        {"name": "a", "n_tracts": 40, "hazards": "heat"},  # not split into letters
+        {"name": "a", "n_tracts": 40, "hazard": ["heat"]},  # misspelt key
+    ],
+)
+def test_malformed_custom_synth_county_rejected(county):
+    with pytest.raises(InvalidConfig, match="malformed synth block"):
+        RunConfig(seed=1, out_dir="x", synth={"counties": [county]})
+
+
 def test_from_dict_accepts_exactly_the_keys_to_dict_emits():
     raw = RunConfig(seed=1, out_dir="x", synth={"preset": "synth6x3"}).to_dict()
     assert RunConfig.from_dict(raw).to_dict() == raw
@@ -311,6 +323,13 @@ def test_preset_named_in_a_json_config_supplies_its_grids():
         {"synth": {"counties": "x"}},
         {"synth": {"preset": "synth6x3", "noise": "loud"}},
         {"synth": {}},
+        {"beta": 0},
+        {"families": []},
+        {"top_k": 0},
+        {"importance_mode": "bogus"},
+        {"hazards": ["a__b"]},
+        {"synth": "x"},
+        {"counties": ["x.csv"]},  # next to the synth block
     ],
 )
 def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
@@ -468,6 +487,40 @@ def test_rejected_county_leaves_no_out_dir(tmp_path):
     config_path.write_text(json.dumps({"seed": 1, "out_dir": str(out), "counties": [str(lone)]}))
     assert main(["run", "--config", str(config_path)]) == 2
     assert not out.exists()
+
+
+def test_county_file_named_with_the_pair_separator_rejected(tmp_path):
+    bad = county_csv(tmp_path / "a__b.csv", seed=1)
+    config_path = tmp_path / "config.json"
+    out = tmp_path / "od"
+    config_path.write_text(json.dumps({"seed": 1, "out_dir": str(out), "counties": [str(bad)]}))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert not out.exists()
+
+
+def test_blank_hazard_column_is_an_absent_pair(tmp_path, capsys):
+    good = county_csv(tmp_path / "good.csv", seed=1)
+    header, *rows = good.read_text().splitlines()
+    good.write_text("\n".join([header + ",hazard__air", *(row + "," for row in rows)]) + "\n")
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "seed": 4,
+        "out_dir": str(out),
+        "counties": [str(good)],
+        "cv": {
+            "k": 3,
+            "forest_grid": {"n_trees": [5], "max_depth": [3]},
+            "gbt_grid": {"n_rounds": [4], "max_depth": [2],
+                         "learning_rate": [0.3], "l2_reg": [1.0]},
+        },
+    }))
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert "absent pairs: good/air" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["absent_pairs"] == [["good", "air"]]
+    assert summary["failures"] == []
+    assert list(summary["pairs"]) == ["good__heat"]
 
 
 def test_cli_partial_failure_exit_code(tmp_path):
@@ -807,6 +860,47 @@ def test_cli_transfer_recomputes_gbt_only_run(tmp_path):
         assert (out / "transfer_recomputed" / name).read_bytes() == (
             out / "transfer" / name
         ).read_bytes()
+
+
+def test_cli_transfer_reads_the_csv_study_not_an_earlier_synth_runs_data(tmp_path):
+    # a CSV study run into the directory of a synth study leaves that study's
+    # data/ behind; recompute must read the CSV study's own county files
+    from hazardlens.pipeline import scenario_specs, write_scenario
+
+    out = tmp_path / "od"
+    synth_study = two_county_config(out)
+    run(synth_study)
+    inputs = tmp_path / "inputs"
+    write_scenario(*scenario_specs(synth_study.synth, seed=99), inputs, lambda path: None)
+    run(replace(synth_study, synth=None,
+                county_files=[str(inputs / "ash.csv"), str(inputs / "oak.csv")]))
+    assert (out / "data" / "ash.csv").is_file()
+    assert main(["transfer", "--run", str(out)]) == 0
+    written = sorted(p.name for p in (out / "transfer").iterdir())
+    assert "cross_county_heat.csv" in written
+    assert sorted(p.name for p in (out / "transfer_recomputed").iterdir()) == written
+    for name in written:
+        assert (out / "transfer_recomputed" / name).read_bytes() == (
+            out / "transfer" / name
+        ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, recomputed",
+    [("transfer", "transfer_recomputed"), ("importance", "importance_recomputed")],
+)
+def test_cli_recompute_of_a_synth_run_missing_a_generated_csv_fails_cleanly(
+    tiny_run, tmp_path, capsys, command, recomputed
+):
+    _, out, _ = tiny_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    (run_dir / "data" / "oak.csv").unlink()
+    capsys.readouterr()
+    assert main([command, "--run", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"generated county file not found: {run_dir / 'data' / 'oak.csv'}" in err
+    assert not (run_dir / recomputed).exists()
 
 
 @pytest.mark.parametrize(

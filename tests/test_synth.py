@@ -70,13 +70,11 @@ def test_planted_oracle_echoes_spec():
                         informative=(9, 1, 4), seed=0)
     told = planted_oracle(spec)
     assert told.top_features == (1, 4, 9)
-    assert told.expected_cross_hazard_transferable is True
 
     spec = ScenarioSpec(county_id="o", n_tracts=30, n_features=12,
                         informative=(0, 1, 2), seed=0,
                         coupling=COUPLING_INDEPENDENT)
     told = planted_oracle(spec)
-    assert told.expected_cross_hazard_transferable is False
     sets = told.per_hazard_informative
     assert len(sets) == 3
     flat = [j for s in sets for j in s]
