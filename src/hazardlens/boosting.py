@@ -19,15 +19,14 @@ same order.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # the boosted nodes live in cart, the tree module of both families
 from .cart import (
-    RegLeaf, RegNode, RegSplit, feature_matrix, read_model, tree_to_dict, tree_values, trees_values
+    RegLeaf, RegNode, RegSplit, feature_matrix, read_model, tree_values, trees_values, write_model
 )
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import DegenerateLabels
@@ -150,16 +149,15 @@ def _grow_reg_tree(
     g: np.ndarray,
     h: np.ndarray,
     params: BoostParams,
-    order: np.ndarray | None = None,
+    order: np.ndarray,
 ) -> RegNode:
     """One regression tree on the gradient/hessian statistics g, h.
 
-    order is column_order(X), computed here when not given; a fit shares it
-    across rounds. Each node keeps its rows twice: idx in increasing row
-    order (for the G / H totals, summed as before) and lists, its
-    (features x n) slice of order. A split marks the left rows in a flag
-    array and filters the parent's lists by it, which keeps every feature's
-    sorted order.
+    order is column_order(X), which a fit shares across rounds. Each node
+    keeps its rows twice: idx in increasing row order (for the G / H
+    totals, summed as before) and lists, its (features x n) slice of order.
+    A split marks the left rows in a flag array and filters the parent's
+    lists by it, which keeps every feature's sorted order.
     """
     l2 = params.l2_reg
     min_leaf = params.min_samples_leaf
@@ -201,8 +199,6 @@ def _grow_reg_tree(
             right=build(idx[~go_left], children.pop(), depth + 1),
         )
 
-    if order is None:
-        order = column_order(X)
     root = build(np.arange(g.shape[0], dtype=np.intp), order, 0)
     del build  # breaks build's self-reference, as in cart.grow_tree
     return root
@@ -279,17 +275,10 @@ def predict_gbt(model: BoostedModel, X: np.ndarray) -> np.ndarray:
 
 
 def gbt_to_json(model: BoostedModel) -> str:
-    payload = {
-        "format": GBT_FORMAT,
-        "version": GBT_VERSION,
-        "seed": int(model.seed),
-        "base_score": float(model.base_score),
-        "params": asdict(model.params),
-        "feature_names": list(model.feature_names),
-        "train_loss": [float(v) for v in model.train_loss],
-        "stages": [tree_to_dict(s) for s in model.stages],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return write_model(
+        GBT_FORMAT, GBT_VERSION, model, "stages", model.stages,
+        base_score=float(model.base_score), train_loss=[float(v) for v in model.train_loss],
+    )
 
 
 def gbt_from_json(text: str) -> BoostedModel:

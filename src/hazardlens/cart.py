@@ -16,7 +16,7 @@ node indices moves down one level per numpy step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
 from operator import attrgetter, itemgetter
 
@@ -412,6 +412,21 @@ def tree_to_dict(node: TreeNode | RegNode) -> dict:
     else:
         out["kind"] = "leaf"
     return out
+
+
+def write_model(fmt: str, version: int, model, key: str, nodes, **extra) -> str:
+    """Model JSON of either family: the shared envelope (format, version, seed,
+    params, feature names), `nodes` under `key`, and the family's `extra`."""
+    payload = {
+        "format": fmt,
+        "version": version,
+        "seed": int(model.seed),
+        "params": asdict(model.params),
+        "feature_names": list(model.feature_names),
+        key: [tree_to_dict(node) for node in nodes],
+        **extra,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _node_decoder(leaf: type, split: type, made: dict):

@@ -267,10 +267,11 @@ def load_county_csv(path, missing_feature_policy: str = "error") -> CountyDatase
     """Read one county CSV into a CountyDataset named after its file.
 
     Columns prefixed ``hazard__`` are exposures, ``tract_id`` is the key,
-    everything else is a feature, read in file order. Empty hazard cells
-    mean "no exposure recorded". Empty feature cells are an error under the
-    default strict policy; the opt-in "impute_median" policy fills them with
-    the column median instead.
+    everything else is a feature, read in file order; a header naming a
+    column twice is a SchemaMismatch. Empty hazard cells mean "no exposure
+    recorded". Empty feature cells are an error under the default strict
+    policy; the opt-in "impute_median" policy fills them with the column
+    median instead.
     """
     path = str(path)
     county_id = path.rsplit("/", 1)[-1]
@@ -286,6 +287,9 @@ def load_county_csv(path, missing_feature_policy: str = "error") -> CountyDatase
             raise MissingColumn(f"{path}: file is empty, no header row") from None
         rows = list(reader)
 
+    repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
+    if repeated is not None:
+        raise SchemaMismatch(f"{path}: column {repeated!r} is named twice", column=repeated)
     if TRACT_COLUMN not in header:
         raise MissingColumn(f"{path}: mandatory column {TRACT_COLUMN!r} missing")
     tract_pos = header.index(TRACT_COLUMN)

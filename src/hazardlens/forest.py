@@ -8,9 +8,8 @@ invariant to the row order of the input.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .cart import (
     grow_tree,
     read_model,
     regrows_unchanged,
-    tree_to_dict,
     trees_values,
+    write_model,
 )
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import DegenerateLabels
@@ -161,17 +160,10 @@ def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
 
 
 def forest_to_json(model: ForestModel) -> str:
-    payload = {
-        "format": FOREST_FORMAT,
-        "version": FOREST_VERSION,
-        "seed": int(model.seed),
-        "bootstrap": bool(model.bootstrap),
-        "n_trees": int(model.n_trees),
-        "params": asdict(model.params),
-        "feature_names": list(model.feature_names),
-        "trees": [tree_to_dict(tree) for tree in model.trees],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return write_model(
+        FOREST_FORMAT, FOREST_VERSION, model, "trees", model.trees,
+        bootstrap=bool(model.bootstrap), n_trees=int(model.n_trees),
+    )
 
 
 def forest_from_json(text: str) -> ForestModel:

@@ -23,7 +23,6 @@ from .forest import ForestModel
 class ImportanceVector:
     feature_names: tuple[str, ...]
     values: np.ndarray
-    normalized: bool
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -37,9 +36,7 @@ def forest_importance(model: ForestModel, mode: str = WEIGHTED) -> ImportanceVec
     for tree in model.trees:
         for feature, value in node_importances(tree, mode).items():
             totals[feature] += value
-    return ImportanceVector(
-        feature_names=model.feature_names, values=totals, normalized=False
-    )
+    return ImportanceVector(feature_names=model.feature_names, values=totals)
 
 
 def normalize(raw: ImportanceVector) -> ImportanceVector:
@@ -49,11 +46,7 @@ def normalize(raw: ImportanceVector) -> ImportanceVector:
         raise AllZeroImportance(
             "total importance is not positive; the model made no useful splits"
         )
-    return ImportanceVector(
-        feature_names=raw.feature_names,
-        values=raw.values / total,
-        normalized=True,
-    )
+    return ImportanceVector(feature_names=raw.feature_names, values=raw.values / total)
 
 
 def rank_features(vector: ImportanceVector) -> np.ndarray:
@@ -102,7 +95,6 @@ class OverallImportance:
     feature_names: tuple[str, ...]
     scores: np.ndarray  # rank sum / (F * C), each in [1/F, 1]
     top_features: tuple[int, ...]
-    top_k: int
     overflow: int  # extra features included because of boundary ties
 
 
@@ -124,6 +116,5 @@ def overall_importance(matrix: RankMatrix, top_k: int = 7) -> OverallImportance:
         feature_names=matrix.feature_names,
         scores=scores,
         top_features=tuple(selected),
-        top_k=k,
         overflow=len(selected) - k,
     )

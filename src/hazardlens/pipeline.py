@@ -30,7 +30,7 @@ from __future__ import annotations
 import copy
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +187,8 @@ class RunConfig:
             self.policy  # TransferPolicy checks the transfer settings
         except ValueError as exc:
             raise InvalidConfig(str(exc)) from None
+        if self.transfer_eval_on not in ("test", "full"):
+            raise InvalidConfig("eval_on must be 'test' or 'full'")
         if self.synth is not None:
             # only the specs: generation waits for run()
             try:
@@ -201,7 +203,6 @@ class RunConfig:
             threshold=self.transfer_threshold,
             beta=self.beta,
             baseline=self.transfer_baseline,
-            eval_on=self.transfer_eval_on,
         )
 
     @classmethod
@@ -438,8 +439,6 @@ class FamilyOutcome:
 
 @dataclass
 class JobResult:
-    county: str
-    hazard: str
     labeled_n: int
     threshold: float
     train_n: int
@@ -491,8 +490,6 @@ def execute_job(
     # are looked up per call because perfbench/spans.py replaces them
     to_json = forest_to_json if family == "forest" else gbt_to_json
     return JobResult(
-        county=dataset.county_id,
-        hazard=hazard,
         labeled_n=labeled.n,
         threshold=labeled.threshold,
         train_n=train.n,
@@ -774,7 +771,6 @@ class RunReport:
     comparison: dict[str, dict[str, float]]
     dispersion: dict
     manifest: dict[str, str]
-    written: list[str]
 
 
 def _write_summary(
@@ -819,12 +815,7 @@ def _write_summary(
         },
         "comparison_mean_fbeta": report.comparison,
         "dispersion": {
-            metric: {
-                "avg_inter_county_std": s.avg_inter_county_std,
-                "avg_inter_hazard_std": s.avg_inter_hazard_std,
-                "per_hazard_std": s.per_hazard_std,
-                "per_county_std": s.per_county_std,
-            }
+            metric: {k: v for k, v in asdict(s).items() if not k.endswith("_mean")}
             for metric, s in report.dispersion.items()
         },
         "overall_importance": {
@@ -890,8 +881,7 @@ def run(config: RunConfig) -> RunReport:
         out_dir / "reports", vectors, config.top_k, groups, track
     )
     canonical = canonical_family(config.families)
-    policy = config.policy
-    if policy.eval_on == "full":
+    if config.transfer_eval_on == "full":
         by_county = {d.county_id: d for d in datasets}
         evals = {key: make_labeled(by_county[key[0]], key[1]) for key in results}
     else:
@@ -902,7 +892,7 @@ def run(config: RunConfig) -> RunReport:
         evals,
         counties,
         hazards,
-        policy,
+        config.policy,
         track,
     )
 
@@ -918,12 +908,10 @@ def run(config: RunConfig) -> RunReport:
         comparison=comparison,
         dispersion=dispersion,
         manifest={},
-        written=[],
     )
     _write_summary(out_dir / "summary.json", config, report, overall_by_hazard, matrices)
     track(out_dir / "summary.json")
-    report.written = sorted(written)
-    report.manifest = {rel: rpt.file_sha256(out_dir / rel) for rel in report.written}
+    report.manifest = {rel: rpt.file_sha256(out_dir / rel) for rel in sorted(written)}
     _write_json(out_dir / "manifest.json", report.manifest)
     return report
 
@@ -946,7 +934,16 @@ def load_run_models(run_dir, summary: dict, family: str) -> dict[tuple[str, str]
 
 
 def load_run_summary(run_dir) -> dict:
-    return json.loads(Path(run_dir, "summary.json").read_text("utf-8"))
+    """A finished run's summary.json; InvalidConfig naming the file unless it
+    is a JSON object holding the run's pairs, counties and hazards."""
+    path = Path(run_dir, "summary.json")
+    try:
+        summary = json.loads(path.read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig(f"cannot read run summary {path}: {exc}") from None
+    if not isinstance(summary, dict) or not {"pairs", "counties", "hazards"} <= summary.keys():
+        raise InvalidConfig(f"run summary {path} is not an object with pairs, counties, hazards")
+    return summary
 
 
 def load_run_config(run_dir, summary: dict) -> RunConfig:

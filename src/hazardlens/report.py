@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -105,16 +106,7 @@ def write_model_comparison(
 
 def write_dispersion(path, summaries: dict[str, DispersionSummary]) -> None:
     """Dispersion statistics for each reported metric, as JSON."""
-    payload = {}
-    for metric, summary in summaries.items():
-        payload[metric] = {
-            "per_hazard_std": summary.per_hazard_std,
-            "per_county_std": summary.per_county_std,
-            "per_hazard_mean": summary.per_hazard_mean,
-            "per_county_mean": summary.per_county_mean,
-            "avg_inter_county_std": summary.avg_inter_county_std,
-            "avg_inter_hazard_std": summary.avg_inter_hazard_std,
-        }
+    payload = {metric: asdict(summary) for metric, summary in summaries.items()}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")

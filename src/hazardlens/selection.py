@@ -139,10 +139,6 @@ def _tree_params(point: dict) -> TreeParams:
     )
 
 
-def _boost_params(point: dict) -> BoostParams:
-    return BoostParams(**point)  # the gbt grid keys are BoostParams' fields
-
-
 def _forest_family(data: LabeledDataset, point: dict, seed: int, deeper=None):
     return train_forest(
         data,
@@ -156,7 +152,7 @@ def _forest_family(data: LabeledDataset, point: dict, seed: int, deeper=None):
 def _gbt_family(data: LabeledDataset, point: dict, seed: int, deeper=None):
     # Each round fits the residuals of the rounds before it, so a deeper
     # model has nothing to lend; cross_validate never passes one.
-    return train_gbt(data, _boost_params(point), seed=seed)
+    return train_gbt(data, BoostParams(**point), seed=seed)
 
 
 # Per family: fit(data, point, seed, deeper), predict(model, X), default grid.
@@ -212,10 +208,12 @@ def check_grid(model_family: str, grid) -> None:
                 f"{model_family} grid {SIZE_KEYS[model_family]!r} values must be "
                 f"integers >= 1, got {size!r}"
             )
-    build = _tree_params if model_family == "forest" else _boost_params
     for _, point in _grid_points(grid):
         try:
-            build(point)
+            if model_family == "forest":
+                _tree_params(point)
+            else:
+                BoostParams(**point)  # the gbt grid keys are BoostParams' fields
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{model_family} grid point {point}: {exc}") from None
 

@@ -34,15 +34,12 @@ class TransferPolicy:
     threshold: float = -15.0  # percentage points, inclusive
     beta: float = 1.5
     baseline: str = BASELINE_TARGET
-    eval_on: str = "test"  # "test" or "full"
 
     def __post_init__(self):
         if self.threshold >= 0:
             raise ValueError("transfer threshold must be negative")
         if self.baseline not in (BASELINE_TARGET, BASELINE_SOURCE, BASELINE_BOTH):
             raise ValueError(f"unknown baseline {self.baseline!r}")
-        if self.eval_on not in ("test", "full"):
-            raise ValueError(f"eval_on must be 'test' or 'full'")
 
 
 def classify(delta: float, policy: TransferPolicy) -> bool:

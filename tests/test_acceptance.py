@@ -101,7 +101,6 @@ def test_criterion_2_formula_exactness():
         return ImportanceVector(
             feature_names=tuple(f"f{j}" for j in range(len(values))),
             values=np.asarray(values, float),
-            normalized=False,
         )
 
     normalized = normalize(vec([3.0, 1.0, 0.0])).values
@@ -245,7 +244,8 @@ def test_criterion_6_harness_shape(preset_runs):
     w1 = base / "w1"
     problems = []
 
-    perf = list(csv.reader((w1 / "reports/performance.csv").open()))
+    with (w1 / "reports/performance.csv").open() as handle:
+        perf = list(csv.reader(handle))
     header, *rows = perf
     if len(rows) != 7:  # 6 counties + average
         problems.append(f"performance rows {len(rows)}")

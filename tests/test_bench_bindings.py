@@ -25,7 +25,9 @@ spans.install(tracer)
 X = np.array([[0.0], [1.0], [2.0], [3.0]])
 tree = cart.grow_tree(X, np.array([0, 0, 1, 1]), cart.TreeParams(), np.random.default_rng(0))
 params = boosting.BoostParams(n_rounds=1, max_depth=1)
-stage = boosting._grow_reg_tree(X, np.array([0.5, 0.5, -0.5, -0.5]), np.full(4, 0.25), params)
+stage = boosting._grow_reg_tree(
+    X, np.array([0.5, 0.5, -0.5, -0.5]), np.full(4, 0.25), params, boosting.column_order(X)
+)
 model = boosting.BoostedModel(
     stages=[stage], params=params, base_score=0.0, seed=0, feature_names=("f0",)
 )

@@ -15,6 +15,7 @@ from hazardlens.boosting import (
     RegLeaf,
     RegSplit,
     _grow_reg_tree,
+    column_order,
     gbt_from_json,
     gbt_to_json,
     predict_margin_gbt,
@@ -198,7 +199,7 @@ def test_root_split_bit_equal_to_enumeration(n, n_features, min_leaf, l2, data):
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     g, h = p - y, p * (1.0 - p)
     root = _grow_reg_tree(X, g, h, BoostParams(max_depth=1, l2_reg=l2,
-                                               min_samples_leaf=min_leaf))
+                                               min_samples_leaf=min_leaf), column_order(X))
     expected = reg_split_enumeration(X, g, h, l2, min_leaf)
     if expected is None:
         assert isinstance(root, RegLeaf)
@@ -216,7 +217,7 @@ def test_feature_with_undefined_gain_is_skipped():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
     g = np.array([0.0, 0.0, -0.5, 0.4, 0.4])
     h = np.array([0.0, 0.0, 0.25, 0.24, 0.24])
-    root = _grow_reg_tree(X, g, h, BoostParams(max_depth=1, l2_reg=0.0))
+    root = _grow_reg_tree(X, g, h, BoostParams(max_depth=1, l2_reg=0.0), column_order(X))
     assert isinstance(root, RegSplit)
     assert root.feature == 1
     assert root.threshold == 0.5
@@ -229,7 +230,7 @@ def test_node_with_zero_hessian_sum_becomes_zero_leaf():
     X = np.arange(8.0)[:, None]
     g = np.array([0.5, -0.5, 0.5, -0.5, 1.0, 1.0, 1.0, 1.0])
     h = np.array([0.25] * 4 + [0.0] * 4)
-    root = _grow_reg_tree(X, g, h, BoostParams(max_depth=2, l2_reg=0.0))
+    root = _grow_reg_tree(X, g, h, BoostParams(max_depth=2, l2_reg=0.0), column_order(X))
     assert isinstance(root, RegSplit) and root.threshold == 3.5
     assert isinstance(root.right, RegLeaf)
     assert (root.right.weight, root.right.n) == (0.0, 4)
@@ -257,7 +258,7 @@ def test_whole_tree_bit_equal_to_enumeration(n, n_features, max_depth, min_leaf,
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     g, h = p - y, p * (1.0 - p)
     params = BoostParams(max_depth=max_depth, l2_reg=l2, min_samples_leaf=min_leaf)
-    got = tree_to_dict(_grow_reg_tree(X, g, h, params))
+    got = tree_to_dict(_grow_reg_tree(X, g, h, params, column_order(X)))
     expected = reg_tree_enumeration(X, g, h, params)
     assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
 

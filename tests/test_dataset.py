@@ -176,6 +176,22 @@ def test_load_duplicate_tract(tmp_path):
         load_county_csv(path)
 
 
+@pytest.mark.parametrize(
+    "header, column",
+    [
+        ("tract_id,Income,Density,hazard__heat,hazard__heat", "hazard__heat"),
+        ("tract_id,Income,Density,hazard__heat,tract_id", "tract_id"),
+    ],
+)
+def test_load_column_named_twice(tmp_path, header, column):
+    # unchecked, the last hazard__heat column would win silently, and a second
+    # tract_id column of numbers would train as a feature named tract_id
+    path = write_csv(tmp_path / "a.csv", header + "\nt1,1.0,2.0,3.0,4.0\nt2,3.0,4.0,5.0,6.0\n")
+    with pytest.raises(SchemaMismatch, match=f"column '{column}' is named twice") as err:
+        load_county_csv(path)
+    assert err.value.column == column
+
+
 def test_load_empty_feature_cell_strict(tmp_path):
     path = write_csv(
         tmp_path / "a.csv", "tract_id,Income,Density\nt1,,2.0\n"

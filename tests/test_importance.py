@@ -47,11 +47,9 @@ def stump(feature, gain_counts=((4, 0), (0, 4))):
     )
 
 
-def vector(values, normalized=False):
+def vector(values):
     names = tuple(f"f{j:02d}" for j in range(len(values)))
-    return ImportanceVector(
-        feature_names=names, values=np.asarray(values, float), normalized=normalized
-    )
+    return ImportanceVector(feature_names=names, values=np.asarray(values, float))
 
 
 def test_stump_forest_single_feature():

@@ -83,9 +83,25 @@ def test_structure_and_absent_pairs(tiny_run):
         "ash__flood", "ash__heat", "oak__flood", "oak__heat", "yew__heat"
     }
     # absent cell stays absent in the transfer matrix (never zero)
-    rows = list(csv.DictReader((out / "transfer/cross_county_flood.csv").open()))
+    with (out / "transfer/cross_county_flood.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
     yew_rows = [r for r in rows if "yew" in (r["source"], r["target"])]
     assert yew_rows and all(r["transferable"] == "absent" for r in yew_rows)
+
+
+def test_summary_dispersion_holds_the_std_keys(tiny_run):
+    # summary.json echoes dispersion.json without the per-hazard and
+    # per-county means
+    _, out, _ = tiny_run
+    summary = json.loads((out / "summary.json").read_text())
+    full = json.loads((out / "reports/dispersion.json").read_text())
+    assert sorted(summary["dispersion"]) == sorted(full) == ["f1", "fbeta1.5"]
+    for metric, stats in summary["dispersion"].items():
+        assert sorted(stats) == [
+            "avg_inter_county_std", "avg_inter_hazard_std", "per_county_std", "per_hazard_std"
+        ]
+        assert stats == {k: v for k, v in full[metric].items() if k in stats}
+        assert sorted(set(full[metric]) - set(stats)) == ["per_county_mean", "per_hazard_mean"]
 
 
 def test_rerun_same_seed_byte_identical(tiny_run, tmp_path):
@@ -330,6 +346,7 @@ def test_preset_named_in_a_json_config_supplies_its_grids():
         {"hazards": ["a__b"]},
         {"synth": "x"},
         {"counties": ["x.csv"]},  # next to the synth block
+        {"transfer": {"eval_on": "bogus"}},
     ],
 )
 def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
@@ -346,11 +363,45 @@ def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
     assert not out.exists()
 
 
+def test_cli_csv_naming_a_column_twice_rejected_before_anything_is_written(tmp_path, capsys):
+    other = county_csv(tmp_path / "other.csv", seed=3)
+    path = county_csv(tmp_path / "ash.csv", seed=1)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header + ",hazard__heat", *(row + ",1.0" for row in rows)]) + "\n")
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {"seed": 1, "out_dir": str(out), "counties": [str(path), str(other)]}
+    ))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "'hazard__heat' is named twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["transfer", "importance"])
 def test_cli_recompute_missing_run_fails_cleanly(tmp_path, command):
     missing = tmp_path / "missing"
     assert main([command, "--run", str(missing)]) == 2
     assert not missing.exists()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("{not json", "cannot read run summary"),
+        ("[1]", "is not an object with pairs, counties, hazards"),
+        ('{"counties": ["ash"], "hazards": ["heat"]}', "is not an object with pairs"),
+    ],
+)
+@pytest.mark.parametrize("command", ["transfer", "importance"])
+def test_cli_recompute_malformed_summary_fails_cleanly(tmp_path, capsys, command, text, reason):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "summary.json").write_text(text)
+    assert main([command, "--run", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and str(run_dir / "summary.json") in err
+    assert sorted(p.name for p in run_dir.iterdir()) == ["summary.json"]
 
 
 def test_cli_run_and_recompute(tmp_path, capsys):
@@ -750,7 +801,7 @@ def test_cli_preset_assembles_config(tmp_path, monkeypatch):
         return RunReport(
             out_dir=config.out_dir, counties=(), hazards=(), absent=[],
             failures=[], results={}, f1_tables={}, fbeta_tables={},
-            comparison={}, dispersion={}, manifest={}, written=[],
+            comparison={}, dispersion={}, manifest={},
         )
 
     monkeypatch.setattr("hazardlens.cli.run", fake_run)

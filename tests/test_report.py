@@ -95,7 +95,6 @@ def test_group_rollup_counts():
         "c": ImportanceVector(
             feature_names=names,
             values=np.array([0.3, 0.25, 0.2, 0.15, 0.07, 0.03]),
-            normalized=True,
         )
     }
     overall = overall_importance(build_rank_matrix(vectors), top_k=3)

@@ -57,8 +57,6 @@ def test_policy_validation():
         TransferPolicy(threshold=0.0)
     with pytest.raises(ValueError):
         TransferPolicy(baseline="nonsense")
-    with pytest.raises(ValueError):
-        TransferPolicy(eval_on="everything")
 
 
 def test_diagonal_exactly_zero_and_transferable():
