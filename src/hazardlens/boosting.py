@@ -26,7 +26,8 @@ import numpy as np
 
 # the boosted nodes live in cart, the tree module of both families
 from .cart import (
-    RegLeaf, RegNode, RegSplit, feature_matrix, read_model, tree_values, trees_values, write_model
+    RegLeaf, RegNode, RegSplit, feature_matrix, read_model, split_threshold, tree_values,
+    trees_values, write_model,
 )
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import DegenerateLabels
@@ -135,7 +136,7 @@ def _best_reg_split(
     gain = float(gains[j, r])
     if not gain > 0.0:
         return None
-    return gain, j, float(0.5 * (sv[j, r] + sv[j, r + 1]))
+    return gain, j, split_threshold(sv[j, r], sv[j, r + 1])
 
 
 def column_order(X: np.ndarray) -> np.ndarray:

@@ -124,6 +124,13 @@ def _gini(low: int, high: int) -> float:
     return 1.0 - (p0 * p0 + p1 * p1)
 
 
+def split_threshold(a, b) -> float:
+    """Midpoint of sorted neighbours a < b, or a where it rounds to b or
+    overflows (scikit-learn's rule): `x <= threshold` always separates them."""
+    mid = a / 2.0 + b / 2.0
+    return float(mid if a <= mid < b else a)
+
+
 def best_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -181,8 +188,7 @@ def best_split(
 
     # first maximum in feature-major order: lowest feature, then threshold
     j, r = divmod(int(np.argmax(gains)), n - 1)
-    threshold = float(0.5 * (sv[j, r] + sv[j, r + 1]))
-    return int(features[j]), threshold, float(gains[j, r])
+    return int(features[j]), split_threshold(sv[j, r], sv[j, r + 1]), float(gains[j, r])
 
 
 def grow_tree(

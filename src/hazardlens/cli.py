@@ -23,6 +23,7 @@ from .pipeline import (
     load_run_models,
     load_run_summary,
     pair_importance,
+    publish,
     rebuild_eval_splits,
     run,
     scenario_specs,
@@ -112,13 +113,14 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _print_written(path: Path) -> None:
-    print(f"wrote {path.name}")
+def _publish(out_dir: Path, write) -> None:
+    for rel in publish(out_dir, write)[1]:
+        print(f"wrote {rel}")
 
 
 def _cmd_synth(args) -> int:
     specs, groups = scenario_specs({"preset": args.preset, "noise": args.noise}, args.seed)
-    write_scenario(specs, groups, Path(args.out), _print_written)
+    _publish(Path(args.out), lambda stage: write_scenario(specs, groups, stage))
     return EXIT_OK
 
 
@@ -135,15 +137,12 @@ def _finished_run(path: str) -> tuple[Path, dict, RunConfig]:
 
 def _cmd_transfer(args) -> int:
     run_dir, summary, config = _finished_run(args.run)
-    write_transfer(
-        Path(args.out) if args.out else run_dir / "transfer_recomputed",
-        load_run_models(run_dir, summary, canonical_family(config.families)),
-        rebuild_eval_splits(run_dir, summary, config),
-        tuple(summary["counties"]),
-        tuple(summary["hazards"]),
-        config.policy,
-        _print_written,
-    )
+    out = Path(args.out) if args.out else run_dir / "transfer_recomputed"
+    models = load_run_models(run_dir, summary, canonical_family(config.families))
+    evals = rebuild_eval_splits(run_dir, summary, config)
+    _publish(out, lambda stage: write_transfer(
+        stage, models, evals, tuple(summary["counties"]), tuple(summary["hazards"]), config.policy
+    ))
     return EXIT_OK
 
 
@@ -162,7 +161,7 @@ def _cmd_importance(args) -> int:
             print(f"skipping {county}/{hazard}: {note}", file=sys.stderr)
         else:
             vectors.setdefault(hazard, {})[county] = vector
-    write_importance(out, vectors, config.top_k, groups, _print_written)
+    _publish(out, lambda stage: write_importance(stage, vectors, config.top_k, groups))
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 

@@ -13,7 +13,7 @@
    dispersion and the CV audit table;
 5. `write_importance`: per-county importance and cross-county rankings;
 6. `write_transfer`: cross-county and cross-hazard transfer matrices;
-7. `_write_summary`, then the manifest of every file the run wrote.
+7. `_write_summary`, then the manifest: every file of the run's stage.
 
 `write_scenario`, `write_importance` and `write_transfer` are also the whole
 implementation of the CLI's `synth`, `importance` and `transfer` commands,
@@ -29,6 +29,9 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -353,19 +356,15 @@ def scenario_specs(synth: dict, seed: int) -> tuple[list[ScenarioSpec], dict | N
     return build_scenario(plans, seed=synth_seed, **synth), None
 
 
-def write_scenario(
-    specs: list[ScenarioSpec], groups: dict | None, out_dir: Path, track
-) -> None:
+def write_scenario(specs: list[ScenarioSpec], groups: dict | None, out_dir: Path) -> None:
     """Generate every county into `<county>.csv` under out_dir, with the
     planted truth in `oracle.json` and the groups, if any, in
-    `feature_groups.json`. `track` sees every file."""
+    `feature_groups.json`."""
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle = {}
     for spec in specs:
         county = generate_county(spec)
-        path = out_dir / f"{county.county_id}.csv"
-        write_county_csv(county, path)
-        track(path)
+        write_county_csv(county, out_dir / f"{county.county_id}.csv")
         told = planted_oracle(spec)
         oracle[county.county_id] = {
             "informative": list(told.top_features),
@@ -378,7 +377,6 @@ def write_scenario(
     for name, payload in (("oracle.json", oracle), ("feature_groups.json", groups)):
         if payload is not None:
             _write_json(out_dir / name, payload)
-            track(out_dir / name)
 
 
 def study_inputs(config: RunConfig, run_dir) -> tuple[list, dict | None]:
@@ -412,12 +410,10 @@ def _load_counties(paths, missing_feature_policy: str) -> list[CountyDataset]:
     return datasets
 
 
-def _prepare_datasets(
-    config: RunConfig, out_dir: Path, track
-) -> tuple[list[CountyDataset], dict | None]:
+def _prepare_datasets(config: RunConfig, out_dir: Path) -> tuple[list[CountyDataset], dict | None]:
     """The study's counties and groups, a synth study generated first."""
     if config.synth is not None:
-        write_scenario(*scenario_specs(config.synth, config.seed), out_dir / "data", track)
+        write_scenario(*scenario_specs(config.synth, config.seed), out_dir / "data")
     paths, groups = study_inputs(config, out_dir)
     return _load_counties(paths, config.missing_feature_policy), groups
 
@@ -589,7 +585,7 @@ def canonical_family(families) -> str:
     return CANONICAL_FAMILY if CANONICAL_FAMILY in families else families[0]
 
 
-def _write_models(models_dir: Path, results: dict, track) -> None:
+def _write_models(models_dir: Path, results: dict) -> None:
     """The model texts of every pair in `results`, i.e. of every pair whose
     families all succeeded."""
     models_dir.mkdir(parents=True, exist_ok=True)
@@ -597,7 +593,6 @@ def _write_models(models_dir: Path, results: dict, track) -> None:
         for family, outcome in res.outcomes.items():
             path = models_dir / f"{county}__{hazard}__{family}.json"
             path.write_text(outcome.model_json, "utf-8")
-            track(path)
 
 
 def compare_models(
@@ -614,7 +609,7 @@ def compare_models(
     return means
 
 
-def _write_reports(reports_dir: Path, config: RunConfig, counties, hazards, results, track):
+def _write_reports(reports_dir: Path, config: RunConfig, counties, hazards, results):
     """Performance table, per-family metric CSVs, model comparison,
     dispersion and CV audit table; returns (f1 tables, F-beta tables,
     comparison, dispersion)."""
@@ -631,28 +626,18 @@ def _write_reports(reports_dir: Path, config: RunConfig, counties, hazards, resu
             fbeta_tables[family].set(county, hazard, outcome.fbeta)
 
     canonical = canonical_family(config.families)
-    path = reports_dir / "performance.csv"
     rpt.write_performance_table(
-        path,
-        counties,
-        hazards,
-        train_size,
-        test_size,
-        f1_tables[canonical],
-        fbeta_tables[canonical],
-        config.beta,
+        reports_dir / "performance.csv", counties, hazards, train_size, test_size,
+        f1_tables[canonical], fbeta_tables[canonical], config.beta,
     )
-    track(path)
     for family in config.families:
         for metric, table in (("f1", f1_tables[family]), ("fbeta", fbeta_tables[family])):
-            path = reports_dir / f"metrics_{family}_{metric}.csv"
-            rpt.write_metric_csv(path, table, metric)
-            track(path)
+            rpt.write_metric_csv(reports_dir / f"metrics_{family}_{metric}.csv", table, metric)
 
     comparison = compare_models(fbeta_tables, hazards)
-    path = reports_dir / "model_comparison.csv"
-    rpt.write_model_comparison(path, hazards, comparison, config.beta)
-    track(path)
+    rpt.write_model_comparison(
+        reports_dir / "model_comparison.csv", hazards, comparison, config.beta
+    )
 
     # dispersion of the canonical family's scores
     dispersion = {}
@@ -661,9 +646,7 @@ def _write_reports(reports_dir: Path, config: RunConfig, counties, hazards, resu
             "f1": dispersion_summary(f1_tables[canonical]),
             f"fbeta{config.beta:g}": dispersion_summary(fbeta_tables[canonical]),
         }
-        path = reports_dir / "dispersion.json"
-        rpt.write_dispersion(path, dispersion)
-        track(path)
+        rpt.write_dispersion(reports_dir / "dispersion.json", dispersion)
 
     cv_rows = [
         [county, hazard, family, json.dumps(rec.params, sort_keys=True),
@@ -672,11 +655,8 @@ def _write_reports(reports_dir: Path, config: RunConfig, counties, hazards, resu
         for family in sorted(res.outcomes)
         for rec in res.outcomes[family].cv_records
     ]
-    path = reports_dir / "cv_table.csv"
-    rpt.write_rows(
-        path, ["county", "hazard", "family", "params", "fold", "score"], cv_rows
-    )
-    track(path)
+    header = ["county", "hazard", "family", "params", "fold", "score"]
+    rpt.write_rows(reports_dir / "cv_table.csv", header, cv_rows)
     return f1_tables, fbeta_tables, comparison, dispersion
 
 
@@ -687,29 +667,21 @@ def write_importance(
     vectors: dict[str, dict[str, ImportanceVector]],
     top_k: int,
     groups: dict | None,
-    track,
 ) -> dict[str, OverallImportance]:
-    """Per hazard, every county's normalized importance and the cross-county
-    rank-sum ranking; with groups, also the rollup of the top features.
-    `vectors` maps hazard -> county -> vector; returns the rankings."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Per hazard, each county's normalized importance and the cross-county
+    rank-sum ranking (returned), and with groups the top features' rollup,
+    into the existing out_dir. `vectors` maps hazard -> county -> vector."""
     overall_by_hazard = {}
     for hazard, by_county in sorted(vectors.items()):
-        path = out_dir / f"importance_{hazard}.csv"
-        rpt.write_importance_csv(path, by_county)
-        track(path)
+        rpt.write_importance_csv(out_dir / f"importance_{hazard}.csv", by_county)
         overall = overall_importance(build_rank_matrix(by_county), top_k)
-        path = out_dir / f"overall_importance_{hazard}.csv"
-        rpt.write_overall_csv(path, overall)
-        track(path)
+        rpt.write_overall_csv(out_dir / f"overall_importance_{hazard}.csv", overall)
         overall_by_hazard[hazard] = overall
     if groups and overall_by_hazard:
-        path = out_dir / "feature_group_rollup.csv"
         rpt.write_group_rollup(
-            path,
+            out_dir / "feature_group_rollup.csv",
             {h: rpt.group_rollup(o, groups) for h, o in overall_by_hazard.items()},
         )
-        track(path)
     return overall_by_hazard
 
 
@@ -720,7 +692,6 @@ def write_transfer(
     counties: tuple[str, ...],
     hazards: tuple[str, ...],
     policy: TransferPolicy,
-    track,
 ) -> list[TransferMatrix]:
     """Cross-county matrices per hazard, then cross-hazard matrices per
     county, each as `<stem>.csv` and `<stem>.svg` under out_dir. Both
@@ -740,9 +711,7 @@ def write_transfer(
         for name, matrix in sorted(outcome.items()):
             stem = f"{kind}_{fixed}" if name is None else f"{kind}_{fixed}__{name}"
             rpt.write_transfer_csv(out_dir / f"{stem}.csv", matrix)
-            track(out_dir / f"{stem}.csv")
             rpt.write_heatmap(out_dir / f"{stem}.svg", matrix)
-            track(out_dir / f"{stem}.svg")
             matrices.append(matrix)
 
     for hazard in hazards:
@@ -848,17 +817,52 @@ def _write_summary(
     _write_json(path, summary)
 
 
+def _listing(root: Path) -> list[str]:
+    """Every file under root, as sorted relative POSIX paths."""
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
+def publish(out_dir, write) -> tuple[object, list[str]]:
+    """Run `write(stage)` in a new directory in out_dir's nearest existing
+    parent, then move all it made into out_dir (made even if empty). Returns
+    write's result and the sorted relative file paths; a failed write changes nothing."""
+    out_dir = Path(out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise InvalidConfig(f"output directory {out_dir} is not a directory")
+    base = next(p for p in out_dir.absolute().parents if p.is_dir())
+    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=base))
+    try:
+        result = write(stage)
+        written = _listing(stage)
+        # moved, not renamed: mkdtemp makes the stage itself 0700
+        for rel in [".", *(p.relative_to(stage) for p in stage.rglob("*") if p.is_dir())]:
+            (out_dir / rel).mkdir(parents=True, exist_ok=True)
+        for rel in written:
+            os.replace(stage / rel, out_dir / rel)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return result, written
+
+
 def run(config: RunConfig) -> RunReport:
-    """Execute the full experiment graph described by the config."""
+    """Execute the experiment graph the config describes and `publish` it, then
+    delete the files out_dir's previous manifest listed that it neither wrote nor read."""
     out_dir = Path(config.out_dir)
-    written: list[str] = []
+    try:  # only a JSON object has keys
+        stale = set(json.loads((out_dir / "manifest.json").read_text("utf-8")).keys())
+    except (OSError, ValueError, AttributeError):
+        stale = set()
+    report, written = publish(out_dir, lambda stage: _run_stages(config, stage))
+    inputs = {Path(p).resolve() for p in [*config.county_files, config.feature_groups] if p}
+    for path in {(out_dir / rel).resolve() for rel in stale - set(written)} - inputs:
+        if out_dir.resolve() in path.parents and path.is_file():
+            path.unlink()
+    return report
 
-    def track(path: Path):
-        written.append(path.relative_to(out_dir).as_posix())
 
-    # a county that fails to load leaves no output directory behind
-    datasets, groups = _prepare_datasets(config, out_dir, track)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _run_stages(config: RunConfig, out_dir: Path) -> RunReport:
+    """Every stage of `run`, writing into out_dir, the manifest last."""
+    datasets, groups = _prepare_datasets(config, out_dir)
     counties = tuple(d.county_id for d in datasets)
     if config.hazards is not None:
         hazards = tuple(config.hazards)
@@ -866,9 +870,9 @@ def run(config: RunConfig) -> RunReport:
         hazards = tuple(sorted({h for d in datasets for h in d.hazards}))
 
     results, absent, failures = _train(config, datasets, hazards)
-    _write_models(out_dir / "models", results, track)
+    _write_models(out_dir / "models", results)
     f1_tables, fbeta_tables, comparison, dispersion = _write_reports(
-        out_dir / "reports", config, counties, hazards, results, track
+        out_dir / "reports", config, counties, hazards, results
     )
 
     # importance (forest) and transfer (canonical family) from the trained models
@@ -877,9 +881,7 @@ def run(config: RunConfig) -> RunReport:
         forest = res.outcomes.get("forest")
         if forest is not None and forest.importance is not None:
             vectors.setdefault(hazard, {})[county] = forest.importance
-    overall_by_hazard = write_importance(
-        out_dir / "reports", vectors, config.top_k, groups, track
-    )
+    overall_by_hazard = write_importance(out_dir / "reports", vectors, config.top_k, groups)
     canonical = canonical_family(config.families)
     if config.transfer_eval_on == "full":
         by_county = {d.county_id: d for d in datasets}
@@ -893,11 +895,10 @@ def run(config: RunConfig) -> RunReport:
         counties,
         hazards,
         config.policy,
-        track,
     )
 
     report = RunReport(
-        out_dir=str(out_dir),
+        out_dir=str(Path(config.out_dir)),
         counties=counties,
         hazards=hazards,
         absent=absent,
@@ -910,8 +911,7 @@ def run(config: RunConfig) -> RunReport:
         manifest={},
     )
     _write_summary(out_dir / "summary.json", config, report, overall_by_hazard, matrices)
-    track(out_dir / "summary.json")
-    report.manifest = {rel: rpt.file_sha256(out_dir / rel) for rel in sorted(written)}
+    report.manifest = {rel: rpt.file_sha256(out_dir / rel) for rel in _listing(out_dir)}
     _write_json(out_dir / "manifest.json", report.manifest)
     return report
 

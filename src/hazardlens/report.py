@@ -26,8 +26,6 @@ def _fmt_pct(value: float | None) -> str:
 
 
 def write_rows(path, header: list[str], rows: list[list]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -107,9 +105,7 @@ def write_model_comparison(
 def write_dispersion(path, summaries: dict[str, DispersionSummary]) -> None:
     """Dispersion statistics for each reported metric, as JSON."""
     payload = {metric: asdict(summary) for metric, summary in summaries.items()}
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
 
 
 def write_importance_csv(path, vectors: dict[str, ImportanceVector]) -> None:
@@ -244,9 +240,7 @@ def render_heatmap(matrix: TransferMatrix) -> str:
 
 
 def write_heatmap(path, matrix: TransferMatrix) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render_heatmap(matrix), "utf-8")
+    Path(path).write_text(render_heatmap(matrix), "utf-8")
 
 
 # -- manifest ----------------------------------------------------------------

@@ -30,12 +30,16 @@ from hazardlens.metrics import (
 )
 from hazardlens.cart import gini_impurity
 from hazardlens.pipeline import run, synth6x3_config
+from hazardlens.report import file_sha256
 from hazardlens.selection import SplitSpec, stratified_split
 from hazardlens.synth import CountyPlan, build_scenario, generate_county
 from hazardlens.transfer import TransferPolicy, cross_county
 
 MODULE_T0 = time.monotonic()
 ACCEPT_SEED = 20240808
+# sha256 of the workers=1 run's manifest.json at ACCEPT_SEED (numpy 2.4.6);
+# a change that alters any manifest byte on purpose updates it and says why
+W1_MANIFEST_SHA256 = "26c2ca8a122d8da7d492bf787775be4d71f67b889c572f9c9910cb4dda51c8e5"
 TOL = 1e-12
 
 
@@ -303,13 +307,15 @@ def test_criterion_6_harness_shape(preset_runs):
 
 
 def test_criterion_7_worker_count_determinism(preset_runs):
-    one, eight, _ = preset_runs
+    one, eight, base = preset_runs
     same = one.manifest == eight.manifest
+    digest = file_sha256(base / "w1" / "manifest.json")
     report(
         "criterion 7 (parallel determinism)",
-        same,
+        same and digest == W1_MANIFEST_SHA256,
         f"workers 1 vs 8: {len(one.manifest)} manifest hashes "
-        f"{'identical' if same else 'DIFFER'}",
+        f"{'identical' if same else 'DIFFER'}; workers=1 manifest.json sha256 "
+        f"{digest[:12]}, pinned {W1_MANIFEST_SHA256[:12]}",
     )
 
 

@@ -279,3 +279,13 @@ def test_train_gbt_grows_each_round_through_the_module_global(monkeypatch, rng):
     model = train_gbt(labeled_from_arrays(X, y), params)
     assert calls == [params] * 7
     assert len(model.stages) == 7
+
+
+def test_reg_split_between_adjacent_floats_separates_them():
+    # 0.5 * (a + 1.0) rounds to 1.0: the split's right leaf held no rows
+    a = np.nextafter(1.0, 0.0)
+    X = np.array([[a], [1.0], [a], [1.0]])
+    g = np.array([0.5, -0.5, 0.5, -0.5])
+    root = _grow_reg_tree(X, g, np.full(4, 0.25), BoostParams(max_depth=1), column_order(X))
+    assert isinstance(root, RegSplit)
+    assert (root.threshold, root.left.n, root.right.n) == (a, 2, 2)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import best_split_enumeration, route_row, subtree_counts
-from hazardlens.boosting import BoostedModel, BoostParams, staged_margin_gbt
+from hazardlens.boosting import (
+    BoostedModel, BoostParams, _best_reg_split, column_order, staged_margin_gbt
+)
 from hazardlens.cart import (
     Leaf,
     PAPER_LITERAL,
@@ -456,3 +458,49 @@ def test_split_child_impurities_match_subtree_counts(data, depth, min_leaf, widt
         assert node.right_impurity == gini_impurity(right)
         assert (node.n_left, node.n_right) == (left.sum(), right.sum())
         todo += [node.left, node.right]
+
+
+def test_split_between_adjacent_floats_separates_them():
+    # 0.5 * (a + 1.0) rounds to 1.0, which sent every row left
+    a = np.nextafter(1.0, 0.0)
+    X = np.array([[a], [1.0], [a], [1.0]])
+    tree = grow_tree(X, np.array([0, 1, 0, 1]), TreeParams(), np.random.default_rng(0))
+    assert (tree.threshold, tree.n_left, tree.n_right) == (a, 2, 2)
+
+
+_EDGE_VALUES = [
+    0.0, -0.0, 1.0, -1.0, float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0)),
+    5e-324, -5e-324, 1e-323, 2.2250738585072014e-308, 1e308, 1.5e308,
+    1.7976931348623157e308, -1.7976931348623157e308, float(np.nextafter(1e308, 0.0)),
+]
+_COLUMN_VALUE = st.one_of(
+    st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_COLUMN_VALUE, _COLUMN_VALUE, st.integers(0, 1)), min_size=2, max_size=12
+    ),
+    min_leaf=st.integers(1, 3),
+)
+def test_both_split_searches_leave_min_samples_leaf_rows_on_each_side(rows, min_leaf):
+    X = np.array([r[:2] for r in rows], dtype=np.float64)
+    y = np.array([r[2] for r in rows], dtype=np.int64)
+    n = len(rows)
+    found = []
+    if 0 < y.sum() < n:
+        split = best_split(X, y, [0, 1], min_leaf)
+        found += [] if split is None else [split[:2]]
+    order = column_order(X)
+    g, h = 0.5 - y, np.full(n, 0.25)
+    reg = _best_reg_split(
+        np.take_along_axis(X.T, order, axis=1), g[order], h[order],
+        float(g.sum()), float(h.sum()), 1.0, min_leaf,
+    )
+    found += [] if reg is None else [reg[1:]]
+    for feature, threshold in found:
+        left = int(np.count_nonzero(X[:, feature] <= threshold))
+        assert min_leaf <= left <= n - min_leaf
+        assert np.isfinite(threshold)

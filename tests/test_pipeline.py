@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import shutil
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -838,7 +840,7 @@ def test_cli_synth_writes_the_run_scenario(tmp_path):
     from hazardlens.pipeline import _prepare_datasets
 
     assert main(["synth", "--seed", "3", "--out", str(tmp_path / "A")]) == 0
-    _prepare_datasets(synth6x3_config(3, str(tmp_path / "B")), tmp_path / "B", print)
+    _prepare_datasets(synth6x3_config(3, str(tmp_path / "B")), tmp_path / "B")
     names = sorted(p.name for p in (tmp_path / "A").iterdir())
     assert len(names) == 8  # six counties, oracle.json, feature_groups.json
     assert sorted(p.name for p in (tmp_path / "B" / "data").iterdir()) == names
@@ -914,17 +916,21 @@ def test_cli_transfer_recomputes_gbt_only_run(tmp_path):
 
 
 def test_cli_transfer_reads_the_csv_study_not_an_earlier_synth_runs_data(tmp_path):
-    # a CSV study run into the directory of a synth study leaves that study's
-    # data/ behind; recompute must read the CSV study's own county files
+    # a data/ left in the directory of a CSV study (here the synth study's
+    # own, put back after the rerun removed it); recompute must read the CSV
+    # study's own county files
     from hazardlens.pipeline import scenario_specs, write_scenario
 
     out = tmp_path / "od"
     synth_study = two_county_config(out)
     run(synth_study)
+    shutil.copytree(out / "data", tmp_path / "synth_data")
     inputs = tmp_path / "inputs"
-    write_scenario(*scenario_specs(synth_study.synth, seed=99), inputs, lambda path: None)
+    write_scenario(*scenario_specs(synth_study.synth, seed=99), inputs)
     run(replace(synth_study, synth=None,
                 county_files=[str(inputs / "ash.csv"), str(inputs / "oak.csv")]))
+    assert not (out / "data" / "ash.csv").exists()
+    shutil.copytree(tmp_path / "synth_data", out / "data", dirs_exist_ok=True)
     assert (out / "data" / "ash.csv").is_file()
     assert main(["transfer", "--run", str(out)]) == 0
     written = sorted(p.name for p in (out / "transfer").iterdir())
@@ -934,6 +940,17 @@ def test_cli_transfer_reads_the_csv_study_not_an_earlier_synth_runs_data(tmp_pat
         assert (out / "transfer_recomputed" / name).read_bytes() == (
             out / "transfer" / name
         ).read_bytes()
+
+
+def test_cli_transfer_prints_one_line_per_file_it_wrote(tiny_run, tmp_path, capsys):
+    _, out, _ = tiny_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    capsys.readouterr()
+    assert main(["transfer", "--run", str(run_dir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = sorted(p.name for p in (run_dir / "transfer_recomputed").iterdir())
+    assert names and lines == [f"wrote {name}" for name in names]
 
 
 @pytest.mark.parametrize(
@@ -1096,6 +1113,108 @@ def test_unexpected_unit_error_names_the_unit(tmp_path, monkeypatch, workers):
         RuntimeError, match="^unit ash/heat/gbt failed: ZeroDivisionError: boom$"
     ):
         main(["run", "--config", str(config_path)])
+    # and it leaves nothing behind: no output directory, no stage
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_a_killed_pool_worker_leaves_nothing_behind(tmp_path, monkeypatch):
+    from hazardlens import selection
+
+    def fit(data, point, seed, deeper=None):
+        os._exit(1)
+
+    _, predict, grid = selection.FAMILIES["gbt"]
+    monkeypatch.setitem(selection.FAMILIES, "gbt", (fit, predict, grid))
+    with pytest.raises(BrokenProcessPool):
+        run(one_pair_config(tmp_path / "new" / "out", workers=2))
+    assert list(tmp_path.iterdir()) == []  # not even the parent "new"
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--preset", "synth6x3", "--seed", "1"], ["synth", "--seed", "3"]]
+)
+def test_cli_out_that_is_a_file_exits_2_and_leaves_it_alone(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("mine\n")
+    assert main([*command, "--out", str(taken)]) == 2
+    assert f"output directory {taken} is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "mine\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
+def _two_hazard_config(out_dir, **overrides):
+    county = {"n_tracts": 60, "hazards": ["heat", "flood"]}
+    synth = {**two_county_config(out_dir).synth,
+             "counties": [{"name": "ash", **county}, {"name": "oak", **county}]}
+    return two_county_config(out_dir, synth=synth, **overrides)
+
+
+def test_rerun_removes_only_the_files_the_previous_manifest_listed(tmp_path):
+    out = tmp_path / "out"
+    first = run(_two_hazard_config(out))
+    assert any("flood" in rel for rel in first.manifest)
+    (out / "notes.txt").write_text("mine\n")
+    second = run(_two_hazard_config(out, hazards=["heat"]))
+    on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert not [rel for rel in on_disk if "flood" in rel]
+    assert on_disk == sorted([*second.manifest, "manifest.json", "notes.txt"])
+    assert (out / "notes.txt").read_text() == "mine\n"
+
+
+def test_rerun_keeps_the_files_it_read(tmp_path):
+    # a CSV study of the county files an earlier synth run generated into
+    # the same directory: they are listed as stale, and they are its inputs
+    out = tmp_path / "out"
+    synth_study = two_county_config(out)
+    run(synth_study)
+    run(replace(synth_study, synth=None,
+                county_files=[str(out / "data" / "ash.csv"), str(out / "data" / "oak.csv")]))
+    assert (out / "data" / "ash.csv").is_file() and (out / "data" / "oak.csv").is_file()
+    assert main(["transfer", "--run", str(out)]) == 0
+
+
+@pytest.mark.parametrize("manifest", ["{not json", '["victim.txt"]', None])
+def test_rerun_deletes_nothing_outside_out_dir_or_unlisted(tmp_path, manifest):
+    out = tmp_path / "out"
+    run(one_pair_config(out, workers=1))
+    victim = tmp_path / "victim.txt"
+    victim.write_text("mine\n")
+    (out / "victim.txt").write_text("mine\n")
+    if manifest is None:  # paths that leave out_dir
+        listed = json.loads((out / "manifest.json").read_text())
+        manifest = json.dumps({**listed, "../victim.txt": "0", str(victim): "0"})
+    (out / "manifest.json").write_text(manifest)
+    run(one_pair_config(out, workers=1))
+    assert victim.read_text() == (out / "victim.txt").read_text() == "mine\n"
+
+
+def test_run_on_a_column_near_the_float_limit(tmp_path):
+    # the midpoint of 1e308 and 1.5e308 overflowed to inf, which sent every
+    # row left: the empty right child raised ZeroDivisionError (exit 1)
+    from hazardlens.cart import iter_splits
+    from hazardlens.forest import forest_from_json
+
+    path = county_csv(tmp_path / "big.csv", seed=1)
+    header, *rows = path.read_text().splitlines()
+    heat = [float(row.rsplit(",", 1)[1]) for row in rows]
+    mean = sum(heat) / len(heat)
+    path.write_text("\n".join(
+        [f"{header},huge"]
+        + [f"{row},{1.5e308 if h > mean else 1e308!r}" for row, h in zip(rows, heat)]
+    ) + "\n")
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "seed": 2, "out_dir": str(out), "counties": [str(path)],
+        "cv": {"k": 3, "forest_grid": {"n_trees": [5], "max_depth": [3]},
+               "gbt_grid": {"n_rounds": [2], "max_depth": [2], "learning_rate": [0.3],
+                            "l2_reg": [1.0]}},
+    }))
+    assert main(["run", "--config", str(config_path)]) == 0
+    model = forest_from_json((out / "models/big__heat__forest.json").read_text())
+    huge = model.feature_names.index("huge")
+    thresholds = [s.threshold for t in model.trees for s in iter_splits(t) if s.feature == huge]
+    assert thresholds and all(1e308 <= t < 1.5e308 for t in thresholds)
 
 
 def test_every_exported_name_resolves():
