@@ -5,9 +5,11 @@ document only, touching none of the library's accumulation code paths. The CV or
 fits every grid point from scratch, with no sharing between tree counts.
 The split oracles score one (feature, threshold) at a time in scalar floats,
 with the same operations as the column-wise kernels, so results compare bit
-for bit; the tree oracle grows a boosted tree from them node by node.
+for bit; the tree oracle grows a boosted tree from them node by node. The
+county CSV oracle reads the whole file and parses it one cell at a time.
 """
 
+import csv
 import itertools
 import json
 
@@ -15,7 +17,13 @@ import numpy as np
 
 from hazardlens.cart import Leaf, RegLeaf, RegSplit, Split, gini_impurity
 from hazardlens.metrics import confusion, f_beta
-from hazardlens.errors import NoPositives
+from hazardlens.errors import (
+    DuplicateTract,
+    MissingColumn,
+    NonNumericCell,
+    NoPositives,
+    SchemaMismatch,
+)
 from hazardlens.selection import FAMILIES, stratified_folds
 from hazardlens.seeds import child_seed
 
@@ -229,3 +237,70 @@ def subtree_counts(node):
     if isinstance(node, Leaf):
         return node.counts
     return subtree_counts(node.left) + subtree_counts(node.right)
+
+
+def load_county_whole_file(path, missing_feature_policy):
+    """(tract_ids, features, hazards) of a county CSV, with every error
+    type, message, row and column of dataset.load_county_csv: all rows read
+    first, then every cell parsed on its own, row by row, a row's feature
+    columns before its hazard columns."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise MissingColumn(f"{path}: file is empty, no header row")
+    header, rows = rows[0], rows[1:]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise SchemaMismatch(f"{path}: column {name!r} is named twice", column=name)
+    if "tract_id" not in header:
+        raise MissingColumn(f"{path}: mandatory column 'tract_id' missing")
+    tract_pos = header.index("tract_id")
+    hazard_pos = [i for i, name in enumerate(header) if name.startswith("hazard__")]
+    feature_pos = [i for i in range(len(header)) if i != tract_pos and i not in hazard_pos]
+    strict = missing_feature_policy == "error"
+    features = np.empty((len(rows), len(feature_pos)))
+    hazards = np.empty((len(rows), len(hazard_pos)))
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise MissingColumn(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
+        for out, positions, blank_is_bad in ((features, feature_pos, strict), (hazards, hazard_pos, False)):
+            for j, pos in enumerate(positions):
+                raw, name = row[pos].strip(), header[pos]
+                if not raw:
+                    if blank_is_bad:
+                        raise NonNumericCell(
+                            f"empty feature cell at row {r}, column {name!r} "
+                            "(strict missing-value policy)", row=r, column=name,
+                        )
+                    out[r, j] = float("nan")
+                    continue
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise NonNumericCell(
+                        f"cell {raw!r} at row {r}, column {name!r} is not numeric",
+                        row=r, column=name,
+                    ) from None
+                if not np.isfinite(value):
+                    raise NonNumericCell(
+                        f"cell {raw!r} at row {r}, column {name!r} is not finite",
+                        row=r, column=name,
+                    )
+                out[r, j] = value
+    tract_ids = [row[tract_pos] for row in rows]
+    for i, tract in enumerate(tract_ids):
+        if tract in tract_ids[:i]:
+            raise DuplicateTract(f"{path}: tract_id {tract!r} appears more than once")
+    for j, pos in enumerate(feature_pos):
+        column = features[:, j]
+        blank = np.isnan(column)
+        if blank.any():
+            if blank.all():
+                raise NonNumericCell(
+                    f"feature column {header[pos]!r} has no values to impute from",
+                    column=header[pos],
+                )
+            column[blank] = float(np.median(column[~blank]))
+    return tuple(tract_ids), features, {
+        header[pos][len("hazard__"):]: hazards[:, j].copy() for j, pos in enumerate(hazard_pos)
+    }

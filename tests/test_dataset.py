@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hazardlens import dataset as dataset_module
 from hazardlens.dataset import (
+    BLOCK_ROWS,
     HIGH,
     LOW,
     CountyDataset,
@@ -17,12 +22,15 @@ from hazardlens.errors import (
     DegenerateLabels,
     DuplicateTract,
     HazardAbsent,
+    HazardLensError,
     MissingColumn,
     NoEntries,
     NonFiniteValue,
     NonNumericCell,
     SchemaMismatch,
 )
+
+from oracles import load_county_whole_file
 
 
 def write_csv(path, text):
@@ -237,6 +245,121 @@ def test_csv_round_trip_is_byte_stable(tmp_path, rng):
     assert first.read_bytes() == second.read_bytes()
     np.testing.assert_array_equal(ds.features, reloaded.features)
     np.testing.assert_array_equal(ds.hazards["heat"], reloaded.hazards["heat"])
+
+
+# the first and last data row of every block a generated file can have
+BLOCK_EDGES = [r for k in range(4) for r in (k * BLOCK_ROWS - 1, k * BLOCK_ROWS) if r >= 0]
+DEFECTS = ("non_numeric", "inf", "nan", "blank_strict", "short", "long")
+
+
+def _number(gen) -> str:
+    value = float(gen.normal() * 10.0 ** gen.integers(-3, 4))
+    text = [repr(value), f"{value:.3g}", str(int(value)), f"{value:e}"][gen.integers(4)]
+    return " " * gen.integers(3) + text + " " * gen.integers(3)
+
+
+@st.composite
+def county_texts(draw):
+    """(CSV text, missing-feature policy) of 0 to 3 blocks + 5 rows, with
+    padded numbers, blank hazard cells, blank features under impute_median,
+    and at most one defect, often on the first or last row of a block."""
+    n_rows = draw(st.sampled_from([0, *BLOCK_EDGES, 3 * BLOCK_ROWS + 5])
+                  | st.integers(0, 3 * BLOCK_ROWS + 5))
+    defect = draw(st.none() | st.sampled_from(DEFECTS)) if n_rows else None
+    policy = "error" if defect == "blank_strict" else draw(
+        st.sampled_from(["error", "impute_median"])
+    )
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = ["tract_id", *(f"f{j}" for j in range(gen.integers(2, 5))),
+             *(f"hazard__h{k}" for k in range(gen.integers(1, 3)))]
+    header = [names[i] for i in gen.permutation(len(names))]
+    rows = []
+    for r in range(n_rows):
+        row = []
+        for name in header:
+            blank_rate = 0.1 if name.startswith("hazard__") else 0.05 * (policy != "error")
+            if name == "tract_id":
+                row.append(f"t{r}")
+            elif gen.random() < blank_rate:
+                row.append(" " * gen.integers(2))
+            else:
+                row.append(_number(gen))
+        rows.append(row)
+    if defect is not None:
+        r = draw(st.sampled_from([e for e in BLOCK_EDGES if e < n_rows] + [n_rows - 1])
+                 | st.integers(0, n_rows - 1))
+        if defect == "short":
+            rows[r].pop()
+        elif defect == "long":
+            rows[r].append("1.0")
+        else:
+            numeric = [i for i, name in enumerate(header) if name != "tract_id"]
+            if defect == "blank_strict":
+                numeric = [i for i in numeric if not header[i].startswith("hazard__")]
+            rows[r][draw(st.sampled_from(numeric))] = draw(st.sampled_from({
+                "non_numeric": ["N/A", "1.2.3", "x"],
+                "inf": ["inf", " -Infinity ", "1e999"],
+                "nan": ["nan", " NaN"],
+                "blank_strict": ["", "  "],
+            }[defect]))
+    return "".join(",".join(row) + "\n" for row in [header, *rows]), policy
+
+
+def _outcome(load):
+    try:
+        return load()
+    except HazardLensError as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=county_texts())
+def test_block_parse_matches_the_whole_file_parse(tmp_path, case):
+    text, policy = case
+    path = write_csv(tmp_path / "c.csv", text)
+    expected = _outcome(lambda: load_county_whole_file(str(path), policy))
+    got = _outcome(lambda: load_county_csv(path, missing_feature_policy=policy))
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        for attr in ("row", "column"):
+            assert getattr(got, attr, None) == getattr(expected, attr, None)
+        return
+    tract_ids, features, hazards = expected
+    assert not isinstance(got, Exception), got
+    assert got.tract_ids == tract_ids
+    assert got.features.shape == features.shape
+    assert got.features.tobytes() == features.tobytes()
+    assert sorted(got.hazards) == sorted(hazards)
+    for hazard, values in hazards.items():
+        assert got.hazards[hazard].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("row", [BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS])
+def test_a_bad_cell_in_a_later_block_reports_its_file_row(tmp_path, row):
+    lines = ["tract_id,a,b"] + [f"t{r},{r}.5,1" for r in range(2 * BLOCK_ROWS + 3)]
+    lines[row + 1] = f"t{row},oops,1"
+    with pytest.raises(NonNumericCell, match=f"'oops' at row {row}, column 'a'") as err:
+        load_county_csv(write_csv(tmp_path / "c.csv", "\n".join(lines) + "\n"))
+    assert (err.value.row, err.value.column) == (row, "a")
+
+
+def test_loading_a_county_peaks_below_four_times_its_arrays(tmp_path):
+    # whole-file parsing kept every cell alive as a str: 11.5x the arrays
+    gen = np.random.default_rng(3)
+    names = ["tract_id", *(f"f{j:02d}" for j in range(33)), "hazard__heat", "hazard__flood"]
+    lines = [",".join(names)]
+    lines += [f"t{r:04d}," + ",".join(map(repr, gen.normal(size=35).tolist())) for r in range(1500)]
+    path = write_csv(tmp_path / "big.csv", "\n".join(lines) + "\n")
+    load_county_csv(path)  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        ds = load_county_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = ds.features.nbytes + sum(values.nbytes for values in ds.hazards.values())
+    assert ds.n == 1500 and len(names) == 36
+    assert peak < 4 * arrays, peak / arrays
 
 
 def make_county(county_id, names, features, hazards=None, tract_ids=None):

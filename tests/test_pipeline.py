@@ -380,6 +380,133 @@ def test_cli_csv_naming_a_column_twice_rejected_before_anything_is_written(tmp_p
     assert not out.exists()
 
 
+def damage_county(path, damage):
+    """Put one 0xff byte, or one cell past the csv module's field limit, into
+    the last row of a county CSV."""
+    *head, last = path.read_bytes().splitlines()
+    if damage == "undecodable":
+        last = last.replace(b".", b"\xff", 1)
+    else:
+        tract, _, rest = last.partition(b",")
+        last = tract + b"," + b"1" * (csv.field_size_limit() + 1) + b"," + rest.partition(b",")[2]
+    path.write_bytes(b"\n".join([*head, last]) + b"\n")
+    return path
+
+
+@pytest.mark.parametrize("damage", ["undecodable", "oversized"])
+def test_cli_unreadable_county_csv_rejected_before_anything_is_written(tmp_path, capsys, damage):
+    other = county_csv(tmp_path / "other.csv", seed=3)
+    path = damage_county(county_csv(tmp_path / "ash.csv", seed=1), damage)
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {"seed": 1, "out_dir": str(out), "counties": [str(path), str(other)]}
+    ))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"cannot read county file {path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["undecodable", "oversized"])
+def test_cli_transfer_on_a_run_whose_county_csv_became_unreadable_fails_cleanly(
+    tmp_path, capsys, damage
+):
+    good = county_csv(tmp_path / "good.csv", seed=1)
+    other = county_csv(tmp_path / "other.csv", seed=3)
+    out = tmp_path / "out"
+    run(RunConfig(
+        seed=4,
+        out_dir=str(out),
+        county_files=[str(good), str(other)],
+        forest_grid={"n_trees": [5], "max_depth": [3]},
+        families=["forest"],
+        cv_k=3,
+    ))
+    damage_county(other, damage)
+    capsys.readouterr()
+    assert main(["transfer", "--run", str(out)]) == 2
+    assert f"cannot read county file {other}: " in capsys.readouterr().err
+    assert not (out / "transfer_recomputed").exists()
+
+
+FUZZ_COLUMN_KINDS = ("normal", "constant", "tied", "huge", "subnormal", "blank", "empty", "padded")
+
+
+def _fuzz_cell(kind, gen) -> str:
+    if kind == "constant":
+        return "2.5"
+    if kind == "tied":
+        return repr(float(gen.integers(3)))
+    if kind == "huge":
+        return repr(float(gen.choice([-1.7e308, -1e308, 1e308, 1.5e308])))
+    if kind == "subnormal":
+        return repr(float(gen.choice([0.0, 5e-324, 1e-320, 2.5e-310, -1e-315])))
+    if kind == "empty" or (kind == "blank" and gen.random() < 0.3):
+        return " " * gen.integers(2)
+    value = repr(float(gen.normal()))
+    return f" {value}  " if kind == "padded" else value
+
+
+@st.composite
+def csv_studies(draw):
+    """Two county CSV texts (40-80 tracts, 3-6 features of the kinds above,
+    one or two hazards), a missing-feature policy, and at times damage that
+    makes one county unreadable."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(FUZZ_COLUMN_KINDS), min_size=3, max_size=6))
+    hazards = ["heat", "flood"][: draw(st.integers(1, 2))]
+    header = ["tract_id", *(f"x{j}" for j in range(len(kinds))),
+              *(f"hazard__{h}" for h in hazards)]
+    counties = {}
+    for county in ("ash", "oak"):
+        lines = [",".join(header)]
+        for t in range(draw(st.integers(40, 80))):
+            cells = [_fuzz_cell(kind, gen) for kind in kinds]
+            cells += ["" if gen.random() < 0.1 else _fuzz_cell("padded", gen) for _ in hazards]
+            lines.append(",".join([f"{county}-{t}", *cells]))
+        counties[county] = "\n".join(lines) + "\n"
+    policy = draw(st.sampled_from(["error", "impute_median"]))
+    damage = draw(st.sampled_from([None, None, None, "undecodable", "oversized"]))
+    return counties, policy, damage
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(study=csv_studies())
+def test_cli_run_over_generated_csv_studies_exits_0_or_2(tmp_path_factory, study):
+    # 0 with the same manifest at workers 1 and 2, or 2 with nothing written;
+    # never a traceback
+    counties, policy, damage = study
+    base = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for county, text in counties.items():
+        paths.append(base / f"{county}.csv")
+        paths[-1].write_text(text, "utf-8")
+    if damage:
+        damage_county(paths[0], damage)
+    codes, manifests = [], []
+    for workers in (1, 2):
+        out = base / f"w{workers}"
+        config_path = base / f"config{workers}.json"
+        config_path.write_text(json.dumps({
+            "seed": 3, "out_dir": str(out), "workers": workers,
+            "counties": [str(p) for p in paths], "missing_feature_policy": policy,
+            "cv": {"k": 2, "forest_grid": {"n_trees": [3], "max_depth": [3]},
+                   "gbt_grid": {"n_rounds": [2], "max_depth": [2],
+                                "learning_rate": [0.3], "l2_reg": [1.0]}},
+        }))
+        codes.append(main(["run", "--config", str(config_path)]))
+        if codes[-1] == 2:
+            assert not out.exists()
+        else:
+            manifests.append((out / "manifest.json").read_bytes())
+    assert codes in ([0, 0], [2, 2])
+    assert len(set(manifests)) <= 1
+    if damage:
+        assert codes == [2, 2]
+
+
 @pytest.mark.parametrize("command", ["transfer", "importance"])
 def test_cli_recompute_missing_run_fails_cleanly(tmp_path, command):
     missing = tmp_path / "missing"
@@ -1215,6 +1342,83 @@ def test_run_on_a_column_near_the_float_limit(tmp_path):
     huge = model.feature_names.index("huge")
     thresholds = [s.threshold for t in model.trees for s in iter_splits(t) if s.feature == huge]
     assert thresholds and all(1e308 <= t < 1.5e308 for t in thresholds)
+
+
+def write_pinned_csv_study(base):
+    """Two county CSVs of more than one loader block each (150 and 140 rows,
+    4 features, 2 hazards with some blank cells) and a feature groups file,
+    at paths relative to base."""
+    gen = np.random.default_rng(20240808)
+    (base / "inputs").mkdir()
+    for county, n in (("ash", 150), ("oak", 140)):
+        x = gen.normal(size=(n, 4))
+        heat = x[:, 0] + 0.5 * x[:, 1] + 0.3 * gen.normal(size=n)
+        flood = x[:, 2] - x[:, 3] + 0.3 * gen.normal(size=n)
+        lines = ["tract_id,fa,fb,fc,fd,hazard__heat,hazard__flood"]
+        for i in range(n):
+            hazards = ["" if gen.random() < 0.05 else repr(float(v)) for v in (heat[i], flood[i])]
+            lines.append(",".join([f"{county}-{i:03d}", *map(repr, x[i].tolist()), *hazards]))
+        (base / "inputs" / f"{county}.csv").write_text("\n".join(lines) + "\n")
+    (base / "inputs" / "groups.json").write_text(
+        json.dumps({"fa": "climate", "fb": "climate", "fc": "built", "fd": "built"})
+    )
+
+
+# sha256 of the pinned CSV study's manifest.json and of every file its
+# recompute commands write (numpy 2.4.6); a declared byte change re-records them
+PINNED_CSV_STUDY_SHA256 = {
+    "manifest.json":
+        "927d92bf543dfb98fd0f5e5fed7671c0fc715b88deb3c8907d2b328e3cfe03f7",
+    "transfer_recomputed/cross_county_flood.csv":
+        "bd8571eaa3dcf2bc5349c8c8709058a32832698835025dc15e783ac848fd0e22",
+    "transfer_recomputed/cross_county_flood.svg":
+        "18e28fe7bf6611a293db74f489e9f7e10b600de8e1a35fc2c1aa94b916ac5eb1",
+    "transfer_recomputed/cross_county_heat.csv":
+        "667e46b76f2f497467e0928088b7a005a2c3ab36a502744d14a6440a38b6744c",
+    "transfer_recomputed/cross_county_heat.svg":
+        "ff4ed585c2736e7b5d127c0c20ad699787e82daa0682784bf8baf34a90e68af6",
+    "transfer_recomputed/cross_hazard_ash.csv":
+        "4dab5bd2ccc528c7e1158cf3f543b7b5c6925ac43d266d6607ea9fe43cfd453e",
+    "transfer_recomputed/cross_hazard_ash.svg":
+        "e30773cf2e841d094d2c365af7721af26fc96c774a5c3d1f6d3db69b9a7fa402",
+    "transfer_recomputed/cross_hazard_oak.csv":
+        "75a615093c638cc5aaf5377ecfa07e6ca42fbc22f349acae18f4164ccb7b1e09",
+    "transfer_recomputed/cross_hazard_oak.svg":
+        "2f36c139472f7de63b1f0c33768d55edd22dda59048c3c6e0de3cbaf0d5cc7df",
+    "importance_recomputed/feature_group_rollup.csv":
+        "70c3dc2f27531ed3a612a8b3e95dabf30ac965889d5b58d6a3cfea77a112715a",
+    "importance_recomputed/importance_flood.csv":
+        "478dd7fa8c602a31c2756fd664f256b2b6ba4233a4956f457e4b35b824c9fb53",
+    "importance_recomputed/importance_heat.csv":
+        "1003783ea3bcaf497ef1279c4c94e7fda999b0f019a4bc525396a75395e7b1e4",
+    "importance_recomputed/overall_importance_flood.csv":
+        "8146ec7937978cdedce8632977cff167333cc9e42adc6194abf20a3458b039ed",
+    "importance_recomputed/overall_importance_heat.csv":
+        "25695d4df82f94ca20fc5998cfe5006e91d2415bf061db7e1bb510714312d151",
+}
+
+
+def test_pinned_csv_study_keeps_its_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the summary echoes the county paths
+    write_pinned_csv_study(tmp_path)
+    Path("config.json").write_text(json.dumps({
+        "seed": 11, "out_dir": "out", "workers": 1,
+        "counties": ["inputs/ash.csv", "inputs/oak.csv"],
+        "feature_groups": "inputs/groups.json",
+        "cv": {"k": 3, "forest_grid": {"n_trees": [4, 8], "max_depth": [3, None]},
+               "gbt_grid": {"n_rounds": [3], "max_depth": [2], "learning_rate": [0.3],
+                            "l2_reg": [1.0]}},
+        "top_k": 3,
+    }))
+    assert main(["run", "--config", "config.json"]) == 0
+    assert main(["transfer", "--run", "out"]) == 0
+    assert main(["importance", "--run", "out"]) == 0
+    out = tmp_path / "out"
+    digests = {"manifest.json": file_sha256(out / "manifest.json")}
+    for recomputed in ("transfer_recomputed", "importance_recomputed"):
+        for path in sorted((out / recomputed).iterdir()):
+            digests[f"{recomputed}/{path.name}"] = file_sha256(path)
+    assert digests == PINNED_CSV_STUDY_SHA256
 
 
 def test_every_exported_name_resolves():
