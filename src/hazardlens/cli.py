@@ -22,7 +22,7 @@ from .pipeline import (
     load_run_config,
     load_run_models,
     load_run_summary,
-    pair_importance,
+    importance_vectors,
     publish,
     rebuild_eval_splits,
     run,
@@ -34,7 +34,7 @@ from .pipeline import (
 )
 
 # Not called here: the recompute commands reach them through pipeline's
-# writers. perfbench/spans.py wraps these names in this module as well as in
+# functions. perfbench/spans.py wraps these names in this module as well as in
 # pipeline, so they stay bound.
 from .importance import forest_importance  # noqa: F401
 from .transfer import cross_county, cross_hazard  # noqa: F401
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     if args.config:
         try:
-            raw = json.loads(Path(args.config).read_text("utf-8"))
+            raw = json.loads(Path(args.config).read_text("utf-8-sig"))
         except (OSError, ValueError) as exc:
             raise InvalidConfig(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(raw, dict):
@@ -151,18 +151,12 @@ def _cmd_importance(args) -> int:
     out = Path(args.out) if args.out else run_dir / "importance_recomputed"
     mode = args.mode or config.importance_mode
     _, groups = study_inputs(config, run_dir)
-    vectors = {}
-    skipped = False
     models = load_run_models(run_dir, summary, "forest") if "forest" in config.families else {}
-    for (county, hazard), model in sorted(models.items()):
-        vector, note = pair_importance(model, mode)
-        if vector is None:
-            skipped = True
-            print(f"skipping {county}/{hazard}: {note}", file=sys.stderr)
-        else:
-            vectors.setdefault(hazard, {})[county] = vector
+    vectors, notes = importance_vectors(models, mode)
+    for (county, hazard), note in sorted(notes.items()):
+        print(f"skipping {county}/{hazard}: {note}", file=sys.stderr)
     _publish(out, lambda stage: write_importance(stage, vectors, config.top_k, groups))
-    return EXIT_PARTIAL if skipped else EXIT_OK
+    return EXIT_PARTIAL if notes else EXIT_OK
 
 
 def main(argv=None) -> int:

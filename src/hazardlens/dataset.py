@@ -164,7 +164,10 @@ def binarize(exposure) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NonFiniteValue(f"non-finite exposure at row {bad}")
-    threshold = float(np.mean(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        threshold = float(np.mean(values))
+    if not np.isfinite(threshold):  # the sum overflowed: scale before summing
+        threshold = float(np.sum(values / values.size))
     labels = np.where(values > threshold, HIGH, LOW).astype(np.int64)
     return labels, threshold
 
@@ -278,8 +281,8 @@ def load_county_csv(path, missing_feature_policy: str = "error") -> CountyDatase
     column twice is a SchemaMismatch. Empty hazard cells mean "no exposure
     recorded". Empty feature cells are an error under the default strict
     policy; the opt-in "impute_median" policy fills them with the column
-    median instead. A file that is not UTF-8 or that the csv module cannot
-    split is an InvalidConfig naming it.
+    median instead. A file that is not UTF-8 (a leading byte-order mark is
+    skipped) or that the csv module cannot split is an InvalidConfig naming it.
 
     Data rows are parsed in blocks of BLOCK_ROWS, so only one block's cells
     are alive as strings at a time.
@@ -291,7 +294,7 @@ def load_county_csv(path, missing_feature_policy: str = "error") -> CountyDatase
         raise ValueError(f"unknown missing feature policy {missing_feature_policy!r}")
 
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)

@@ -36,8 +36,6 @@ FOREST_VERSION = 1
 class ForestModel:
     trees: list[TreeNode]
     params: TreeParams
-    n_trees: int
-    bootstrap: bool  # always True; model JSON v1 records it
     seed: int
     feature_names: tuple[str, ...]
 
@@ -104,8 +102,6 @@ def train_forest(
     return ForestModel(
         trees=trees,
         params=params,
-        n_trees=n_trees,
-        bootstrap=True,
         seed=seed,
         feature_names=data.schema.feature_names,
     )
@@ -119,7 +115,6 @@ def _reusable_trees(
     limit = deeper.params.max_depth
     if (
         deeper.seed != seed
-        or not deeper.bootstrap
         or replace(deeper.params, max_depth=params.max_depth) != params
         or (limit is not None and (params.max_depth is None or limit < params.max_depth))
     ):
@@ -162,17 +157,17 @@ def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
 def forest_to_json(model: ForestModel) -> str:
     return write_model(
         FOREST_FORMAT, FOREST_VERSION, model, "trees", model.trees,
-        bootstrap=bool(model.bootstrap), n_trees=int(model.n_trees),
+        bootstrap=True, n_trees=len(model.trees),  # what model JSON v1 records
     )
 
 
 def forest_from_json(text: str) -> ForestModel:
     payload = read_model(text, FOREST_FORMAT, "trees", Leaf, Split)
+    if payload["bootstrap"] is not True or payload["n_trees"] != len(payload["trees"]):
+        raise ValueError("a forest file must record bootstrap true and n_trees = its tree count")
     return ForestModel(
         trees=payload["trees"],
         params=TreeParams(**payload["params"]),
-        n_trees=payload["n_trees"],
-        bootstrap=payload["bootstrap"],
         seed=payload["seed"],
         feature_names=tuple(payload["feature_names"]),
     )

@@ -5,24 +5,24 @@
 1. `_prepare_datasets`: generate a synth study's scenario with
    `write_scenario`, then load the county CSVs that `study_inputs` names;
 2. `_train`: one unit per (county, hazard, model family) - split, CV,
-   refit, test metrics, forest importance and the model's JSON text -
-   inline or in a process pool;
+   refit, test metrics, the model's JSON text and the pair's transfer
+   evaluation set - inline or in a process pool;
 3. `_write_models`: the model texts of every pair whose families all
    succeeded, into `models/`;
 4. `_write_reports`: performance table, metric CSVs, model comparison,
    dispersion and the CV audit table;
-5. `write_importance`: per-county importance and cross-county rankings;
+5. `importance_vectors`, `write_importance`: forest importance, rankings;
 6. `write_transfer`: cross-county and cross-hazard transfer matrices;
 7. `_write_summary`, then the manifest: every file of the run's stage.
 
-`write_scenario`, `write_importance` and `write_transfer` are also the whole
-implementation of the CLI's `synth`, `importance` and `transfer` commands,
-which recompute from a finished run's `models/` (`load_run_models`), its
-feature groups (`study_inputs`) and its re-derived evaluation splits
-(`rebuild_eval_splits`). `study_inputs` is the one place that maps a config
-to its county CSVs and groups, for `run` and recompute alike. Unit seeds
-derive from (master seed, county, hazard), so any worker count produces
-byte-identical output for the same seed.
+`write_scenario`, `importance_vectors`, `write_importance` and
+`write_transfer` are also the whole implementation of the CLI's `synth`,
+`importance` and `transfer` commands, which recompute from a finished run's
+`models/` (`load_run_models`), its feature groups (`study_inputs`) and its
+re-derived evaluation splits (`rebuild_eval_splits`). `study_inputs` is the
+one place that maps a config to its county CSVs and groups, for `run` and
+recompute alike. Unit seeds derive from (master seed, county, hazard), so
+any worker count produces byte-identical output for the same seed.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def read_feature_groups(path) -> dict[str, str]:
     if not path.is_file():
         raise InvalidConfig(f"feature groups file not found: {path}")
     try:
-        groups = json.loads(path.read_text("utf-8"))
+        groups = json.loads(path.read_text("utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"cannot read feature groups {path}: {exc}") from None
     if not isinstance(groups, dict) or not all(
@@ -429,8 +429,6 @@ class FamilyOutcome:
     cells: tuple[int, int, int, int]  # tp, fp, fn, tn
     model: object  # ForestModel or BoostedModel
     model_json: str  # the model's file, serialized by the unit that trained it
-    importance: ImportanceVector | None = None  # normalized; forest only
-    importance_note: str | None = None  # why a forest has no importance
 
 
 @dataclass
@@ -440,7 +438,7 @@ class JobResult:
     train_n: int
     test_n: int
     outcomes: dict[str, FamilyOutcome]
-    test: LabeledDataset
+    evaluation: LabeledDataset  # the test split, or the whole labeled pair under eval_on "full"
 
 
 def _pair_split(labeled: LabeledDataset, config: RunConfig, job_seed: int):
@@ -452,14 +450,6 @@ def _pair_split(labeled: LabeledDataset, config: RunConfig, job_seed: int):
             seed=child_seed(job_seed, "split"),
         ),
     )
-
-
-def pair_importance(model, mode: str) -> tuple[ImportanceVector | None, str | None]:
-    """Normalized forest importance, or None and why it cannot be normalized."""
-    try:
-        return normalize(forest_importance(model, mode)), None
-    except AllZeroImportance as exc:
-        return None, str(exc)
 
 
 def execute_job(
@@ -479,9 +469,6 @@ def execute_job(
     train_fn, predict_fn, _ = FAMILIES[family]
     model = train_fn(train, best, child_seed(job_seed, "fit", family))
     cells = confusion(test.labels, predict_fn(model, test.features))
-    importance, note = None, None
-    if family == "forest":
-        importance, note = pair_importance(model, config.importance_mode)
     # serialized in the unit, so the parent only writes the text; the names
     # are looked up per call because perfbench/spans.py replaces them
     to_json = forest_to_json if family == "forest" else gbt_to_json
@@ -499,11 +486,9 @@ def execute_job(
                 cells=(cells.tp, cells.fp, cells.fn, cells.tn),
                 model=model,
                 model_json=to_json(model),
-                importance=importance,
-                importance_note=note,
             )
         },
-        test=test,
+        evaluation=labeled if config.transfer_eval_on == "full" else test,
     )
 
 
@@ -662,6 +647,21 @@ def _write_reports(reports_dir: Path, config: RunConfig, counties, hazards, resu
 
 # -- stages 5 and 6: importance and transfer (shared with the CLI) ---------------
 
+def importance_vectors(forests: dict[tuple[str, str], object], mode: str) -> tuple[dict, dict]:
+    """Normalized importance of forests keyed (county, hazard), as hazard ->
+    county -> vector in that order, and by pair the AllZeroImportance text
+    of each forest left out."""
+    vectors, notes = {}, {}
+    for county, hazard in sorted(forests, key=lambda pair: pair[::-1]):
+        try:
+            vector = normalize(forest_importance(forests[county, hazard], mode))
+        except AllZeroImportance as exc:
+            notes[county, hazard] = str(exc)
+        else:
+            vectors.setdefault(hazard, {})[county] = vector
+    return vectors, notes
+
+
 def write_importance(
     out_dir: Path,
     vectors: dict[str, dict[str, ImportanceVector]],
@@ -746,6 +746,7 @@ def _write_summary(
     path: Path,
     config: RunConfig,
     report: RunReport,
+    notes: dict[tuple[str, str], str],
     overall_by_hazard: dict[str, OverallImportance],
     matrices: list[TransferMatrix],
 ) -> None:
@@ -767,9 +768,7 @@ def _write_summary(
                 "threshold": res.threshold,
                 "train_n": res.train_n,
                 "test_n": res.test_n,
-                "importance_note": (
-                    res.outcomes["forest"].importance_note if "forest" in res.outcomes else None
-                ),
+                "importance_note": notes.get((county, hazard)),
                 "families": {
                     family: {
                         "best_params": outcome.best_params,
@@ -876,22 +875,15 @@ def _run_stages(config: RunConfig, out_dir: Path) -> RunReport:
     )
 
     # importance (forest) and transfer (canonical family) from the trained models
-    vectors: dict[str, dict[str, ImportanceVector]] = {}
-    for (county, hazard), res in results.items():
-        forest = res.outcomes.get("forest")
-        if forest is not None and forest.importance is not None:
-            vectors.setdefault(hazard, {})[county] = forest.importance
+    forests = {key: res.outcomes["forest"].model for key, res in results.items()
+               if "forest" in res.outcomes}
+    vectors, notes = importance_vectors(forests, config.importance_mode)
     overall_by_hazard = write_importance(out_dir / "reports", vectors, config.top_k, groups)
     canonical = canonical_family(config.families)
-    if config.transfer_eval_on == "full":
-        by_county = {d.county_id: d for d in datasets}
-        evals = {key: make_labeled(by_county[key[0]], key[1]) for key in results}
-    else:
-        evals = {key: res.test for key, res in results.items()}
     matrices = write_transfer(
         out_dir / "transfer",
         {key: res.outcomes[canonical].model for key, res in results.items()},
-        evals,
+        {key: res.evaluation for key, res in results.items()},
         counties,
         hazards,
         config.policy,
@@ -910,7 +902,7 @@ def _run_stages(config: RunConfig, out_dir: Path) -> RunReport:
         dispersion=dispersion,
         manifest={},
     )
-    _write_summary(out_dir / "summary.json", config, report, overall_by_hazard, matrices)
+    _write_summary(out_dir / "summary.json", config, report, notes, overall_by_hazard, matrices)
     report.manifest = {rel: rpt.file_sha256(out_dir / rel) for rel in _listing(out_dir)}
     _write_json(out_dir / "manifest.json", report.manifest)
     return report

@@ -32,8 +32,7 @@ model = boosting.BoostedModel(
     stages=[stage], params=params, base_score=0.0, seed=0, feature_names=("f0",)
 )
 trees = forest.ForestModel(
-    trees=[tree, tree, tree], params=cart.TreeParams(), n_trees=3, bootstrap=False,
-    seed=0, feature_names=("f0",),
+    trees=[tree, tree, tree], params=cart.TreeParams(), seed=0, feature_names=("f0",),
 )
 labels = transfer.predict_forest(trees, X).tolist()
 predicted = [s[5] for s in tracer.spans if s[2] == "forest.predict"]

@@ -375,10 +375,7 @@ def test_trees_values_sends_ties_and_minus_inf_left_nan_and_inf_right():
 def test_staged_predictions_equal_running_sums(trees, stages, rows, base, lr):
     X = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
     names = ("a", "b", "c")
-    forest = ForestModel(
-        trees=trees, params=TreeParams(), n_trees=len(trees), bootstrap=False, seed=0,
-        feature_names=names,
-    )
+    forest = ForestModel(trees=trees, params=TreeParams(), seed=0, feature_names=names)
     staged = staged_proba_forest(forest, X)
     assert staged.shape == (len(trees), len(rows))
     acc = np.zeros(len(rows))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ def test_binarize_errors():
         binarize([1.0, float("nan"), 2.0])
     with pytest.raises(NonFiniteValue):
         binarize([1.0, float("inf")])
+
+
+@pytest.mark.parametrize(
+    "values", [[1e308, 1e308, -1e308, -1e308], [1.7e308, -1e308, 1.5e308, -1.7e308, 1e308]]
+)
+def test_binarize_near_the_float_limit_splits_at_a_finite_mean(values):
+    # the plain mean's sum overflows: its threshold was inf or nan, and
+    # every label low
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        labels, threshold = binarize(values)
+    assert np.isfinite(threshold)
+    assert labels.tolist() == [HIGH if v > 0.0 else LOW for v in values]
 
 
 def test_binarize_scale_covariance(rng):

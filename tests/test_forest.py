@@ -96,10 +96,7 @@ def test_parallel_equals_sequential_tree_streams(rng):
 def stub_forest(leaf_probs):
     trees = [Leaf(counts=np.array([int(10 * (1 - p)), int(10 * p)]), n=10)
              for p in leaf_probs]
-    return ForestModel(
-        trees=trees, params=TreeParams(), n_trees=len(trees),
-        bootstrap=False, seed=0, feature_names=("a", "b"),
-    )
+    return ForestModel(trees=trees, params=TreeParams(), seed=0, feature_names=("a", "b"))
 
 
 def test_predict_unanimous_and_mean():
@@ -161,7 +158,7 @@ def test_forest_json_golden():
     model = ForestModel(
         trees=[tree, Leaf(counts=np.array([2, 2]), n=4)],
         params=TreeParams(max_depth=3, features_per_split=1),
-        n_trees=2, bootstrap=True, seed=7, feature_names=("fa", "fb"),
+        seed=7, feature_names=("fa", "fb"),
     )
     assert forest_to_json(model) == FOREST_GOLDEN
     assert forest_to_json(forest_from_json(FOREST_GOLDEN)) == FOREST_GOLDEN

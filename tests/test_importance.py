@@ -24,6 +24,7 @@ from hazardlens.importance import (
     overall_importance,
     rank_features,
 )
+from hazardlens.pipeline import importance_vectors
 
 
 def stump(feature, gain_counts=((4, 0), (0, 4))):
@@ -52,12 +53,37 @@ def vector(values):
     return ImportanceVector(feature_names=names, values=np.asarray(values, float))
 
 
+def test_importance_vectors_note_each_forest_without_importance():
+    def forest(*trees):
+        return ForestModel(
+            trees=list(trees), params=TreeParams(), seed=0, feature_names=("a", "b", "c", "d")
+        )
+
+    forests = {
+        ("oak", "heat"): forest(stump(1)),
+        ("ash", "heat"): forest(stump(3), stump(0)),
+        ("ash", "flood"): forest(Leaf(counts=np.array([2, 2]), n=4)),  # no split
+        ("yew", "air"): forest(stump(2)),
+        ("oak", "flood"): forest(stump(0)),
+    }
+    vectors, notes = importance_vectors(forests, WEIGHTED)
+    assert notes == {
+        ("ash", "flood"): "total importance is not positive; the model made no useful splits"
+    }
+    assert [(hazard, list(by_county)) for hazard, by_county in vectors.items()] == [
+        ("air", ["yew"]), ("flood", ["oak"]), ("heat", ["ash", "oak"])
+    ]
+    for hazard, by_county in vectors.items():
+        for county, vector in by_county.items():
+            expected = normalize(forest_importance(forests[county, hazard], WEIGHTED))
+            assert vector.feature_names == expected.feature_names
+            assert vector.values.tolist() == expected.values.tolist()
+
+
 def test_stump_forest_single_feature():
     model = ForestModel(
         trees=[stump(3) for _ in range(4)],
         params=TreeParams(),
-        n_trees=4,
-        bootstrap=False,
         seed=0,
         feature_names=("a", "b", "c", "d", "e"),
     )

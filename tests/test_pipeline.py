@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -139,7 +141,7 @@ def test_never_trains_on_test_rows(tiny_run):
         )
         assert set(train.tract_ids).isdisjoint(test.tract_ids)
         assert sorted(train.tract_ids + test.tract_ids) == sorted(labeled.tract_ids)
-        assert test.tract_ids == res.test.tract_ids
+        assert test.tract_ids == res.evaluation.tract_ids
 
 
 def test_compare_models_matches_metric_csv(tiny_run):
@@ -450,11 +452,12 @@ def _fuzz_cell(kind, gen) -> str:
 @st.composite
 def csv_studies(draw):
     """Two county CSV texts (40-80 tracts, 3-6 features of the kinds above,
-    one or two hazards), a missing-feature policy, and at times damage that
-    makes one county unreadable."""
+    one or two hazards of ordinary or near-limit magnitude), a missing-feature
+    policy, and at times damage that makes one county unreadable."""
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from(FUZZ_COLUMN_KINDS), min_size=3, max_size=6))
     hazards = ["heat", "flood"][: draw(st.integers(1, 2))]
+    hazard_kinds = [draw(st.sampled_from(["padded", "huge"])) for _ in hazards]
     header = ["tract_id", *(f"x{j}" for j in range(len(kinds))),
               *(f"hazard__{h}" for h in hazards)]
     counties = {}
@@ -462,7 +465,7 @@ def csv_studies(draw):
         lines = [",".join(header)]
         for t in range(draw(st.integers(40, 80))):
             cells = [_fuzz_cell(kind, gen) for kind in kinds]
-            cells += ["" if gen.random() < 0.1 else _fuzz_cell("padded", gen) for _ in hazards]
+            cells += ["" if gen.random() < 0.1 else _fuzz_cell(kind, gen) for kind in hazard_kinds]
             lines.append(",".join([f"{county}-{t}", *cells]))
         counties[county] = "\n".join(lines) + "\n"
     policy = draw(st.sampled_from(["error", "impute_median"]))
@@ -793,6 +796,12 @@ def _drop_kind(path, nested):
     path.write_text(json.dumps(payload), "utf-8")
 
 
+def _set_field(path, key, value):
+    payload = json.loads(path.read_text("utf-8"))
+    payload[key] = value
+    path.write_text(json.dumps(payload), "utf-8")
+
+
 def _set_split_field(path, key, value):
     # in the first split tree's root; the router would read another row's
     # cell for an out-of-range feature rather than fail
@@ -812,10 +821,13 @@ def _set_split_field(path, key, value):
         lambda path: _set_split_field(path, "feature", -1),
         lambda path: _set_split_field(path, "threshold", "0.5"),
         lambda path: _set_split_field(path, "samples", True),
+        lambda path: _set_field(path, "bootstrap", False),
+        lambda path: _set_field(path, "n_trees", 99),
     ],
     ids=[
         "missing", "truncated", "tree_without_kind", "child_without_kind",
         "feature_out_of_range", "negative_feature", "string_threshold", "bool_samples",
+        "bootstrap_false", "n_trees_not_the_tree_count",
     ],
 )
 @pytest.mark.parametrize(
@@ -1342,6 +1354,79 @@ def test_run_on_a_column_near_the_float_limit(tmp_path):
     huge = model.feature_names.index("huge")
     thresholds = [s.threshold for t in model.trees for s in iter_splits(t) if s.feature == huge]
     assert thresholds and all(1e308 <= t < 1.5e308 for t in thresholds)
+
+
+def _small_csv_run_config(**settings) -> str:
+    return json.dumps({
+        "seed": 4,
+        "cv": {"k": 2, "forest_grid": {"n_trees": [3], "max_depth": [3]},
+               "gbt_grid": {"n_rounds": [2], "max_depth": [2], "learning_rate": [0.3],
+                            "l2_reg": [1.0]}},
+        **settings,
+    })
+
+
+@pytest.mark.parametrize("bom_file", ["ash.csv", "groups.json", "config.json"])
+def test_inputs_saved_with_a_byte_order_mark_read_as_without(tmp_path, monkeypatch, bom_file):
+    # spreadsheet programs and some editors start a file with one; it named
+    # the first column '\ufefftract_id' and made the JSON files unreadable
+    monkeypatch.chdir(tmp_path)
+    county_csv(Path("ash.csv"), seed=1)
+    county_csv(Path("oak.csv"), seed=3)
+    Path("groups.json").write_text(json.dumps({"fa": "g", "fb": "g", "fc": "h"}), "utf-8")
+    Path("config.json").write_text(_small_csv_run_config(
+        counties=["ash.csv", "oak.csv"], feature_groups="groups.json"
+    ), "utf-8")
+    assert main(["run", "--config", "config.json", "--out", "plain"]) == 0
+    Path(bom_file).write_text("\ufeff" + Path(bom_file).read_text("utf-8"), "utf-8")
+    assert main(["run", "--config", "config.json", "--out", "bom"]) == 0
+    assert Path("bom/manifest.json").read_bytes() == Path("plain/manifest.json").read_bytes()
+
+
+def test_a_forest_without_splits_is_noted_and_skipped_by_recompute(tmp_path, capsys):
+    good = county_csv(tmp_path / "good.csv", seed=1)
+    header, *rows = good.read_text().splitlines()
+    flat = tmp_path / "flat.csv"  # constant features: no tree can split
+    flat.write_text("\n".join(
+        [header] + [f"{row.split(',')[0]},1.0,2.0,3.0,{row.rsplit(',', 1)[1]}" for row in rows]
+    ) + "\n")
+    out = tmp_path / "out"
+    (tmp_path / "config.json").write_text(
+        _small_csv_run_config(out_dir=str(out), counties=[str(good), str(flat)])
+    )
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+    note = "total importance is not positive; the model made no useful splits"
+    pairs = json.loads((out / "summary.json").read_text())["pairs"]
+    assert [pairs[p]["importance_note"] for p in ("flat__heat", "good__heat")] == [note, None]
+    capsys.readouterr()
+    assert main(["importance", "--run", str(out)]) == 3
+    assert capsys.readouterr().err == f"skipping flat/heat: {note}\n"
+    for name in ("importance_heat.csv", "overall_importance_heat.csv"):
+        recomputed = (out / "importance_recomputed" / name).read_bytes()
+        assert recomputed == (out / "reports" / name).read_bytes()
+
+
+@pytest.mark.parametrize("eval_on", ["test", "full"])
+def test_a_pool_run_loads_no_numpy_random_in_the_parent(tmp_path, eval_on):
+    # units label and split their pairs; numpy.random in the parent, which
+    # sets the pool's peak RSS, costs about 6 MiB at its first use
+    paths = [str(county_csv(tmp_path / f"{c}.csv", seed=s)) for c, s in (("ash", 1), ("oak", 3))]
+    config = _small_csv_run_config(
+        out_dir=str(tmp_path / "out"), workers=2, counties=paths, transfer={"eval_on": eval_on}
+    )
+    probe = "import sys; {}; print('numpy.random' in sys.modules)"
+    run_it = "import json; from hazardlens.pipeline import RunConfig, run; " \
+        "run(RunConfig.from_dict(json.loads(sys.argv[1])))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    loaded = [
+        subprocess.run(
+            [sys.executable, "-c", probe.format(code), config],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for code in ("import numpy", run_it)
+    ]
+    assert loaded[1] in (loaded[0], "False\n")  # loaded only if numpy loads it itself
+    assert (tmp_path / "out" / "manifest.json").is_file()
 
 
 def write_pinned_csv_study(base):
