@@ -353,7 +353,15 @@ def load_county_csv(path, missing_feature_policy: str = "error") -> CountyDatase
                         "impute from",
                         column=feature_cols[j][0],
                     )
-                col[mask] = float(np.median(finite))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    median = np.median(finite)
+                if not np.isfinite(median):
+                    # the two middle values sum past the float limit: halve
+                    # each first, as cart.split_threshold does
+                    k = finite.size // 2
+                    a, b = np.partition(finite, (k - 1, k))[k - 1:k + 1]
+                    median = a / 2.0 + b / 2.0
+                col[mask] = median
 
     return CountyDataset(
         county_id=county_id,

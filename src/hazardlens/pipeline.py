@@ -32,7 +32,6 @@ import json
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -531,6 +530,7 @@ def _train(
         for family in families
     ]
     if config.workers > 1 and len(units) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 2 MiB: only pool runs load it
         # a fork pool starts all max_workers processes at its first submit
         with ProcessPoolExecutor(max_workers=min(config.workers, len(units))) as pool:
             done = list(pool.map(_execute_unit, units))

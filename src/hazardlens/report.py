@@ -8,7 +8,6 @@ percentages only here, at the report boundary.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import NoEntries
 from .importance import ImportanceVector, OverallImportance
 from .metrics import DispersionSummary, MetricTable
+from .seeds import sha256
 from .transfer import TransferMatrix
 
 
@@ -246,7 +246,7 @@ def write_heatmap(path, matrix: TransferMatrix) -> None:
 # -- manifest ----------------------------------------------------------------
 
 def file_sha256(path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)

@@ -231,6 +231,26 @@ def test_load_empty_feature_cell_impute_median(tmp_path):
     assert ds.features[0, 0] == 20.0  # median of 10, 30
 
 
+@pytest.mark.parametrize(
+    "cells, median",
+    [
+        (("1.5e308", "1.7e308", "", "1.6e308", "1.2e308"), 1.55e308),
+        (("-1.5e308", "-1.7e308", "", "-1.6e308", "-1.2e308"), -1.55e308),
+        (("1.7e308", "", "1.7e308"), 1.7e308),
+        (("1.0", "", "4.0", "2.0", "3.0"), 2.5),
+    ],
+)
+def test_impute_median_near_the_float_limit(tmp_path, cells, median):
+    # the mean of the two middle values overflowed: the blank filled with inf
+    # and numpy warned "overflow encountered in reduce"
+    rows = "".join(f"t{i},{cell},{i}.0\n" for i, cell in enumerate(cells))
+    path = write_csv(tmp_path / "a.csv", "tract_id,Income,Density\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = load_county_csv(path, missing_feature_policy="impute_median")
+    assert ds.features[cells.index(""), 0] == median
+
+
 def test_load_empty_hazard_cell_is_missing(tmp_path):
     path = write_csv(
         tmp_path / "a.csv",

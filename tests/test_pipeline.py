@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -431,7 +432,9 @@ def test_cli_transfer_on_a_run_whose_county_csv_became_unreadable_fails_cleanly(
     assert not (out / "transfer_recomputed").exists()
 
 
-FUZZ_COLUMN_KINDS = ("normal", "constant", "tied", "huge", "subnormal", "blank", "empty", "padded")
+FUZZ_COLUMN_KINDS = (
+    "normal", "constant", "tied", "huge", "huge_blank", "subnormal", "blank", "empty", "padded"
+)
 
 
 def _fuzz_cell(kind, gen) -> str:
@@ -439,8 +442,11 @@ def _fuzz_cell(kind, gen) -> str:
         return "2.5"
     if kind == "tied":
         return repr(float(gen.integers(3)))
-    if kind == "huge":
+    if kind == "huge" or (kind == "huge_blank" and gen.random() < 0.8):
+        # huge_blank's blanks impute the median of near-limit values
         return repr(float(gen.choice([-1.7e308, -1e308, 1e308, 1.5e308])))
+    if kind == "huge_blank":
+        return ""
     if kind == "subnormal":
         return repr(float(gen.choice([0.0, 5e-324, 1e-320, 2.5e-310, -1e-315])))
     if kind == "empty" or (kind == "blank" and gen.random() < 0.3):
@@ -479,7 +485,7 @@ def csv_studies(draw):
 @given(study=csv_studies())
 def test_cli_run_over_generated_csv_studies_exits_0_or_2(tmp_path_factory, study):
     # 0 with the same manifest at workers 1 and 2, or 2 with nothing written;
-    # never a traceback
+    # never a traceback, and no numpy overflow warning from the loader
     counties, policy, damage = study
     base = tmp_path_factory.mktemp("fuzz")
     paths = []
@@ -499,7 +505,9 @@ def test_cli_run_over_generated_csv_studies_exits_0_or_2(tmp_path_factory, study
                    "gbt_grid": {"n_rounds": [2], "max_depth": [2],
                                 "learning_rate": [0.3], "l2_reg": [1.0]}},
         }))
-        codes.append(main(["run", "--config", str(config_path)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            codes.append(main(["run", "--config", str(config_path)]))
         if codes[-1] == 2:
             assert not out.exists()
         else:
@@ -1158,7 +1166,7 @@ def test_one_pair_pool_matches_inline(tmp_path):
 def test_pool_starts_no_more_processes_than_units(tmp_path, monkeypatch):
     # a fork pool starts all max_workers processes at once, so the pool is
     # sized to the run's two units, not to workers=8
-    from hazardlens import pipeline
+    import concurrent.futures
 
     sizes = []
 
@@ -1175,7 +1183,8 @@ def test_pool_starts_no_more_processes_than_units(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InlinePool)
+    # the pool branch imports the pool class when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     report = run(one_pair_config(tmp_path / "out", workers=8))
     assert sizes == [2]
     assert not report.failures and len(report.results) == 1
@@ -1426,6 +1435,54 @@ def test_a_pool_run_loads_no_numpy_random_in_the_parent(tmp_path, eval_on):
         for code in ("import numpy", run_it)
     ]
     assert loaded[1] in (loaded[0], "False\n")  # loaded only if numpy loads it itself
+    assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+def _modules_loaded_by(code: str, *argv: str) -> set[str]:
+    """Which of OpenSSL's hashlib binding, the process-pool module and
+    numpy.random a fresh interpreter has loaded after running `code` with
+    sys.argv[1:] = argv."""
+    probe = (
+        f"import sys; {code}; print('loaded:', *(m for m in "
+        "('_hashlib', 'concurrent.futures.process', 'numpy.random') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    return set(out.splitlines()[-1].split()[1:])
+
+
+def test_importing_the_library_loads_neither_openssl_nor_the_pool_module():
+    # libcrypto adds about 3.6 MiB and the pool module about 2 MiB to the
+    # peak RSS of every process, while only training and pool runs use them
+    assert _modules_loaded_by("import hazardlens, hazardlens.cli") == set()
+
+
+@pytest.mark.parametrize(
+    "command, eval_on", [("importance", "test"), ("transfer", "full"), ("transfer", "test")]
+)
+def test_recompute_loads_neither_openssl_nor_the_pool_module(tmp_path, command, eval_on):
+    # a recompute trains nothing; only a transfer under eval_on="test"
+    # re-derives the pairs' splits, with numpy.random, which imports hashlib
+    paths = [str(county_csv(tmp_path / f"{c}.csv", seed=s)) for c, s in (("ash", 1), ("oak", 3))]
+    run(RunConfig.from_dict(json.loads(_small_csv_run_config(
+        out_dir=str(tmp_path / "out"), counties=paths, transfer={"eval_on": eval_on}
+    ))))
+    recompute = "from hazardlens.cli import main; assert main(sys.argv[1:]) == 0"
+    loaded = _modules_loaded_by(recompute, command, "--run", str(tmp_path / "out"))
+    splits = command == "transfer" and eval_on == "test"
+    assert loaded == (_modules_loaded_by("import numpy.random") if splits else set())
+    assert any((tmp_path / "out" / f"{command}_recomputed").iterdir())
+
+
+def test_a_run_at_one_worker_never_loads_the_pool_module(tmp_path):
+    paths = [str(county_csv(tmp_path / f"{c}.csv", seed=s)) for c, s in (("ash", 1), ("oak", 3))]
+    config = _small_csv_run_config(out_dir=str(tmp_path / "out"), workers=1, counties=paths)
+    run_it = "import json; from hazardlens.pipeline import RunConfig, run; " \
+        "run(RunConfig.from_dict(json.loads(sys.argv[1])))"
+    assert "concurrent.futures.process" not in _modules_loaded_by(run_it, config)
     assert (tmp_path / "out" / "manifest.json").is_file()
 
 

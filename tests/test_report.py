@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -133,3 +134,12 @@ def test_manifest_hashes_and_excludes_itself(tmp_path):
     assert "data/ash.csv" in on_disk
     for rel, digest in on_disk.items():
         assert digest == file_sha256(out / rel)
+
+
+@pytest.mark.parametrize("size", [0, 1, 65536, 2 * 65536 + 17])
+def test_file_sha256_is_hashlibs_digest(tmp_path, size):
+    # empty, shorter than, equal to and longer than the 64 KiB read chunk
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "blob"
+    path.write_bytes(data)
+    assert file_sha256(path) == hashlib.sha256(data).hexdigest()
