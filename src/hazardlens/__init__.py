@@ -16,7 +16,7 @@ from .dataset import (
     make_labeled,
     write_county_csv,
 )
-from .cart import TreeParams, best_split, gini_impurity, grow_tree, node_importances
+from .cart import TreeParams, best_split, gini_impurity, grow_tree
 from .forest import ForestModel, predict_proba_forest, train_forest
 from .boosting import BoostedModel, BoostParams, train_gbt
 from .selection import CvSpec, SplitSpec, cross_validate, stratified_split
@@ -33,6 +33,7 @@ from .importance import (
     RankMatrix,
     build_rank_matrix,
     forest_importance,
+    node_importances,
     normalize,
     overall_importance,
     rank_features,
@@ -42,53 +43,3 @@ from .synth import ScenarioSpec, generate_county, planted_oracle
 from .pipeline import RunConfig, RunReport, run
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoostedModel",
-    "BoostParams",
-    "Confusion",
-    "CountyDataset",
-    "CvSpec",
-    "FeatureSchema",
-    "ForestModel",
-    "ImportanceVector",
-    "LabeledDataset",
-    "MetricTable",
-    "OverallImportance",
-    "RankMatrix",
-    "RunConfig",
-    "RunReport",
-    "ScenarioSpec",
-    "SplitSpec",
-    "TransferMatrix",
-    "TransferPolicy",
-    "TreeParams",
-    "align_schemas",
-    "best_split",
-    "binarize",
-    "build_rank_matrix",
-    "classify",
-    "confusion",
-    "cross_county",
-    "cross_hazard",
-    "cross_validate",
-    "dispersion_summary",
-    "f_beta",
-    "forest_importance",
-    "generate_county",
-    "gini_impurity",
-    "grow_tree",
-    "load_county_csv",
-    "make_labeled",
-    "node_importances",
-    "normalize",
-    "overall_importance",
-    "planted_oracle",
-    "predict_proba_forest",
-    "rank_features",
-    "run",
-    "stratified_split",
-    "train_forest",
-    "train_gbt",
-    "write_county_csv",
-]

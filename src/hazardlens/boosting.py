@@ -26,8 +26,8 @@ import numpy as np
 
 # the boosted nodes live in cart, the tree module of both families
 from .cart import (
-    RegLeaf, RegNode, RegSplit, feature_matrix, read_model, split_threshold, tree_values,
-    trees_values, write_model,
+    RegLeaf, RegNode, RegSplit, feature_matrix, read_model, split_threshold, trees_values,
+    write_model,
 )
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import DegenerateLabels
@@ -236,7 +236,7 @@ def train_gbt(
         g = p_hat - y
         h = p_hat * (1.0 - p_hat)
         stage = _grow_reg_tree(X, g, h, params, columns)
-        margins += params.learning_rate * tree_values(stage, X)
+        margins += params.learning_rate * trees_values([stage], X)[0]
         stages.append(stage)
         losses.append(_logloss(margins, y))
 

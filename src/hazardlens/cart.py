@@ -24,10 +24,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoEntries
 
-WEIGHTED = "weighted"
-PAPER_LITERAL = "paper_literal"
-IMPORTANCE_MODES = (WEIGHTED, PAPER_LITERAL)
-
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -336,11 +332,6 @@ def trees_values(trees: list[TreeNode | RegNode], X: np.ndarray) -> np.ndarray:
     return value.take(at)
 
 
-def tree_values(tree: TreeNode | RegNode, X: np.ndarray) -> np.ndarray:
-    """Leaf value of every row of X in one tree: trees_values of one tree."""
-    return trees_values([tree], X)[0]
-
-
 def iter_splits(tree: TreeNode | RegNode):
     """Every split node of a tree of either family, in preorder (node, then
     its left subtree, then its right), without recursion. Importance sums
@@ -352,37 +343,6 @@ def iter_splits(tree: TreeNode | RegNode):
             yield node
             todo.append(node.right)
             todo.append(node.left)
-
-
-def split_importance(node: Split, mode: str, root_n: int) -> float:
-    """Importance contributed by one split node.
-
-    weighted: (n_m / n_root) * [G_m - (n_l/n_m) G_l - (n_r/n_m) G_r], the
-    standard non-negative mean-decrease-impurity form.
-    paper_literal: G_m - G_l - G_r, the unweighted printed form, which can
-    go negative for balanced splits.
-    """
-    if mode == WEIGHTED:
-        decrease = node.impurity - (
-            node.n_left * node.left_impurity + node.n_right * node.right_impurity
-        ) / node.n
-        return node.n / root_n * decrease
-    if mode == PAPER_LITERAL:
-        return node.impurity - node.left_impurity - node.right_impurity
-    raise ValueError(f"unknown importance mode {mode!r}")
-
-
-def node_importances(tree: TreeNode, mode: str = WEIGHTED) -> dict[int, float]:
-    """Accumulated importance per feature used anywhere in the tree.
-
-    Returns a sparse map; features never split on are simply absent.
-    """
-    totals: dict[int, float] = {}
-    for node in iter_splits(tree):
-        totals[node.feature] = totals.get(node.feature, 0.0) + split_importance(
-            node, mode, tree.n
-        )
-    return totals
 
 
 # The v1 node format. A node's JSON keys are its dataclass fields, renamed

@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from .cart import IMPORTANCE_MODES
 from .errors import HazardLensError, InvalidConfig
+from .importance import IMPORTANCE_MODES
 from .pipeline import (
     PRESETS,
     RunConfig,

@@ -1,11 +1,12 @@
-"""Forest-level Gini importance, normalization, ranking, and the
-cross-county overall importance score.
+"""Gini importance (mean decrease in impurity), normalization, ranking, and
+the cross-county overall importance score.
 
-Raw importance sums every split node's contribution across all trees of a
-forest; normalization divides by the total so vectors sum to one. Ranks
-ascend with importance (least important = 1, most important = F) and the
-overall score of a feature is its rank sum across counties divided by F*C,
-so a feature ranked top everywhere scores exactly 1.
+Raw importance is one sum over every split node of a forest's trees
+(Louppe 2014, arXiv:1407.7502, ch. 6); normalization divides by the total
+so vectors sum to one. Ranks ascend with importance (least important = 1,
+most important = F) and the overall score of a feature is its rank sum
+across counties divided by F*C, so a feature ranked top everywhere scores
+exactly 1.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cart import WEIGHTED, node_importances
+from .cart import TreeNode, iter_splits
 from .errors import AllZeroImportance
 from .forest import ForestModel
+
+WEIGHTED = "weighted"
+PAPER_LITERAL = "paper_literal"
+IMPORTANCE_MODES = (WEIGHTED, PAPER_LITERAL)
 
 
 @dataclass
@@ -28,6 +33,30 @@ class ImportanceVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.feature_names),):
             raise ValueError("importance vector length must match schema")
+
+
+def node_importances(tree: TreeNode, mode: str = WEIGHTED) -> dict[int, float]:
+    """Importance per feature split on anywhere in the tree (a sparse map),
+    summed in iter_splits' preorder. Each split node m contributes
+
+    weighted: (n_m / n_root) * [G_m - (n_l/n_m) G_l - (n_r/n_m) G_r], the
+    standard non-negative mean-decrease-impurity form;
+    paper_literal: G_m - G_l - G_r, the unweighted printed form, which can
+    go negative for balanced splits.
+    """
+    if mode not in IMPORTANCE_MODES:
+        raise ValueError(f"unknown importance mode {mode!r}")
+    totals: dict[int, float] = {}
+    for node in iter_splits(tree):
+        if mode == WEIGHTED:
+            decrease = node.impurity - (
+                node.n_left * node.left_impurity + node.n_right * node.right_impurity
+            ) / node.n
+            value = node.n / tree.n * decrease
+        else:
+            value = node.impurity - node.left_impurity - node.right_impurity
+        totals[node.feature] = totals.get(node.feature, 0.0) + value
+    return totals
 
 
 def forest_importance(model: ForestModel, mode: str = WEIGHTED) -> ImportanceVector:

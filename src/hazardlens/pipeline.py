@@ -38,7 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from . import report as rpt
-from .cart import IMPORTANCE_MODES, WEIGHTED
 from .dataset import (
     MISSING_FEATURE_POLICIES,
     CountyDataset,
@@ -57,6 +56,8 @@ from .errors import (
 from .forest import forest_from_json, forest_to_json
 from .boosting import gbt_from_json, gbt_to_json
 from .importance import (
+    IMPORTANCE_MODES,
+    WEIGHTED,
     ImportanceVector,
     OverallImportance,
     build_rank_matrix,
@@ -160,17 +161,11 @@ class RunConfig:
                     "feature_groups and synth are mutually exclusive: a synthetic "
                     "scenario brings its own groups"
                 )
-        if self.beta <= 0:
-            raise InvalidConfig("beta must be positive")
         if not self.families:
             raise InvalidConfig("at least one model family required")
         for family in self.families:
             if family not in FAMILIES:
                 raise InvalidConfig(f"unknown model family {family!r}")
-        for label, ids in (("hazards", self.hazards or []), ("families", self.families)):
-            repeated = sorted({repr(i) for i in ids if ids.count(i) > 1})
-            if repeated:
-                raise InvalidConfig(f"{label} lists {', '.join(repeated)} more than once")
         if self.importance_mode not in IMPORTANCE_MODES:
             raise InvalidConfig(f"unknown importance mode {self.importance_mode!r}")
         if self.missing_feature_policy not in MISSING_FEATURE_POLICIES:
@@ -191,12 +186,18 @@ class RunConfig:
             raise InvalidConfig(str(exc)) from None
         if self.transfer_eval_on not in ("test", "full"):
             raise InvalidConfig("eval_on must be 'test' or 'full'")
+        counties = []
         if self.synth is not None:
             # only the specs: generation waits for run()
             try:
-                scenario_specs(self.synth, self.seed)
+                counties = [spec.county_id for spec in scenario_specs(self.synth, self.seed)[0]]
             except (TypeError, KeyError, ValueError, AttributeError, HazardLensError) as exc:
                 raise InvalidConfig(f"malformed synth block: {exc!r}") from None
+        for label, ids in (("hazards", self.hazards or []), ("families", self.families),
+                           ("synth counties", counties)):
+            repeated = sorted({repr(i) for i in ids if ids.count(i) > 1})
+            if repeated:
+                raise InvalidConfig(f"{label} lists {', '.join(repeated)} more than once")
 
     @property
     def policy(self) -> TransferPolicy:
@@ -395,16 +396,22 @@ def study_inputs(config: RunConfig, run_dir) -> tuple[list, dict | None]:
 
 
 def _load_counties(paths, missing_feature_policy: str) -> list[CountyDataset]:
-    """Counties sorted by id, schemas aligned to the first one's order."""
-    datasets = [
-        load_county_csv(p, missing_feature_policy=missing_feature_policy) for p in paths
-    ]
-    for dataset in datasets:
-        if "__" in dataset.county_id:
-            raise InvalidConfig(
-                f"county id {dataset.county_id!r} must not contain '__'"
-            )
-    datasets.sort(key=lambda d: d.county_id)
+    """Counties sorted by id, schemas aligned to the first one's order. Each
+    file holds its own county, and no id holds the '__' a pair's name joins
+    its county and hazard with (recompute splits the name there)."""
+    loaded = {}
+    for path in paths:
+        dataset = load_county_csv(path, missing_feature_policy=missing_feature_policy)
+        county = dataset.county_id
+        if county in loaded:
+            raise InvalidConfig(f"{loaded[county][0]} and {path} are both county {county!r}")
+        if "__" in county:
+            raise InvalidConfig(f"county id {county!r} must not contain '__'")
+        for hazard in dataset.hazards:
+            if "__" in hazard:
+                raise InvalidConfig(f"county {county!r}: hazard id {hazard!r} must not contain '__'")
+        loaded[county] = path, dataset
+    datasets = [loaded[county][1] for county in sorted(loaded)]
     align_schemas(datasets)
     return datasets
 

@@ -11,10 +11,12 @@ import pytest
 
 from conftest import labeled_from_arrays
 from oracles import forest_importance_from_json
-from hazardlens.cart import PAPER_LITERAL, TreeParams, WEIGHTED
+from hazardlens.cart import TreeParams
 from hazardlens.dataset import binarize, make_labeled
 from hazardlens.forest import forest_to_json, predict_forest, train_forest
 from hazardlens.importance import (
+    PAPER_LITERAL,
+    WEIGHTED,
     ImportanceVector,
     build_rank_matrix,
     forest_importance,

@@ -11,23 +11,20 @@ from hazardlens.boosting import (
 )
 from hazardlens.cart import (
     Leaf,
-    PAPER_LITERAL,
     RegLeaf,
     RegSplit,
     Split,
     TreeParams,
-    WEIGHTED,
     best_split,
     gini_impurity,
     grow_tree,
     iter_splits,
-    node_importances,
     read_model,
     tree_to_dict,
-    tree_values,
     trees_values,
 )
 from hazardlens.errors import NoEntries
+from hazardlens.importance import PAPER_LITERAL, WEIGHTED, node_importances
 from hazardlens.forest import ForestModel, staged_proba_forest
 
 
@@ -167,7 +164,7 @@ def test_grow_xor_pattern_two_levels():
 
     count(tree)
     assert len(splits) >= 2
-    probs = tree_values(tree, X)
+    probs = trees_values([tree], X)[0]
     assert np.all((probs > 0.5) == (y == 1))  # 100% training accuracy
 
 
@@ -177,7 +174,7 @@ def test_grow_depth_zero_majority_leaf(rng):
     tree = grow_tree(X, y, TreeParams(max_depth=0), rng)
     assert isinstance(tree, Leaf)
     assert tree.counts.tolist() == [6, 4]
-    assert tree_values(tree, X[:1]).tolist() == [0.4]
+    assert trees_values([tree], X[:1])[0].tolist() == [0.4]
 
 
 def test_grow_empty_subset():
@@ -188,14 +185,14 @@ def test_grow_empty_subset():
 
 def test_predict_single_leaf_frequencies():
     leaf = Leaf(counts=np.array([1, 3]), n=4)  # 3 high, 1 low
-    assert tree_values(leaf, [[123.0]]).tolist() == [0.75]
+    assert trees_values([leaf], [[123.0]])[0].tolist() == [0.75]
 
 
 def test_predict_depth_one_tree():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0, 0, 1, 1])
     tree = grow_tree(X, y, TreeParams(), np.random.default_rng(0))
-    assert tree_values(tree, [[1.0]]).tolist() == [0.0]  # P(high) left of the 2.5 split
+    assert trees_values([tree], [[1.0]])[0].tolist() == [0.0]  # P(high) left of the 2.5 split
 
 
 def test_node_importances_single_leaf_empty():
@@ -258,7 +255,7 @@ def test_training_error_bounded_by_majority(rng):
         if y.min() == y.max():
             continue
         tree = grow_tree(X, y, TreeParams(max_depth=3), rng)
-        preds = (tree_values(tree, X) > 0.5).astype(np.int64)
+        preds = (trees_values([tree], X)[0] > 0.5).astype(np.int64)
         majority_error = min(np.mean(y == 0), np.mean(y == 1))
         assert np.mean(preds != y) <= majority_error + 1e-12
 
@@ -321,7 +318,7 @@ def test_node_codec_round_trip_both_families(tree, rows):
     assert type(rebuilt) is type(tree)
     assert json.dumps(tree_to_dict(rebuilt), sort_keys=True) == text
     X = np.array(rows)
-    np.testing.assert_array_equal(tree_values(rebuilt, X), tree_values(tree, X))
+    np.testing.assert_array_equal(trees_values([rebuilt], X), trees_values([tree], X))
 
 
 @settings(max_examples=60, deadline=None)

@@ -35,10 +35,10 @@ def test_single_tree_reduces_to_cart_on_its_bootstrap_draw(rng):
     direct = grow_tree(data.features[idx], data.labels[idx], params, stream)
     assert tree_to_dict(model.trees[0]) == tree_to_dict(direct)
     grid = rng.normal(size=(40, 2))
-    from hazardlens.cart import tree_values
+    from hazardlens.cart import trees_values
 
     np.testing.assert_array_equal(
-        predict_proba_forest(model, grid), tree_values(direct, grid)
+        predict_proba_forest(model, grid), trees_values([direct], grid)[0]
     )
 
 

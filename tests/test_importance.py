@@ -5,21 +5,16 @@ from hypothesis import strategies as st
 
 from conftest import labeled_from_arrays
 from oracles import forest_importance_from_json, kendall_tau, mean_ranks
-from hazardlens.cart import (
-    Leaf,
-    PAPER_LITERAL,
-    Split,
-    TreeParams,
-    WEIGHTED,
-    grow_tree,
-    node_importances,
-)
+from hazardlens.cart import Leaf, Split, TreeParams, grow_tree
 from hazardlens.errors import AllZeroImportance
 from hazardlens.forest import ForestModel, forest_to_json, train_forest, tree_rng
 from hazardlens.importance import (
+    PAPER_LITERAL,
+    WEIGHTED,
     ImportanceVector,
     build_rank_matrix,
     forest_importance,
+    node_importances,
     normalize,
     overall_importance,
     rank_features,

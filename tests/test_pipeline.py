@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -280,6 +281,10 @@ def test_config_validation(tmp_path):
     groups.write_text(json.dumps({"fa": "climate"}))
     with pytest.raises(InvalidConfig, match="mutually exclusive"):
         RunConfig(seed=1, out_dir="x", synth=synth, feature_groups=str(groups))
+    # two plans of one name would write one <county>.csv, one plan silently lost
+    twice = {"counties": [{"name": "a", "n_tracts": 40}] * 2}
+    with pytest.raises(InvalidConfig, match="synth counties lists 'a' more than once"):
+        RunConfig(seed=1, out_dir="x", synth=twice)
 
 
 @pytest.mark.parametrize(
@@ -1537,6 +1542,16 @@ PINNED_CSV_STUDY_SHA256 = {
         "8146ec7937978cdedce8632977cff167333cc9e42adc6194abf20a3458b039ed",
     "importance_recomputed/overall_importance_heat.csv":
         "25695d4df82f94ca20fc5998cfe5006e91d2415bf061db7e1bb510714312d151",
+    "importance_literal/feature_group_rollup.csv":
+        "4580b4425439a354210f0afb3b50cff22b14436fc93a5bd20fead2dd44429a88",
+    "importance_literal/importance_flood.csv":
+        "2422803ecb7c4eaf9eb9b5b4b82b354de34b29a96389b10f3d7c33ea2c270c75",
+    "importance_literal/importance_heat.csv":
+        "932eedc6f0225fbcb652e903eff942709ad4343d32cf7ccb5e146c2f390ccaee",
+    "importance_literal/overall_importance_flood.csv":
+        "53d251a0c46ed0e13c5b64b4d0d59297b2242cc1affa70c4dcfb0b2677f6f711",
+    "importance_literal/overall_importance_heat.csv":
+        "17545079d721c5ead1dc5f8017bc01881f584f091ae6e827ca99dc38ab591cfc",
 }
 
 
@@ -1555,15 +1570,58 @@ def test_pinned_csv_study_keeps_its_bytes(tmp_path, monkeypatch):
     assert main(["run", "--config", "config.json"]) == 0
     assert main(["transfer", "--run", "out"]) == 0
     assert main(["importance", "--run", "out"]) == 0
+    literal = ["--mode", "paper_literal", "--out", "out/importance_literal"]
+    assert main(["importance", "--run", "out", *literal]) == 3  # 2 pairs sum to <= 0
     out = tmp_path / "out"
     digests = {"manifest.json": file_sha256(out / "manifest.json")}
-    for recomputed in ("transfer_recomputed", "importance_recomputed"):
+    for recomputed in ("transfer_recomputed", "importance_recomputed", "importance_literal"):
         for path in sorted((out / recomputed).iterdir()):
             digests[f"{recomputed}/{path.name}"] = file_sha256(path)
     assert digests == PINNED_CSV_STUDY_SHA256
 
 
-def test_every_exported_name_resolves():
-    import hazardlens
+def test_readme_library_imports_resolve():
+    # the imports of README's "Library use" example, read from the README itself
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imports = [node for node in ast.parse(example).body if isinstance(node, ast.ImportFrom)]
+    assert "hazardlens" in [node.module for node in imports]
+    exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), {})
 
-    assert [name for name in hazardlens.__all__ if not hasattr(hazardlens, name)] == []
+
+SMALL_CV = {"k": 3, "forest_grid": {"n_trees": [4], "max_depth": [3]},
+            "gbt_grid": {"n_rounds": [3], "max_depth": [2], "learning_rate": [0.3],
+                         "l2_reg": [1.0]}}
+
+
+@pytest.mark.parametrize("study", ["csv", "synth"])
+def test_hazard_id_holding_the_pair_separator_exits_2(tmp_path, monkeypatch, capsys, study):
+    # a pair is named county__hazard, and recompute splits the name at "__"
+    monkeypatch.chdir(tmp_path)
+    if study == "csv":
+        path = county_csv(tmp_path / "ash.csv", seed=1)
+        path.write_text(path.read_text().replace("hazard__heat", "hazard__heat__wave"))
+        inputs = {"counties": ["ash.csv"]}
+    else:
+        county = {"name": "ash", "n_tracts": 40, "hazards": ["heat__wave"]}
+        inputs = {"synth": {"counties": [county], "n_features": 4, "informative_count": 2}}
+    config = {"seed": 1, "out_dir": "out", "cv": SMALL_CV, **inputs}
+    Path("config.json").write_text(json.dumps(config))
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", "--config", "config.json"]) == 2
+    assert "county 'ash': hazard id 'heat__wave' must not contain '__'" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("second", ["b/x.csv", "a/x.csv"])
+def test_two_county_files_of_one_county_exit_2(tmp_path, monkeypatch, capsys, second):
+    monkeypatch.chdir(tmp_path)
+    for folder, seed in (("a", 1), ("b", 2)):
+        (tmp_path / folder).mkdir()
+        county_csv(tmp_path / folder / "x.csv", seed=seed)
+    config = {"seed": 1, "out_dir": "out", "cv": SMALL_CV, "counties": ["a/x.csv", second]}
+    Path("config.json").write_text(json.dumps(config))
+    before = sorted(tmp_path.iterdir())
+    assert main(["run", "--config", "config.json"]) == 2
+    assert f"a/x.csv and {second} are both county 'x'" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from hazardlens.cart import TreeParams, grow_tree, tree_values
+from hazardlens.cart import TreeParams, grow_tree, trees_values
 from hazardlens.dataset import make_labeled
 from hazardlens.errors import InvalidSpec
 from hazardlens.forest import train_forest
@@ -50,7 +50,7 @@ def test_noise_free_single_feature_law_is_monotone():
     labeled = make_labeled(dataset, "heat")
     stumpy = grow_tree(labeled.features, labeled.labels, TreeParams(max_depth=1),
                        np.random.default_rng(0))
-    preds = (tree_values(stumpy, labeled.features) > 0.5).astype(np.int64)
+    preds = (trees_values([stumpy], labeled.features)[0] > 0.5).astype(np.int64)
     assert f_beta(confusion(labeled.labels, preds), 1.0) == 1.0
 
 
