@@ -284,11 +284,14 @@ def gbt_to_json(model: BoostedModel) -> str:
 
 def gbt_from_json(text: str) -> BoostedModel:
     payload = read_model(text, GBT_FORMAT, "stages", RegLeaf, RegSplit)
+    base, loss = payload["base_score"], payload["train_loss"]
+    if type(base) is not float or type(loss) is not list or set(map(type, loss)) - {float}:
+        raise ValueError("base_score is not a float or train_loss not a list of floats")
     return BoostedModel(
         stages=payload["stages"],
         params=BoostParams(**payload["params"]),
-        base_score=payload["base_score"],
+        base_score=base,
         seed=payload["seed"],
         feature_names=tuple(payload["feature_names"]),
-        train_loss=list(payload["train_loss"]),
+        train_loss=loss,
     )

@@ -16,7 +16,9 @@ node indices moves down one level per numpy step.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from numbers import Integral
 from operator import attrgetter, itemgetter
 
@@ -57,7 +59,7 @@ class TreeParams:
 
 @dataclass
 class Leaf:
-    counts: np.ndarray  # per-class sample counts, index LOW=0 / HIGH=1
+    counts: list[int]  # per-class sample counts [low, high], index LOW=0 / HIGH=1
     n: int
 
 
@@ -219,7 +221,7 @@ def grow_tree(
             or (params.max_depth is not None and depth >= params.max_depth)
             or n < params.min_samples_split
         ):
-            return Leaf(counts=np.array([low, high], dtype=np.int64), n=n)
+            return Leaf(counts=[low, high], n=n)
 
         if m is None or m == n_features:
             candidates = range(n_features)
@@ -228,7 +230,7 @@ def grow_tree(
         sub_y = y[idx]
         found = best_split(X[idx], sub_y, candidates, params.min_samples_leaf)
         if found is None:
-            return Leaf(counts=np.array([low, high], dtype=np.int64), n=n)
+            return Leaf(counts=[low, high], n=n)
         feature, threshold, _ = found
 
         go_left = X[idx, feature] <= threshold
@@ -274,14 +276,9 @@ def regrows_unchanged(tree: TreeNode, max_depth: int, min_samples_split: int) ->
     """
     level = [tree]
     for _ in range(max_depth):
-        level = [
-            child
-            for node in level
-            if isinstance(node, Split)
-            for child in (node.left, node.right)
-        ]
+        level = [c for node in level if isinstance(node, Split) for c in (node.left, node.right)]
     return all(
-        isinstance(node, Leaf) and (node.n < min_samples_split or not node.counts.all())
+        isinstance(node, Leaf) and (node.n < min_samples_split or not all(node.counts))
         for node in level
     )
 
@@ -345,26 +342,15 @@ def iter_splits(tree: TreeNode | RegNode):
             todo.append(node.left)
 
 
-# The v1 node format. A node's JSON keys are its dataclass fields, renamed
-# where listed, each converted by its annotation; left / right hold the
-# children and "kind" says leaf or split. The layout is computed once per
-# node class: reading fields() for every node would slow model parsing.
-# JSON parsing types ints and floats already (read_model checks that it
-# did), so only counts has a decoder. It converts the field of all of a
-# model's nodes in one call (one (leaves x 2) array, a row per leaf): one
-# small array per leaf would take longer than parsing the leaf.
+# The v1 node format: a node's JSON keys are its dataclass fields, renamed
+# where listed, each a plain JSON value of its annotation's type, written as
+# it is and read back type-checked, never converted; "kind" says leaf or split.
+# Laid out once per class, as reading fields() per node would slow parsing.
 _RENAMED = {"n": "samples", "n_left": "left_samples", "n_right": "right_samples"}
-_CONVERTERS = {  # annotation -> (to JSON, from JSON)
-    "int": (int, None),
-    "float": (float, None),
-    "np.ndarray": (lambda a: [int(c) for c in a], lambda column: np.array(column, dtype=np.int64)),
-}
-_LAYOUT = {
-    cls: tuple(
-        (f.name, _RENAMED.get(f.name, f.name), *_CONVERTERS[f.type])
-        for f in fields(cls)
-        if f.name not in ("left", "right")
-    )
+_JSON_TYPES = {"int": int, "float": float, "list[int]": list}
+_LAYOUT = {  # (field, JSON key, JSON type) of every field but the children
+    cls: [(f.name, _RENAMED.get(f.name, f.name), _JSON_TYPES[f.type])
+          for f in fields(cls) if f.name not in ("left", "right")]
     for cls in (Leaf, Split, RegLeaf, RegSplit)
 }
 
@@ -372,7 +358,7 @@ _LAYOUT = {
 def tree_to_dict(node: TreeNode | RegNode) -> dict:
     """Self-describing nested-dict form of a tree of either family, used for
     model JSON and golden files."""
-    out = {key: encode(getattr(node, name)) for name, key, encode, _ in _LAYOUT[type(node)]}
+    out = {key: getattr(node, name) for name, key, _ in _LAYOUT[type(node)]}
     if isinstance(node, _SPLITS):
         out.update(kind="split", left=tree_to_dict(node.left), right=tree_to_dict(node.right))
     else:
@@ -402,7 +388,7 @@ def _node_decoder(leaf: type, split: type, made: dict):
     params) passes through."""
     build = {}
     for kind, cls, children in (("leaf", leaf, ()), ("split", split, ("left", "right"))):
-        keys = [key for _, key, _, _ in _LAYOUT[cls]]
+        keys = [key for _, key, _ in _LAYOUT[cls]]
         build[kind] = cls, itemgetter(*keys, *children), made.setdefault(cls, []).append
 
     def decode(data: dict):
@@ -417,27 +403,35 @@ def _node_decoder(leaf: type, split: type, made: dict):
 
 
 def read_model(text: str, fmt: str, key: str, leaf: type, split: type) -> dict:
-    """A model document of format `fmt`, parsed with its nodes decoded;
-    ValueError unless every entry of payload[key] and every child is a
-    (leaf, split) node, every int / float field has that type and every
-    split's feature indexes payload["feature_names"]."""
+    """A model document of format `fmt`, parsed with its nodes built; ValueError
+    unless every entry of payload[key] and every child is a (leaf, split) node,
+    every node field has its JSON type, every float is finite, every forest
+    leaf's counts are two ints >= 0 summing to its samples >= 1, seed is an
+    int, and every split's feature indexes feature_names, a list of strings."""
     made = {}
     payload = json.loads(text, object_hook=_node_decoder(leaf, split, made))
     if not isinstance(payload, dict) or payload.get("format") != fmt:
         raise ValueError(f"not a {fmt} document")
     for cls, nodes in made.items():
-        for name, json_key, encode, decode in _LAYOUT[cls]:
-            column = list(map(attrgetter(name), nodes))
-            if decode:
-                for node, value in zip(nodes, decode(column)):
-                    setattr(node, name, value)
-            elif not set(map(type, column)) <= {encode}:
-                raise ValueError(f"a {cls.__name__}'s {json_key!r} is not {encode.__name__}")
+        for name, json_key, kind in _LAYOUT[cls]:
+            col = list(map(attrgetter(name), nodes))
+            if set(map(type, col)) - {kind} or kind is float and not all(map(math.isfinite, col)):
+                raise ValueError(f"a {cls.__name__}'s {json_key!r} is not {kind.__name__} or not finite")
+    counts, samples = [x.counts for x in made.get(Leaf, [])], [x.n for x in made.get(Leaf, [])]
+    flat = list(chain.from_iterable(counts))
+    if set(map(len, counts)) - {2} or set(map(type, flat)) - {int} or min(flat, default=0) < 0:
+        raise ValueError("a Leaf's 'counts' are not two ints >= 0")
+    if list(map(sum, counts)) != samples or 0 in samples:
+        raise ValueError("a Leaf's 'counts' do not sum to its 'samples', or that is 0")
     splits = made[split]
     children = [*map(attrgetter("left"), splits), *map(attrgetter("right"), splits), *payload[key]]
     if not set(map(type, children)) <= {leaf, split}:
         raise ValueError(f"an entry of {key!r} or a child is not a {leaf.__name__} or {split.__name__}")
+    names = payload["feature_names"]
+    if type(payload["seed"]) is not int or type(names) is not list or set(map(type, names)) - {str}:
+        raise ValueError("seed is not an int or feature_names not a list of strings")
+    json.dumps({**payload, key: None}, allow_nan=False)  # ValueError at a NaN or an infinity
     features = list(map(attrgetter("feature"), splits))
-    if features and not 0 <= min(features) <= max(features) < len(payload["feature_names"]):
+    if features and not 0 <= min(features) <= max(features) < len(names):
         raise ValueError("a split's feature is not a column of feature_names")
     return payload

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cart import TreeNode, iter_splits
-from .errors import AllZeroImportance
+from .errors import AllZeroImportance, SchemaMismatch
 from .forest import ForestModel
 
 WEIGHTED = "weighted"
@@ -114,7 +114,7 @@ def build_rank_matrix(
     names = vectors[counties[0]].feature_names
     for county in counties:
         if vectors[county].feature_names != names:
-            raise ValueError(f"county {county!r} has a different schema")
+            raise SchemaMismatch(f"county {county!r} has a different schema", county=county)
     ranks = np.vstack([rank_features(vectors[c]) for c in counties])
     return RankMatrix(feature_names=names, counties=counties, ranks=ranks)
 

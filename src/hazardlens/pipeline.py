@@ -121,22 +121,23 @@ class RunConfig:
     feature_groups: str | None = None
 
     def __post_init__(self):
-        if self.seed is None:
-            raise InvalidConfig("seed is mandatory")
-        # Types before ranges: a range check on a string raises TypeError,
-        # and a string of hazards would be read as single letters.
+        for name in ("seed", "out_dir"):
+            if getattr(self, name) in (None, ""):
+                raise InvalidConfig(f"{name} is mandatory")
+        # Types and finite numbers before ranges: a range check on a string
+        # raises TypeError, a string of hazards would be read as single
+        # letters, and NaN passes every comparison a range check makes.
         for f in fields(self):
-            kind = _SCALARS.get(f.type)
-            value = getattr(self, f.name)
+            kind, value, key = _SCALARS.get(f.type), getattr(self, f.name), _JSON_KEYS[f.name]
             if kind is not None and not _has_type(value, kind[0]):
-                raise InvalidConfig(f"{_JSON_KEYS[f.name]} must be {kind[1]}, got {value!r}")
+                raise InvalidConfig(f"{key} must be {kind[1]}, got {value!r}")
+            try:  # json's rule: NaN and the infinities are no JSON numbers
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise InvalidConfig(f"{key} must hold finite numbers only, got {value!r}") from None
         if self.hazards is not None:
-            if not isinstance(self.hazards, (list, tuple)) or not all(
-                isinstance(hazard, str) for hazard in self.hazards
-            ):
-                raise InvalidConfig(
-                    f"hazards must be a list of hazard ids, got {self.hazards!r}"
-                )
+            if not isinstance(self.hazards, (list, tuple)) or set(map(type, self.hazards)) - {str}:
+                raise InvalidConfig(f"hazards must be a list of hazard ids, got {self.hazards!r}")
             if not self.hazards:
                 raise InvalidConfig("at least one hazard required")
             if any("__" in hazard for hazard in self.hazards):
@@ -145,8 +146,6 @@ class RunConfig:
             raise InvalidConfig("synth must be a JSON object")
         if self.synth is not None and self.synth.get("preset") not in (None, *PRESETS):
             raise InvalidConfig(f"unknown synth preset {self.synth['preset']!r}")
-        if not self.out_dir:
-            raise InvalidConfig("out_dir is mandatory")
         if not self.county_files and self.synth is None:
             raise InvalidConfig("either county_files or synth must be given")
         if self.county_files and self.synth is not None:
@@ -267,7 +266,8 @@ def _lookup(raw: dict, key: str):
 
 # the scalar annotations __post_init__ checks: the type and how to name it
 _SCALARS = {
-    "int": (int, "an integer"), "float": (float, "a number"), "bool": (bool, "true or false")
+    "int": (int, "an integer"), "float": (float, "a number"), "bool": (bool, "true or false"),
+    "str": (str, "a string"),
 }
 
 

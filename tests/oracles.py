@@ -235,7 +235,7 @@ def reg_tree_enumeration(X, g, h, params):
 def subtree_counts(node):
     """Per-class counts summed over a cart subtree's leaves."""
     if isinstance(node, Leaf):
-        return node.counts
+        return np.array(node.counts)
     return subtree_counts(node.left) + subtree_counts(node.right)
 
 

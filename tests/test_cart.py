@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import best_split_enumeration, route_row, subtree_counts
 from hazardlens.boosting import (
-    BoostedModel, BoostParams, _best_reg_split, column_order, staged_margin_gbt
+    BoostedModel, BoostParams, _best_reg_split, column_order, gbt_from_json, gbt_to_json,
+    staged_margin_gbt,
 )
 from hazardlens.cart import (
     Leaf,
@@ -25,7 +26,7 @@ from hazardlens.cart import (
 )
 from hazardlens.errors import NoEntries
 from hazardlens.importance import PAPER_LITERAL, WEIGHTED, node_importances
-from hazardlens.forest import ForestModel, staged_proba_forest
+from hazardlens.forest import ForestModel, forest_from_json, forest_to_json, staged_proba_forest
 
 
 def test_gini_hand_values():
@@ -147,7 +148,7 @@ def test_grow_pure_input_single_leaf(rng):
     y = np.ones(6, dtype=np.int64)
     tree = grow_tree(X, y, TreeParams(), rng)
     assert isinstance(tree, Leaf)
-    assert tree.counts.tolist() == [0, 6]
+    assert tree.counts == [0, 6]
 
 
 def test_grow_xor_pattern_two_levels():
@@ -173,7 +174,8 @@ def test_grow_depth_zero_majority_leaf(rng):
     y = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1, 1])
     tree = grow_tree(X, y, TreeParams(max_depth=0), rng)
     assert isinstance(tree, Leaf)
-    assert tree.counts.tolist() == [6, 4]
+    assert tree.counts == [6, 4]
+    assert list(map(type, tree.counts)) == [int, int]  # plain JSON values, not numpy ints
     assert trees_values([tree], X[:1])[0].tolist() == [0.4]
 
 
@@ -184,7 +186,7 @@ def test_grow_empty_subset():
 
 
 def test_predict_single_leaf_frequencies():
-    leaf = Leaf(counts=np.array([1, 3]), n=4)  # 3 high, 1 low
+    leaf = Leaf(counts=[1, 3], n=4)  # 3 high, 1 low
     assert trees_values([leaf], [[123.0]])[0].tolist() == [0.75]
 
 
@@ -196,7 +198,7 @@ def test_predict_depth_one_tree():
 
 
 def test_node_importances_single_leaf_empty():
-    leaf = Leaf(counts=np.array([2, 2]), n=4)
+    leaf = Leaf(counts=[2, 2], n=4)
     assert node_importances(leaf) == {}
 
 
@@ -241,8 +243,8 @@ def test_paper_literal_can_go_negative():
     node = Split(
         feature=0, threshold=0.5, impurity=0.5, n=4,
         left_impurity=0.5, right_impurity=0.5, n_left=2, n_right=2,
-        left=Leaf(counts=np.array([1, 1]), n=2),
-        right=Leaf(counts=np.array([1, 1]), n=2),
+        left=Leaf(counts=[1, 1], n=2),
+        right=Leaf(counts=[1, 1], n=2),
     )
     assert node_importances(node, PAPER_LITERAL)[0] == -0.5
     assert node_importances(node, WEIGHTED)[0] == 0.0
@@ -278,7 +280,8 @@ def _decode(tree, n_features):
     one tree of a model document of its family."""
     leaf, split = (Leaf, Split) if isinstance(tree, (Leaf, Split)) else (RegLeaf, RegSplit)
     text = json.dumps({
-        "format": "test", "feature_names": ["x"] * n_features, "trees": [tree_to_dict(tree)]
+        "format": "test", "seed": 0, "feature_names": ["x"] * n_features,
+        "trees": [tree_to_dict(tree)],
     })
     return read_model(text, "test", "trees", leaf, split)["trees"][0]
 
@@ -287,7 +290,7 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _COUNTS = st.integers(0, 50)
 _FOREST_TREES = st.recursive(
     st.builds(
-        lambda low, high: Leaf(counts=np.array([low, high + 1]), n=low + high + 1),
+        lambda low, high: Leaf(counts=[low, high + 1], n=low + high + 1),
         _COUNTS, _COUNTS,
     ),
     lambda children: st.builds(
@@ -319,6 +322,17 @@ def test_node_codec_round_trip_both_families(tree, rows):
     assert json.dumps(tree_to_dict(rebuilt), sort_keys=True) == text
     X = np.array(rows)
     np.testing.assert_array_equal(trees_values([rebuilt], X), trees_values([tree], X))
+    # every node field is a plain JSON value, so trees compare exactly by ==
+    names = ("a", "b", "c")
+    if isinstance(tree, (Leaf, Split)):
+        forest = ForestModel(trees=[tree, tree], params=TreeParams(), seed=3, feature_names=names)
+        assert forest_from_json(forest_to_json(forest)).trees == forest.trees
+    else:
+        gbt = BoostedModel(
+            stages=[tree, tree], params=BoostParams(n_rounds=2), base_score=0.25, seed=3,
+            feature_names=names, train_loss=[0.5, 0.25, 0.125],
+        )
+        assert gbt_from_json(gbt_to_json(gbt)).stages == gbt.stages
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,9 +367,9 @@ def test_trees_values_sends_ties_and_minus_inf_left_nan_and_inf_right():
     stump = Split(
         feature=0, threshold=1.0, impurity=0.5, n=2, left_impurity=0.0, right_impurity=0.0,
         n_left=1, n_right=1,
-        left=Leaf(counts=np.array([1, 0]), n=1), right=Leaf(counts=np.array([0, 1]), n=1),
+        left=Leaf(counts=[1, 0], n=1), right=Leaf(counts=[0, 1], n=1),
     )
-    leaf = Leaf(counts=np.array([1, 3]), n=4)
+    leaf = Leaf(counts=[1, 3], n=4)
     X = np.array([[1.0], [np.nan], [np.inf], [-np.inf], [0.5], [1.5]])
     assert trees_values([stump, leaf], X).tolist() == [[0, 1, 1, 0, 0, 1], [0.75] * 6]
     assert trees_values([stump, leaf], np.empty((0, 1))).shape == (2, 0)

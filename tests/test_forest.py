@@ -94,7 +94,7 @@ def test_parallel_equals_sequential_tree_streams(rng):
 
 
 def stub_forest(leaf_probs):
-    trees = [Leaf(counts=np.array([int(10 * (1 - p)), int(10 * p)]), n=10)
+    trees = [Leaf(counts=[int(10 * (1 - p)), int(10 * p)], n=10)
              for p in leaf_probs]
     return ForestModel(trees=trees, params=TreeParams(), seed=0, feature_names=("a", "b"))
 
@@ -152,11 +152,11 @@ def test_forest_json_golden():
     tree = Split(
         feature=1, threshold=0.5, impurity=0.5, n=4,
         left_impurity=0.0, right_impurity=0.375, n_left=1, n_right=3,
-        left=Leaf(counts=np.array([1, 0]), n=1),
-        right=Leaf(counts=np.array([1, 2]), n=3),
+        left=Leaf(counts=[1, 0], n=1),
+        right=Leaf(counts=[1, 2], n=3),
     )
     model = ForestModel(
-        trees=[tree, Leaf(counts=np.array([2, 2]), n=4)],
+        trees=[tree, Leaf(counts=[2, 2], n=4)],
         params=TreeParams(max_depth=3, features_per_split=1),
         seed=7, feature_names=("fa", "fb"),
     )

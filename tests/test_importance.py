@@ -24,15 +24,15 @@ from hazardlens.pipeline import importance_vectors
 
 def stump(feature, gain_counts=((4, 0), (0, 4))):
     (l_low, l_high), (r_low, r_high) = gain_counts
-    left = Leaf(counts=np.array([l_low, l_high]), n=l_low + l_high)
-    right = Leaf(counts=np.array([r_low, r_high]), n=r_low + r_high)
+    left = Leaf(counts=[l_low, l_high], n=l_low + l_high)
+    right = Leaf(counts=[r_low, r_high], n=r_low + r_high)
     n = left.n + right.n
     from hazardlens.cart import gini_impurity
 
     return Split(
         feature=feature,
         threshold=0.0,
-        impurity=gini_impurity(left.counts + right.counts),
+        impurity=gini_impurity(np.add(left.counts, right.counts)),
         n=n,
         left_impurity=gini_impurity(left.counts),
         right_impurity=gini_impurity(right.counts),
@@ -57,7 +57,7 @@ def test_importance_vectors_note_each_forest_without_importance():
     forests = {
         ("oak", "heat"): forest(stump(1)),
         ("ash", "heat"): forest(stump(3), stump(0)),
-        ("ash", "flood"): forest(Leaf(counts=np.array([2, 2]), n=4)),  # no split
+        ("ash", "flood"): forest(Leaf(counts=[2, 2], n=4)),  # no split
         ("yew", "air"): forest(stump(2)),
         ("oak", "flood"): forest(stump(0)),
     }

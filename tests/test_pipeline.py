@@ -258,8 +258,10 @@ def test_partial_failure_preserved(tmp_path):
 
 
 def test_config_validation(tmp_path):
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match="seed is mandatory"):
         RunConfig(seed=None, out_dir="x", synth={"preset": "synth6x3"})
+    with pytest.raises(InvalidConfig, match="out_dir is mandatory"):
+        RunConfig.from_dict({"seed": 1, "synth": {"preset": "synth6x3"}})
     with pytest.raises(InvalidConfig):
         RunConfig(seed=1, out_dir="x")  # no data source
     with pytest.raises(InvalidConfig):
@@ -357,6 +359,18 @@ def test_preset_named_in_a_json_config_supplies_its_grids():
         {"synth": "x"},
         {"counties": ["x.csv"]},  # next to the synth block
         {"transfer": {"eval_on": "bogus"}},
+        # NaN passes every range check; these trained every unit, then wrote
+        # NaN into summary.json or died in the heatmap writer
+        {"beta": float("nan")},
+        {"beta": float("inf")},
+        {"transfer": {"threshold": float("nan")}},
+        {"transfer": {"threshold": float("-inf")}},
+        {"cv": {"gbt_grid": {
+            "n_rounds": [15], "max_depth": [3], "learning_rate": [0.3], "l2_reg": [float("nan")]
+        }}},
+        {"cv": {"forest_grid": {"n_trees": [20], "min_samples_leaf": [float("nan")]}}},
+        {"out_dir": 5},
+        {"out_dir": ["o"]},
     ],
 )
 def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
@@ -370,6 +384,14 @@ def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
         {"seed": 1, "out_dir": str(out), "synth": {"preset": "synth6x3"}, **bad}
     ))
     assert main(["run", "--config", str(config_path)]) == 2
+    assert not out.exists()
+
+
+def test_cli_beta_nan_rejected_before_anything_is_written(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["run", "--preset", "synth6x3", "--seed", "1", "--out", str(out), "--beta", "nan"]
+    assert main(args) == 2
+    assert "beta must hold finite numbers only" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -823,6 +845,16 @@ def _set_split_field(path, key, value):
     path.write_text(json.dumps(payload), "utf-8")
 
 
+def _set_leaf_counts(path, counts_of):
+    # the leftmost leaf of the first tree gets counts_of(its samples)
+    payload = json.loads(path.read_text("utf-8"))
+    node = payload["trees"][0]
+    while node["kind"] == "split":
+        node = node["left"]
+    node["counts"] = counts_of(node["samples"])
+    path.write_text(json.dumps(payload), "utf-8")
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -836,11 +868,25 @@ def _set_split_field(path, key, value):
         lambda path: _set_split_field(path, "samples", True),
         lambda path: _set_field(path, "bootstrap", False),
         lambda path: _set_field(path, "n_trees", 99),
+        lambda path: _set_leaf_counts(path, lambda n: [0.5, n - 0.5]),
+        lambda path: _set_leaf_counts(path, lambda n: [str(n - 1), "1"]),
+        lambda path: _set_leaf_counts(path, lambda n: [True, n - 1]),
+        lambda path: _set_leaf_counts(path, lambda n: [n, 1]),
+        lambda path: _set_leaf_counts(path, lambda n: [1e300, 1]),
+        lambda path: _set_leaf_counts(path, lambda n: [n - 2, 1, 1]),
+        lambda path: _set_split_field(path, "impurity", float("nan")),
+        lambda path: _set_split_field(path, "threshold", float("inf")),
+        lambda path: _set_field(path, "seed", "x"),
+        lambda path: _set_field(path, "feature_names", "f0f1f2f3"),
+        lambda path: _set_field(path, "feature_names", [0, 1, 2, 3, 4, 5, 6, 7]),
     ],
     ids=[
         "missing", "truncated", "tree_without_kind", "child_without_kind",
         "feature_out_of_range", "negative_feature", "string_threshold", "bool_samples",
         "bootstrap_false", "n_trees_not_the_tree_count",
+        "float_count", "string_counts", "bool_count", "counts_past_samples", "huge_count",
+        "three_counts", "nan_impurity", "infinite_threshold", "string_seed",
+        "feature_names_a_string", "feature_names_not_strings",
     ],
 )
 @pytest.mark.parametrize(
@@ -857,6 +903,52 @@ def test_cli_recompute_rejects_a_missing_or_corrupt_model(
     capsys.readouterr()
     assert main([command, "--run", str(run_dir)]) == 2
     assert "ash__heat__forest.json" in capsys.readouterr().err
+    assert not (run_dir / recomputed).exists()
+
+
+@pytest.fixture(scope="module")
+def gbt_only_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("gbt_only") / "run"
+    run(two_county_config(out, families=["gbt"]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("base_score", "abc"), ("base_score", None), ("base_score", True),
+        ("base_score", "0.5"), ("base_score", [1]), ("base_score", float("nan")),
+        ("train_loss", "x"), ("train_loss", [0.5, float("inf")]),
+    ],
+)
+def test_cli_transfer_rejects_a_corrupt_gbt_model(gbt_only_run, tmp_path, capsys, key, value):
+    # transfer on a gbt-only run reads the boosted models
+    run_dir = tmp_path / "run"
+    shutil.copytree(gbt_only_run, run_dir)
+    _set_field(run_dir / "models" / "ash__heat__gbt.json", key, value)
+    capsys.readouterr()
+    assert main(["transfer", "--run", str(run_dir)]) == 2
+    assert "ash__heat__gbt.json" in capsys.readouterr().err
+    assert not (run_dir / "transfer_recomputed").exists()
+
+
+@pytest.mark.parametrize(
+    "command, recomputed",
+    [("transfer", "transfer_recomputed"), ("importance", "importance_recomputed")],
+)
+def test_cli_recompute_over_models_of_different_schemas_exits_2(
+    tiny_run, tmp_path, capsys, command, recomputed
+):
+    _, out, _ = tiny_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    path = run_dir / "models" / "oak__heat__forest.json"
+    payload = json.loads(path.read_text("utf-8"))
+    payload["feature_names"][0] = "g00"
+    _set_field(path, "feature_names", payload["feature_names"])
+    capsys.readouterr()
+    assert main([command, "--run", str(run_dir)]) == 2
+    assert "SchemaMismatch" in capsys.readouterr().err
     assert not (run_dir / recomputed).exists()
 
 
