@@ -405,9 +405,10 @@ def _node_decoder(leaf: type, split: type, made: dict):
 def read_model(text: str, fmt: str, key: str, leaf: type, split: type) -> dict:
     """A model document of format `fmt`, parsed with its nodes built; ValueError
     unless every entry of payload[key] and every child is a (leaf, split) node,
-    every node field has its JSON type, every float is finite, every forest
-    leaf's counts are two ints >= 0 summing to its samples >= 1, seed is an
-    int, and every split's feature indexes feature_names, a list of strings."""
+    every node field has its JSON type, every float is finite and int < 2**53,
+    every forest leaf's counts are two ints >= 0 summing to its samples >= 1,
+    every split's samples are its children's (and its left and right samples),
+    seed is an int, and every split's feature indexes feature_names (strings)."""
     made = {}
     payload = json.loads(text, object_hook=_node_decoder(leaf, split, made))
     if not isinstance(payload, dict) or payload.get("format") != fmt:
@@ -417,6 +418,8 @@ def read_model(text: str, fmt: str, key: str, leaf: type, split: type) -> dict:
             col = list(map(attrgetter(name), nodes))
             if set(map(type, col)) - {kind} or kind is float and not all(map(math.isfinite, col)):
                 raise ValueError(f"a {cls.__name__}'s {json_key!r} is not {kind.__name__} or not finite")
+            if kind is int and max(col, default=0) >= 2**53:  # a float holds every count below
+                raise ValueError(f"a {cls.__name__}'s {json_key!r} is not below 2**53")
     counts, samples = [x.counts for x in made.get(Leaf, [])], [x.n for x in made.get(Leaf, [])]
     flat = list(chain.from_iterable(counts))
     if set(map(len, counts)) - {2} or set(map(type, flat)) - {int} or min(flat, default=0) < 0:
@@ -427,6 +430,9 @@ def read_model(text: str, fmt: str, key: str, leaf: type, split: type) -> dict:
     children = [*map(attrgetter("left"), splits), *map(attrgetter("right"), splits), *payload[key]]
     if not set(map(type, children)) <= {leaf, split}:
         raise ValueError(f"an entry of {key!r} or a child is not a {leaf.__name__} or {split.__name__}")
+    sides = attrgetter("n_left", "n_right") if split is Split else lambda s: (s.left.n, s.right.n)
+    if any(s.left.n + s.right.n != s.n or sides(s) != (s.left.n, s.right.n) for s in splits):
+        raise ValueError("a split's children's 'samples' do not sum to its own or its side counts")
     names = payload["feature_names"]
     if type(payload["seed"]) is not int or type(names) is not list or set(map(type, names)) - {str}:
         raise ValueError("seed is not an int or feature_names not a list of strings")

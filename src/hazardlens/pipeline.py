@@ -32,6 +32,7 @@ import json
 import os
 import shutil
 import tempfile
+from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -92,6 +93,7 @@ from .transfer import (
     TransferPolicy,
     cross_county,
     cross_hazard,
+    score_table,
 )
 
 CANONICAL_FAMILY = "forest"
@@ -694,7 +696,7 @@ def write_importance(
 
 def write_transfer(
     out_dir: Path,
-    models: dict[tuple[str, str], object],
+    models: Mapping[tuple[str, str], object],
     evals: dict[tuple[str, str], LabeledDataset],
     counties: tuple[str, ...],
     hazards: tuple[str, ...],
@@ -704,15 +706,19 @@ def write_transfer(
     county, each as `<stem>.csv` and `<stem>.svg` under out_dir. Both
     mappings are keyed (county, hazard); an axis with fewer than two
     entries holding both a model and evaluation data is skipped. Returns
-    the matrices in the order written."""
+    the matrices in the order written, all from one score_table."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    scores = score_table(models, evals, policy.beta)
+    scored = sorted({src for src, _ in scores})
     matrices = []
 
-    def axis(kind: str, fixed: str, ms: dict, es: dict, registry):
-        if len(set(ms) & set(es)) < 2:
+    def axis(kind: str, fixed: str, side: int, registry):
+        es = {key[side]: evals[key] for key in scored if key[1 - side] == fixed}
+        if len(es) < 2:
             return
         compute = cross_county if kind == "cross_county" else cross_hazard
-        outcome = compute(fixed, ms, es, policy, registry=registry)
+        # given scores, only the keys of the models argument are read
+        outcome = compute(fixed, es, es, policy, registry=registry, scores=scores)
         if policy.baseline != BASELINE_BOTH:
             outcome = {None: outcome}
         for name, matrix in sorted(outcome.items()):
@@ -722,13 +728,9 @@ def write_transfer(
             matrices.append(matrix)
 
     for hazard in hazards:
-        axis("cross_county", hazard,
-             {c: m for (c, h), m in models.items() if h == hazard},
-             {c: e for (c, h), e in evals.items() if h == hazard}, counties)
+        axis("cross_county", hazard, 0, counties)
     for county in counties:
-        axis("cross_hazard", county,
-             {h: m for (c, h), m in models.items() if c == county},
-             {h: e for (c, h), e in evals.items() if c == county}, hazards)
+        axis("cross_hazard", county, 1, hazards)
     return matrices
 
 
@@ -917,19 +919,38 @@ def _run_stages(config: RunConfig, out_dir: Path) -> RunReport:
 
 # -- recomputation from a finished run ----------------------------------------
 
-def load_run_models(run_dir, summary: dict, family: str) -> dict[tuple[str, str], object]:
-    """The run's deserialized models of one family, keyed (county, hazard):
-    the file of every pair in its summary. InvalidConfig names a file that
-    is missing or that does not parse as a model of the family."""
-    from_json = forest_from_json if family == "forest" else gbt_from_json
-    models = {}
-    for pair in summary["pairs"]:
-        path = Path(run_dir, "models", f"{pair}__{family}.json")
+@dataclass(frozen=True)
+class _ModelFiles(Mapping):
+    """Model files keyed (county, hazard), parsed on each access, never kept."""
+
+    paths: dict[tuple[str, str], Path]
+    from_json: Callable[[str], object]
+
+    def __getitem__(self, key):
+        path = self.paths[key]
         try:
-            models[tuple(pair.split("__"))] = from_json(path.read_text("utf-8"))
+            return self.from_json(path.read_text("utf-8"))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise InvalidConfig(f"cannot read model {path}: {exc}") from None
-    return models
+
+    def __iter__(self):
+        return iter(self.paths)
+
+    def __len__(self):
+        return len(self.paths)
+
+
+def load_run_models(run_dir, summary: dict, family: str) -> Mapping[tuple[str, str], object]:
+    """The run's models of one family, keyed (county, hazard): the file of
+    every pair in its summary, parsed on each access, so a reader taking one
+    at a time holds one. InvalidConfig names a missing file at once, and one
+    that is not a model of the family on access."""
+    paths = {tuple(pair.split("__")): Path(run_dir, "models", f"{pair}__{family}.json")
+             for pair in summary["pairs"]}
+    for path in paths.values():
+        if not path.is_file():
+            raise InvalidConfig(f"cannot read model {path}: no such file")
+    return _ModelFiles(paths, forest_from_json if family == "forest" else gbt_from_json)
 
 
 def load_run_summary(run_dir) -> dict:

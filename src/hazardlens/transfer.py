@@ -75,57 +75,38 @@ def predict_labels(model, X: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot predict with {type(model).__name__}")
 
 
-def _score(model, stack: np.ndarray, evals: list[LabeledDataset], beta: float) -> list[float]:
+def _score(model, evals: list[LabeledDataset], beta: float) -> list[float]:
     """F-beta of one model on each evaluation set.
 
-    `stack` holds the sets' feature rows one after another, so the model
-    predicts once; rows are predicted independently, so each slice equals
-    the labels of predicting its set alone.
+    The model predicts once, over the sets' feature rows stacked; rows are
+    predicted independently, so each slice equals the labels of predicting
+    its set alone.
     """
-    preds = predict_labels(model, stack)
-    scores = []
-    start = 0
-    for data in evals:
-        stop = start + data.n
-        scores.append(f_beta(confusion(data.labels, preds[start:stop]), beta))
-        start = stop
-    return scores
+    preds = predict_labels(model, np.concatenate([data.features for data in evals]))
+    parts = np.split(preds, np.cumsum([data.n for data in evals])[:-1])
+    return [f_beta(confusion(data.labels, part), beta) for data, part in zip(evals, parts)]
 
 
-def _check_schema(model, data: LabeledDataset, label: str) -> None:
-    if tuple(model.feature_names) != data.schema.feature_names:
-        raise SchemaMismatch(
-            f"model and evaluation data disagree on features for {label!r}"
-        )
-
-
-def _build_matrix(
-    axis: str,
-    fixed_id: str,
-    ids: tuple[str, ...],
-    present: list[str],
-    scores: dict[tuple[str, str], float],
-    policy: TransferPolicy,
-    baseline: str,
-) -> TransferMatrix:
-    """Matrix of score differences; scores[(src, tgt)] is src's model on tgt."""
-    matrix = TransferMatrix(
-        axis=axis,
-        fixed_id=fixed_id,
-        ids=ids,
-        baseline=baseline,
-        threshold=policy.threshold,
-    )
+def score_table(models, evals, beta: float) -> dict[tuple, float]:
+    """F-beta of each (county, hazard) pair's model on the evaluation set of
+    each pair sharing its county or hazard and its feature count, keyed
+    (source, target). Each model is fetched once, even one no axis uses."""
+    present = sorted(set(models) & set(evals))
+    scores = {}
     for src in present:
-        for tgt in present:
-            if src == tgt:
-                delta = 0.0
-            else:
-                base = scores[(tgt, tgt)] if baseline == BASELINE_TARGET else scores[(src, src)]
-                delta = (scores[(src, tgt)] - base) * 100.0
-            matrix.delta[(src, tgt)] = delta
-            matrix.transferable[(src, tgt)] = classify(delta, policy)
-    return matrix
+        model = models[src]
+        targets = [key for key in present if key[0] == src[0] or key[1] == src[1]]
+        if len(targets) > 1:
+            if tuple(model.feature_names) != evals[src].schema.feature_names:
+                # named by its id on the first axis built over it, cross-county first
+                label = src[0] if sum(key[1] == src[1] for key in targets) > 1 else src[1]
+                raise SchemaMismatch(f"model and evaluation data disagree on features for {label!r}")
+            width = evals[src].features.shape[1]  # an axis of two widths raises when built
+            targets = [key for key in targets if evals[key].features.shape[1] == width]
+            row = _score(model, [evals[key] for key in targets], beta)
+            scores.update(zip([(src, key) for key in targets], row))
+        del model  # so that no model is alive at the next fetch
+    return scores
 
 
 def _run_axis(
@@ -135,31 +116,41 @@ def _run_axis(
     evals: dict[str, LabeledDataset],
     policy: TransferPolicy,
     registry=None,
+    scores=None,
 ):
     present = sorted(set(models) & set(evals))
     if len(present) < 2:
-        raise ValueError(
-            f"transfer over {axis} needs at least 2 entries, got {len(present)}"
-        )
+        raise ValueError(f"transfer over {axis} needs at least 2 entries, got {len(present)}")
     ids = tuple(registry) if registry is not None else tuple(present)
     for key in present:
         if key not in ids:
             raise ValueError(f"{key!r} not in the supplied registry")
-        _check_schema(models[key], evals[key], key)
-    targets = [evals[key] for key in present]
-    if len({data.features.shape[1] for data in targets}) > 1:
+    pair = (lambda key: (key, fixed_id)) if axis == CROSS_COUNTY else (lambda key: (fixed_id, key))
+    if scores is None:
+        scores = score_table({pair(key): models[key] for key in present},
+                             {pair(key): evals[key] for key in present}, policy.beta)
+    if len({evals[key].features.shape[1] for key in present}) > 1:
         raise DimensionMismatch(f"evaluation sets over {axis} differ in feature count")
-    stack = np.concatenate([data.features for data in targets])
-    scores = {}
-    for src in present:
-        row = _score(models[src], stack, targets, policy.beta)
-        scores.update(((src, tgt), value) for tgt, value in zip(present, row))
+
+    def build(baseline: str) -> TransferMatrix:
+        """Matrix of score differences against `baseline`."""
+        matrix = TransferMatrix(
+            axis=axis, fixed_id=fixed_id, ids=ids, baseline=baseline, threshold=policy.threshold
+        )
+        for src in present:
+            for tgt in present:
+                if src == tgt:
+                    delta = 0.0
+                else:
+                    home = tgt if baseline == BASELINE_TARGET else src
+                    delta = (scores[pair(src), pair(tgt)] - scores[pair(home), pair(home)]) * 100.0
+                matrix.delta[(src, tgt)] = delta
+                matrix.transferable[(src, tgt)] = classify(delta, policy)
+        return matrix
+
     if policy.baseline == BASELINE_BOTH:
-        return {
-            name: _build_matrix(axis, fixed_id, ids, present, scores, policy, name)
-            for name in (BASELINE_TARGET, BASELINE_SOURCE)
-        }
-    return _build_matrix(axis, fixed_id, ids, present, scores, policy, policy.baseline)
+        return {name: build(name) for name in (BASELINE_TARGET, BASELINE_SOURCE)}
+    return build(policy.baseline)
 
 
 def cross_county(
@@ -168,6 +159,7 @@ def cross_county(
     evals: dict[str, LabeledDataset],
     policy: TransferPolicy = TransferPolicy(),
     registry=None,
+    scores=None,
 ):
     """Transfer matrix across counties for one hazard.
 
@@ -175,9 +167,9 @@ def cross_county(
     `evals` maps county -> the evaluation split of the same pair. Counties
     in `registry` (default: those present in both mappings) that miss data
     stay in the matrix as absent cells, never as zeros. With baseline
-    "both" a dict of two matrices is returned.
-    """
-    return _run_axis(CROSS_COUNTY, hazard_id, models, evals, policy, registry)
+    "both" a dict of two matrices is returned. Given `scores`, a score_table
+    of the pairs, only the keys of `models` are read."""
+    return _run_axis(CROSS_COUNTY, hazard_id, models, evals, policy, registry, scores)
 
 
 def cross_hazard(
@@ -186,6 +178,7 @@ def cross_hazard(
     evals: dict[str, LabeledDataset],
     policy: TransferPolicy = TransferPolicy(),
     registry=None,
+    scores=None,
 ):
-    """Transfer matrix across hazards within one county."""
-    return _run_axis(CROSS_HAZARD, county_id, models, evals, policy, registry)
+    """Transfer matrix across hazards within one county; see cross_county."""
+    return _run_axis(CROSS_HAZARD, county_id, models, evals, policy, registry, scores)

@@ -3,6 +3,7 @@
 The importance oracle re-derives forest importance from the serialized JSON
 document only, touching none of the library's accumulation code paths. The CV oracle
 fits every grid point from scratch, with no sharing between tree counts.
+The transfer oracle predicts each (source, target) cell's set on its own.
 The split oracles score one (feature, threshold) at a time in scalar floats,
 with the same operations as the column-wise kernels, so results compare bit
 for bit; the tree oracle grows a boosted tree from them node by node. The
@@ -304,3 +305,39 @@ def load_county_whole_file(path, missing_feature_policy):
     return tuple(tract_ids), features, {
         header[pos][len("hazard__"):]: hazards[:, j].copy() for j, pos in enumerate(hazard_pos)
     }
+
+
+def transfer_csvs_brute(models, evals, counties, hazards, policy, family):
+    """Rows of every transfer CSV that pipeline.write_transfer writes, by file
+    name, for models and evaluation sets keyed (county, hazard): each cell's
+    source model predicts the target's evaluation set alone, and each home
+    score is predicted again wherever a cell needs it."""
+    predict = FAMILIES[family][1]
+
+    def score(src, tgt):
+        data = evals[tgt]
+        return f_beta(confusion(data.labels, predict(models[src], data.features)), policy.beta)
+
+    both = policy.baseline == "both"
+    files = {}
+    for kind, fixed_ids, ids, pair in (
+        ("cross_county", hazards, counties, lambda fixed, i: (i, fixed)),
+        ("cross_hazard", counties, hazards, lambda fixed, i: (fixed, i)),
+    ):
+        for fixed in fixed_ids:
+            present = [i for i in ids if pair(fixed, i) in models and pair(fixed, i) in evals]
+            if len(present) < 2:
+                continue
+            for name in ("target_native", "source_native") if both else (policy.baseline,):
+                rows = [["source", "target", "delta_points", "transferable"]]
+                for src, tgt in itertools.product(ids, ids):
+                    if src not in present or tgt not in present:
+                        rows.append([src, tgt, "", "absent"])
+                        continue
+                    delta = 0.0
+                    if src != tgt:
+                        home = pair(fixed, tgt if name == "target_native" else src)
+                        delta = (score(pair(fixed, src), pair(fixed, tgt)) - score(home, home)) * 100.0
+                    rows.append([src, tgt, repr(delta), "1" if delta >= policy.threshold else "0"])
+                files[f"{kind}_{fixed}{f'__{name}' if both else ''}.csv"] = rows
+    return files

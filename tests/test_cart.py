@@ -293,18 +293,21 @@ _FOREST_TREES = st.recursive(
         lambda low, high: Leaf(counts=[low, high + 1], n=low + high + 1),
         _COUNTS, _COUNTS,
     ),
+    # a split's samples are its children's, as read_model requires
     lambda children: st.builds(
-        Split, feature=st.integers(0, 2), threshold=_FLOATS, impurity=_FLOATS,
-        n=_COUNTS, left_impurity=_FLOATS, right_impurity=_FLOATS,
-        n_left=_COUNTS, n_right=_COUNTS, left=children, right=children,
+        lambda left, right, **fields: Split(
+            n=left.n + right.n, n_left=left.n, n_right=right.n, left=left, right=right, **fields
+        ),
+        feature=st.integers(0, 2), threshold=_FLOATS, impurity=_FLOATS,
+        left_impurity=_FLOATS, right_impurity=_FLOATS, left=children, right=children,
     ),
     max_leaves=8,
 )
 _GBT_TREES = st.recursive(
     st.builds(RegLeaf, weight=_FLOATS, n=_COUNTS),
     lambda children: st.builds(
-        RegSplit, feature=st.integers(0, 2), threshold=_FLOATS, gain=_FLOATS,
-        n=_COUNTS, left=children, right=children,
+        lambda left, right, **fields: RegSplit(n=left.n + right.n, left=left, right=right, **fields),
+        feature=st.integers(0, 2), threshold=_FLOATS, gain=_FLOATS, left=children, right=children,
     ),
     max_leaves=8,
 )

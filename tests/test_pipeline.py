@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hazardlens import pipeline
 from hazardlens.cli import main
 from hazardlens.dataset import make_labeled
 from hazardlens.errors import InvalidConfig
@@ -411,11 +413,11 @@ def test_cli_csv_naming_a_column_twice_rejected_before_anything_is_written(tmp_p
 
 
 def damage_county(path, damage):
-    """Put one 0xff byte, or one cell past the csv module's field limit, into
-    the last row of a county CSV."""
+    """Put one 0xff byte (the first of its tract id), or one cell past the csv
+    module's field limit, into the last row of a county CSV."""
     *head, last = path.read_bytes().splitlines()
     if damage == "undecodable":
-        last = last.replace(b".", b"\xff", 1)
+        last = b"\xff" + last[1:]
     else:
         tract, _, rest = last.partition(b",")
         last = tract + b"," + b"1" * (csv.field_size_limit() + 1) + b"," + rest.partition(b",")[2]
@@ -837,12 +839,32 @@ def _set_field(path, key, value):
     path.write_text(json.dumps(payload), "utf-8")
 
 
-def _set_split_field(path, key, value):
-    # in the first split tree's root; the router would read another row's
-    # cell for an out-of-range feature rather than fail
+def _edit_split(path, edit):
+    # edit(node) on the first split tree's (or stage's) root
     payload = json.loads(path.read_text("utf-8"))
-    next(t for t in payload["trees"] if t["kind"] == "split")[key] = value
+    edit(next(t for t in payload.get("trees", payload.get("stages")) if t["kind"] == "split"))
     path.write_text(json.dumps(payload), "utf-8")
+
+
+def _set_split_field(path, key, value):
+    # the router would read another row's cell for an out-of-range feature
+    # rather than fail
+    _edit_split(path, lambda node: node.update({key: value}))
+
+
+def _move_one_sample(node):
+    # the sides still sum to the split's samples, but neither is its child's
+    node.update(left_samples=node["left_samples"] + 1, right_samples=node["right_samples"] - 1)
+
+
+def _huge_leaf(path):
+    # a leaf whose counts sum to its samples, past 2**53
+    def edit(node):
+        while node["kind"] == "split":
+            node = node["left"]
+        node.update(samples=2**53 + 1, counts=[2**53, 1])
+
+    _edit_split(path, edit)
 
 
 def _set_leaf_counts(path, counts_of):
@@ -879,6 +901,10 @@ def _set_leaf_counts(path, counts_of):
         lambda path: _set_field(path, "seed", "x"),
         lambda path: _set_field(path, "feature_names", "f0f1f2f3"),
         lambda path: _set_field(path, "feature_names", [0, 1, 2, 3, 4, 5, 6, 7]),
+        lambda path: _set_split_field(path, "left_samples", 10**400),
+        lambda path: _edit_split(path, lambda node: node.update(samples=node["samples"] + 1)),
+        lambda path: _edit_split(path, _move_one_sample),
+        _huge_leaf,
     ],
     ids=[
         "missing", "truncated", "tree_without_kind", "child_without_kind",
@@ -887,6 +913,8 @@ def _set_leaf_counts(path, counts_of):
         "float_count", "string_counts", "bool_count", "counts_past_samples", "huge_count",
         "three_counts", "nan_impurity", "infinite_threshold", "string_seed",
         "feature_names_a_string", "feature_names_not_strings",
+        "huge_left_samples", "sides_not_summing_to_samples", "side_not_its_childs_samples",
+        "huge_leaf",
     ],
 )
 @pytest.mark.parametrize(
@@ -929,6 +957,80 @@ def test_cli_transfer_rejects_a_corrupt_gbt_model(gbt_only_run, tmp_path, capsys
     capsys.readouterr()
     assert main(["transfer", "--run", str(run_dir)]) == 2
     assert "ash__heat__gbt.json" in capsys.readouterr().err
+    assert not (run_dir / "transfer_recomputed").exists()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda node: node.update(samples=node["samples"] + 1),
+        lambda node: node.update(samples=10**400),
+        lambda node: node["left"].update(samples=node["left"]["samples"] + 1),
+    ],
+    ids=["samples_past_the_childrens", "huge_samples", "child_past_its_share"],
+)
+def test_cli_transfer_rejects_a_boosted_split_whose_samples_disagree(
+    gbt_only_run, tmp_path, capsys, damage
+):
+    run_dir = tmp_path / "run"
+    shutil.copytree(gbt_only_run, run_dir)
+    _edit_split(run_dir / "models" / "ash__heat__gbt.json", damage)
+    capsys.readouterr()
+    assert main(["transfer", "--run", str(run_dir)]) == 2
+    assert "ash__heat__gbt.json" in capsys.readouterr().err
+    assert not (run_dir / "transfer_recomputed").exists()
+
+
+@pytest.mark.parametrize("command", ["transfer", "importance"])
+def test_cli_recompute_parses_each_model_once_and_holds_one(
+    tiny_run, tmp_path, monkeypatch, command
+):
+    # the recompute commands take the run's forests one at a time: each file
+    # is parsed once, and no parsed forest is alive when the next is parsed
+    _, out, _ = tiny_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    parse = pipeline.forest_from_json
+    texts, alive, peak = [], weakref.WeakValueDictionary(), []  # a model is unhashable
+
+    def counted(text):
+        texts.append(text)
+        alive[len(texts)] = model = parse(text)
+        peak.append(len(alive))
+        return model
+
+    monkeypatch.setattr(pipeline, "forest_from_json", counted)
+    assert main([command, "--run", str(run_dir)]) == 0
+    files = sorted((run_dir / "models").glob("*__forest.json"))
+    assert len(files) == 5
+    assert sorted(texts) == sorted(path.read_text("utf-8") for path in files)
+    assert peak == [1] * len(files)
+
+
+def test_cli_transfer_reads_a_model_no_axis_uses(tmp_path, capsys):
+    # yew/flood shares neither its county nor its hazard with another pair, so
+    # no matrix needs its model; a corrupt file still fails the command
+    paths = [county_csv(tmp_path / f"{name}.csv", seed) for seed, name in enumerate(["ash", "oak"])]
+    flood = county_csv(tmp_path / "yew.csv", seed=7)
+    flood.write_text(flood.read_text().replace("hazard__heat", "hazard__flood"))
+    run_dir = tmp_path / "out"
+    config = RunConfig(
+        seed=4, out_dir=str(run_dir), county_files=[*map(str, paths), str(flood)],
+        forest_grid={"n_trees": [3], "max_depth": [3]},
+        gbt_grid={"n_rounds": [2], "max_depth": [2], "learning_rate": [0.3], "l2_reg": [1.0]},
+        cv_k=3,
+    )
+    report = run(config)
+    assert not report.failures
+    assert sorted(report.results) == [("ash", "heat"), ("oak", "heat"), ("yew", "flood")]
+    assert sorted(p.name for p in (run_dir / "transfer").glob("*.csv")) == ["cross_county_heat.csv"]
+    assert main(["transfer", "--run", str(run_dir)]) == 0
+    shutil.rmtree(run_dir / "transfer_recomputed")
+    path = run_dir / "models" / "yew__flood__forest.json"
+    path.write_text(path.read_text("utf-8")[:200], "utf-8")
+    capsys.readouterr()
+    assert main(["transfer", "--run", str(run_dir)]) == 2
+    assert "yew__flood__forest.json" in capsys.readouterr().err
     assert not (run_dir / "transfer_recomputed").exists()
 
 

@@ -1,19 +1,26 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import labeled_from_arrays
+from oracles import transfer_csvs_brute
 from hazardlens.boosting import BoostParams, predict_gbt, predict_margin_gbt, train_gbt
 from hazardlens.cart import TreeParams
 from hazardlens.dataset import make_labeled
-from hazardlens.errors import SchemaMismatch
+from hazardlens.errors import DimensionMismatch, SchemaMismatch
 from hazardlens.forest import predict_forest, predict_proba_forest, train_forest
-from hazardlens.selection import SplitSpec, stratified_split
+from hazardlens.pipeline import write_transfer
+from hazardlens.selection import FAMILIES, SplitSpec, stratified_split
 from hazardlens.synth import CountyPlan, ScenarioSpec, build_scenario, generate_county
 from hazardlens.transfer import (
     BASELINE_BOTH,
     BASELINE_SOURCE,
+    BASELINE_TARGET,
     TransferPolicy,
     classify,
     cross_county,
@@ -166,6 +173,26 @@ def test_schema_mismatch_detected():
         cross_county("heat", models, evals)
 
 
+def test_axis_errors_name_the_axis_and_the_entry(tmp_path):
+    # c1's model fits its own 13-feature set, unlike the other counties'
+    models, evals = build_pair_inputs(three_counties(True), "heat", seed=5, n_trees=3)
+    wide = generate_county(
+        ScenarioSpec(county_id="c1", n_tracts=60, n_features=13,
+                     informative=(0, 1), seed=9, hazards=("heat",))
+    )
+    train, evals["c1"] = stratified_split(make_labeled(wide, "heat"), SplitSpec(seed=1))
+    models["c1"] = train_forest(train, TreeParams(), n_trees=3, seed=1)
+    by_pair = [{(c, "heat"): value for c, value in m.items()} for m in (models, evals)]
+    message = "evaluation sets over county differ in feature count"
+    with pytest.raises(DimensionMismatch, match=message):
+        cross_county("heat", models, evals)
+    with pytest.raises(DimensionMismatch, match=message):
+        write_transfer(tmp_path, *by_pair, ("c0", "c1", "c2"), ("heat",), TransferPolicy())
+    models["c2"].feature_names = ("other",) + models["c2"].feature_names[1:]
+    with pytest.raises(SchemaMismatch, match="features for 'c2'"):
+        write_transfer(tmp_path, *by_pair, ("c0", "c1", "c2"), ("heat",), TransferPolicy())
+
+
 def test_needs_two_present_entries():
     models, evals = build_pair_inputs(three_counties(True), "heat", seed=5)
     only = {"c0": models["c0"]}
@@ -195,3 +222,46 @@ def test_stacked_prediction_equals_per_block_prediction(sizes, seed):
         whole = predict(model, stack)
         parts = np.concatenate([predict(model, block) for block in blocks])
         assert whole.tobytes() == parts.tobytes()
+
+
+_POINTS = {
+    "forest": {"n_trees": 3, "max_depth": 3},
+    "gbt": {"n_rounds": 2, "max_depth": 2, "learning_rate": 0.3, "l2_reg": 1.0},
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    held=st.lists(st.booleans(), min_size=9, max_size=9),
+    family=st.sampled_from(sorted(_POINTS)),
+    baseline=st.sampled_from([BASELINE_TARGET, BASELINE_SOURCE, BASELINE_BOTH]),
+    eval_on=st.sampled_from(["test", "full"]),
+    seed=st.integers(0, 2**16),
+)
+def test_write_transfer_matches_the_per_cell_oracle(held, family, baseline, eval_on, seed):
+    # a study of up to 3 counties x 3 hazards: a pair that is not held is an
+    # absent cell in both registries, and an axis holding fewer than two pairs
+    # writes no file
+    counties, hazards = ("ash", "oak", "yew"), ("flood", "heat", "wind")
+    pairs = [(c, h) for c in counties for h in hazards]
+    values = np.array([-1.5, 0.25, 2.0])
+    models, evals = {}, {}
+    for i, (county, hazard) in enumerate(pairs):
+        if not held[i]:
+            continue
+        rng = np.random.default_rng((seed, i))
+        X = rng.choice(values, size=(24, 3))
+        y = (X[:, i % 3] + rng.choice(values, size=24) > 0.5).astype(np.int64)
+        y[:6] = [0, 1, 0, 1, 0, 1]
+        labeled = labeled_from_arrays(X, y, county=county, hazard=hazard)
+        train, test = stratified_split(labeled, SplitSpec(seed=seed))
+        models[county, hazard] = FAMILIES[family][0](train, _POINTS[family], seed + i)
+        evals[county, hazard] = labeled if eval_on == "full" else test
+    policy = TransferPolicy(baseline=baseline)
+    with tempfile.TemporaryDirectory() as out:
+        write_transfer(Path(out), models, evals, counties, hazards, policy)
+        written = {}
+        for path in sorted(Path(out).glob("*.csv")):
+            with path.open(newline="") as handle:
+                written[path.name] = list(csv.reader(handle))
+    assert written == transfer_csvs_brute(models, evals, counties, hazards, policy, family)
