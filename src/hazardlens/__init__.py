@@ -30,8 +30,6 @@ from .metrics import (
 from .importance import (
     ImportanceVector,
     OverallImportance,
-    RankMatrix,
-    build_rank_matrix,
     forest_importance,
     node_importances,
     normalize,

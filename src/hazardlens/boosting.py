@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 # the boosted nodes live in cart, the tree module of both families
 from .cart import (
-    RegLeaf, RegNode, RegSplit, feature_matrix, read_model, split_threshold, trees_values,
-    write_model,
+    RegLeaf, RegNode, RegSplit, check_integer, feature_matrix, read_model, split_threshold,
+    trees_values, write_model,
 )
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import DegenerateLabels
@@ -45,16 +46,17 @@ class BoostParams:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
-        if self.n_rounds < 1:
-            raise ValueError("n_rounds must be >= 1")
+        check_integer("n_rounds", self.n_rounds, 1)
+        for name in ("learning_rate", "l2_reg"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.l2_reg < 0.0:
             raise ValueError("l2_reg must be >= 0")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        check_integer("max_depth", self.max_depth, 0)
+        check_integer("min_samples_leaf", self.min_samples_leaf, 1)
 
 
 @dataclass

@@ -41,20 +41,20 @@ class TreeParams:
     features_per_split: int | None = None
 
     def __post_init__(self):
-        if self.max_depth is not None and (
-            isinstance(self.max_depth, bool)
-            or not isinstance(self.max_depth, Integral)
-            or self.max_depth < 0
-        ):
-            raise ValueError("max_depth must be an integer >= 0 or None")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.min_samples_split < 2 * self.min_samples_leaf:
-            raise ValueError(
-                "min_samples_split must be >= 2 * min_samples_leaf"
-            )
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be >= 1 or None")
+        check_integer("max_depth", self.max_depth, 0, or_none=True)
+        check_integer("min_samples_leaf", self.min_samples_leaf, 1)
+        check_integer("min_samples_split", self.min_samples_split, 2 * self.min_samples_leaf)
+        check_integer("features_per_split", self.features_per_split, 1, or_none=True)
+
+
+def check_integer(name: str, value, low: int, or_none: bool = False) -> None:
+    """ValueError unless value is an integer >= low, or None where allowed. A
+    bool is no integer here, although Python counts it as one."""
+    if not (value is None and or_none) and (
+        isinstance(value, bool) or not isinstance(value, Integral) or value < low
+    ):
+        none = " or None" if or_none else ""
+        raise ValueError(f"{name} must be an integer >= {low}{none}, got {value!r}")
 
 
 @dataclass

@@ -19,9 +19,8 @@ from .pipeline import (
     PRESETS,
     RunConfig,
     canonical_family,
-    load_run_config,
+    load_finished_run,
     load_run_models,
-    load_run_summary,
     importance_vectors,
     publish,
     rebuild_eval_splits,
@@ -124,19 +123,9 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _finished_run(path: str) -> tuple[Path, dict, RunConfig]:
-    """The run directory, its summary and its config; checked before
-    anything is written. The summary is read and the config built once per
-    command, and handed to every loader."""
-    run_dir = Path(path)
-    if not (run_dir / "summary.json").is_file():
-        raise InvalidConfig(f"{run_dir} is not a finished run: no summary.json")
-    summary = load_run_summary(run_dir)
-    return run_dir, summary, load_run_config(run_dir, summary)
-
-
 def _cmd_transfer(args) -> int:
-    run_dir, summary, config = _finished_run(args.run)
+    run_dir = Path(args.run)
+    summary, config = load_finished_run(run_dir)
     out = Path(args.out) if args.out else run_dir / "transfer_recomputed"
     models = load_run_models(run_dir, summary, canonical_family(config.families))
     evals = rebuild_eval_splits(run_dir, summary, config)
@@ -147,7 +136,8 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_importance(args) -> int:
-    run_dir, summary, config = _finished_run(args.run)
+    run_dir = Path(args.run)
+    summary, config = load_finished_run(run_dir)
     out = Path(args.out) if args.out else run_dir / "importance_recomputed"
     mode = args.mode or config.importance_mode
     _, groups = study_inputs(config, run_dir)

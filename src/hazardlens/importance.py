@@ -91,35 +91,6 @@ def rank_features(vector: ImportanceVector) -> np.ndarray:
 
 
 @dataclass
-class RankMatrix:
-    """Per-county rank columns for one hazard: counties x features."""
-
-    feature_names: tuple[str, ...]
-    counties: tuple[str, ...]
-    ranks: np.ndarray  # shape (C, F)
-
-    def __post_init__(self):
-        self.ranks = np.asarray(self.ranks, dtype=np.float64)
-        if self.ranks.shape != (len(self.counties), len(self.feature_names)):
-            raise ValueError("rank matrix shape must be counties x features")
-
-
-def build_rank_matrix(
-    vectors: dict[str, ImportanceVector],
-) -> RankMatrix:
-    """Rank each county's normalized importances into one matrix."""
-    if not vectors:
-        raise ValueError("need at least one county importance vector")
-    counties = tuple(sorted(vectors))
-    names = vectors[counties[0]].feature_names
-    for county in counties:
-        if vectors[county].feature_names != names:
-            raise SchemaMismatch(f"county {county!r} has a different schema", county=county)
-    ranks = np.vstack([rank_features(vectors[c]) for c in counties])
-    return RankMatrix(feature_names=names, counties=counties, ranks=ranks)
-
-
-@dataclass
 class OverallImportance:
     feature_names: tuple[str, ...]
     scores: np.ndarray  # rank sum / (F * C), each in [1/F, 1]
@@ -127,22 +98,31 @@ class OverallImportance:
     overflow: int  # extra features included because of boundary ties
 
 
-def overall_importance(matrix: RankMatrix, top_k: int = 7) -> OverallImportance:
-    """Rank-sum score per feature plus the top-k selection.
+def overall_importance(vectors: dict[str, ImportanceVector], top_k: int = 7) -> OverallImportance:
+    """Rank-sum score per feature over counties' normalized importances (by
+    county) plus the top-k selection.
 
-    Scores are sum_i R_ij / (F * C). The selection keeps the k best scores;
-    features tied with the k-th score are all included and the overflow
-    count reports how many extras the tie pulled in.
+    Scores are sum_i R_ij / (F * C), counties in sorted order. The selection
+    keeps the k best scores; features tied with the k-th score are all
+    included and the overflow count reports how many extras the tie pulled in.
     """
-    C, F = matrix.ranks.shape
-    scores = matrix.ranks.sum(axis=0) / (F * C)
+    if not vectors:
+        raise ValueError("need at least one county importance vector")
+    counties = sorted(vectors)
+    names = vectors[counties[0]].feature_names
+    for county in counties:
+        if vectors[county].feature_names != names:
+            raise SchemaMismatch(f"county {county!r} has a different schema", county=county)
+    ranks = np.vstack([rank_features(vectors[c]) for c in counties])
+    C, F = ranks.shape
+    scores = ranks.sum(axis=0) / (F * C)
     k = min(top_k, F)
     order = sorted(range(F), key=lambda j: (-scores[j], j))
     boundary = scores[order[k - 1]]
     selected = [j for j in order if scores[j] > boundary]
     selected += [j for j in order if scores[j] == boundary]
     return OverallImportance(
-        feature_names=matrix.feature_names,
+        feature_names=names,
         scores=scores,
         top_features=tuple(selected),
         overflow=len(selected) - k,

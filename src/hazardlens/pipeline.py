@@ -61,7 +61,6 @@ from .importance import (
     WEIGHTED,
     ImportanceVector,
     OverallImportance,
-    build_rank_matrix,
     forest_importance,
     normalize,
     overall_importance,
@@ -142,8 +141,8 @@ class RunConfig:
                 raise InvalidConfig(f"hazards must be a list of hazard ids, got {self.hazards!r}")
             if not self.hazards:
                 raise InvalidConfig("at least one hazard required")
-            if any("__" in hazard for hazard in self.hazards):
-                raise InvalidConfig("hazard ids must not contain '__'")
+            for hazard in self.hazards:
+                _check_hazard_id(hazard)
         if self.synth is not None and not isinstance(self.synth, dict):
             raise InvalidConfig("synth must be a JSON object")
         if self.synth is not None and self.synth.get("preset") not in (None, *PRESETS):
@@ -397,10 +396,19 @@ def study_inputs(config: RunConfig, run_dir) -> tuple[list, dict | None]:
     return paths, groups
 
 
+def _check_hazard_id(hazard: str, where: str = "") -> None:
+    """InvalidConfig, prefixed by `where`, when a hazard id holds the '__' a
+    pair's name joins its county and hazard with (recompute splits the name
+    there) or a '/', which a model's file name cannot hold."""
+    for part in ("__", "/"):
+        if part in hazard:
+            raise InvalidConfig(f"{where}hazard id {hazard!r} must not contain {part!r}")
+
+
 def _load_counties(paths, missing_feature_policy: str) -> list[CountyDataset]:
     """Counties sorted by id, schemas aligned to the first one's order. Each
-    file holds its own county, and no id holds the '__' a pair's name joins
-    its county and hazard with (recompute splits the name there)."""
+    file holds its own county, no county id holds '__', and every hazard id
+    passes _check_hazard_id."""
     loaded = {}
     for path in paths:
         dataset = load_county_csv(path, missing_feature_policy=missing_feature_policy)
@@ -410,8 +418,7 @@ def _load_counties(paths, missing_feature_policy: str) -> list[CountyDataset]:
         if "__" in county:
             raise InvalidConfig(f"county id {county!r} must not contain '__'")
         for hazard in dataset.hazards:
-            if "__" in hazard:
-                raise InvalidConfig(f"county {county!r}: hazard id {hazard!r} must not contain '__'")
+            _check_hazard_id(hazard, f"county {county!r}: ")
         loaded[county] = path, dataset
     datasets = [loaded[county][1] for county in sorted(loaded)]
     align_schemas(datasets)
@@ -640,7 +647,7 @@ def _write_reports(reports_dir: Path, config: RunConfig, counties, hazards, resu
             "f1": dispersion_summary(f1_tables[canonical]),
             f"fbeta{config.beta:g}": dispersion_summary(fbeta_tables[canonical]),
         }
-        rpt.write_dispersion(reports_dir / "dispersion.json", dispersion)
+        _write_json(reports_dir / "dispersion.json", {m: asdict(s) for m, s in dispersion.items()})
 
     cv_rows = [
         [county, hazard, family, json.dumps(rec.params, sort_keys=True),
@@ -683,14 +690,11 @@ def write_importance(
     overall_by_hazard = {}
     for hazard, by_county in sorted(vectors.items()):
         rpt.write_importance_csv(out_dir / f"importance_{hazard}.csv", by_county)
-        overall = overall_importance(build_rank_matrix(by_county), top_k)
+        overall = overall_importance(by_county, top_k)
         rpt.write_overall_csv(out_dir / f"overall_importance_{hazard}.csv", overall)
         overall_by_hazard[hazard] = overall
     if groups and overall_by_hazard:
-        rpt.write_group_rollup(
-            out_dir / "feature_group_rollup.csv",
-            {h: rpt.group_rollup(o, groups) for h, o in overall_by_hazard.items()},
-        )
+        rpt.write_group_rollup(out_dir / "feature_group_rollup.csv", overall_by_hazard, groups)
     return overall_by_hazard
 
 
@@ -953,35 +957,32 @@ def load_run_models(run_dir, summary: dict, family: str) -> Mapping[tuple[str, s
     return _ModelFiles(paths, forest_from_json if family == "forest" else gbt_from_json)
 
 
-def load_run_summary(run_dir) -> dict:
-    """A finished run's summary.json; InvalidConfig naming the file unless it
-    is a JSON object holding the run's pairs, counties and hazards."""
+def load_finished_run(run_dir) -> tuple[dict, RunConfig]:
+    """A finished run's summary.json, a JSON object holding its pairs,
+    counties and hazards, and the config it echoed there, checked as any
+    config is (InvalidConfig when, say, a county file has moved since). The
+    echo leaves out out_dir and workers; out_dir becomes the run directory.
+
+    A relative county or feature groups path that is missing from the
+    current directory is looked up against the run directory and then each
+    of its parents, nearest first, so a run recomputes from any directory."""
     path = Path(run_dir, "summary.json")
+    if not path.is_file():
+        raise InvalidConfig(f"{run_dir} is not a finished run: no summary.json")
     try:
         summary = json.loads(path.read_text("utf-8"))
     except (OSError, ValueError) as exc:
         raise InvalidConfig(f"cannot read run summary {path}: {exc}") from None
     if not isinstance(summary, dict) or not {"pairs", "counties", "hazards"} <= summary.keys():
         raise InvalidConfig(f"run summary {path} is not an object with pairs, counties, hazards")
-    return summary
-
-
-def load_run_config(run_dir, summary: dict) -> RunConfig:
-    """The config a finished run echoed into its summary, checked as any
-    config is: InvalidConfig when, say, a county file has moved since. The
-    echo leaves out out_dir and workers; out_dir becomes the run directory.
-
-    A relative county or feature groups path that is missing from the
-    current directory is looked up against the run directory and then each
-    of its parents, nearest first, so a run recomputes from any directory."""
     raw = {**summary.get("config", {}), "out_dir": str(run_dir)}
     run_dir = Path(run_dir).resolve()
     bases = (run_dir, *run_dir.parents)
     if isinstance(raw.get("counties"), list):
-        raw["counties"] = [_locate(path, bases, "county file") for path in raw["counties"]]
+        raw["counties"] = [_locate(p, bases, "county file") for p in raw["counties"]]
     if raw.get("feature_groups") is not None:
         raw["feature_groups"] = _locate(raw["feature_groups"], bases, "feature groups file")
-    return RunConfig.from_dict(raw)
+    return summary, RunConfig.from_dict(raw)
 
 
 def _locate(path, bases, label: str):

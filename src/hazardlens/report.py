@@ -8,15 +8,14 @@ percentages only here, at the report boundary.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NoEntries
 from .importance import ImportanceVector, OverallImportance
-from .metrics import DispersionSummary, MetricTable
+from .metrics import MetricTable
 from .seeds import sha256
 from .transfer import TransferMatrix
 
@@ -102,12 +101,6 @@ def write_model_comparison(
     write_rows(path, header, rows)
 
 
-def write_dispersion(path, summaries: dict[str, DispersionSummary]) -> None:
-    """Dispersion statistics for each reported metric, as JSON."""
-    payload = {metric: asdict(summary) for metric, summary in summaries.items()}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
-
-
 def write_importance_csv(path, vectors: dict[str, ImportanceVector]) -> None:
     """Normalized importance per county for one hazard, full precision."""
     counties = sorted(vectors)
@@ -136,22 +129,17 @@ def write_overall_csv(path, overall: OverallImportance) -> None:
     write_rows(path, ["feature", "overall_score", "selected"], rows)
 
 
-def group_rollup(
-    overall: OverallImportance, groups: dict[str, str]
-) -> dict[str, int]:
-    """Count selected top features per feature group."""
-    counts: dict[str, int] = {}
-    for j in overall.top_features:
-        group = groups.get(overall.feature_names[j], "unknown")
-        counts[group] = counts.get(group, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def write_group_rollup(path, rollups: dict[str, dict[str, int]]) -> None:
+def write_group_rollup(
+    path, overall_by_hazard: dict[str, OverallImportance], groups: dict[str, str]
+) -> None:
+    """Per hazard, the selected top features counted per feature group, and
+    each group's share of the hazard's selection."""
     rows = []
-    for hazard in sorted(rollups):
-        total = sum(rollups[hazard].values())
-        for group, count in sorted(rollups[hazard].items()):
+    for hazard, overall in sorted(overall_by_hazard.items()):
+        counts = Counter(groups.get(overall.feature_names[j], "unknown")
+                         for j in overall.top_features)
+        total = len(overall.top_features)
+        for group, count in sorted(counts.items()):
             rows.append([hazard, group, str(count), f"{count / total:.4f}"])
     write_rows(path, ["hazard", "group", "count", "share"], rows)
 

@@ -67,22 +67,18 @@ class TransferMatrix:
         return self.delta.get((source, target))
 
 
-def predict_labels(model, X: np.ndarray) -> np.ndarray:
-    if isinstance(model, ForestModel):
-        return predict_forest(model, X)
-    if isinstance(model, BoostedModel):
-        return predict_gbt(model, X)
-    raise TypeError(f"cannot predict with {type(model).__name__}")
-
-
 def _score(model, evals: list[LabeledDataset], beta: float) -> list[float]:
     """F-beta of one model on each evaluation set.
 
     The model predicts once, over the sets' feature rows stacked; rows are
     predicted independently, so each slice equals the labels of predicting
-    its set alone.
+    its set alone. The predictors are looked up per call: perfbench/spans.py
+    replaces them.
     """
-    preds = predict_labels(model, np.concatenate([data.features for data in evals]))
+    if not isinstance(model, (ForestModel, BoostedModel)):
+        raise TypeError(f"cannot predict with {type(model).__name__}")
+    predict = predict_forest if isinstance(model, ForestModel) else predict_gbt
+    preds = predict(model, np.concatenate([data.features for data in evals]))
     parts = np.split(preds, np.cumsum([data.n for data in evals])[:-1])
     return [f_beta(confusion(data.labels, part), beta) for data, part in zip(evals, parts)]
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 The importance oracle re-derives forest importance from the serialized JSON
-document only, touching none of the library's accumulation code paths. The CV oracle
+document only, touching none of the library's accumulation code paths; the
+overall-importance oracle ranks each county with the tie-run walk. The CV oracle
 fits every grid point from scratch, with no sharing between tree counts.
 The transfer oracle predicts each (source, target) cell's set on its own.
 The split oracles score one (feature, threshold) at a time in scalar floats,
@@ -80,6 +81,22 @@ def mean_ranks(values) -> np.ndarray:
         ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # positions i..j: ranks i+1..j+1
         i = j + 1
     return ranks
+
+
+def overall_importance_brute(vectors, top_k):
+    """(scores, top features, overflow) of the cross-county ranking: every
+    county's mean ranks summed in sorted county order and divided by F*C,
+    every feature scoring at least the k-th best score selected, best first
+    (lower index first among equal scores)."""
+    counties = sorted(vectors)
+    F, C = len(vectors[counties[0]].values), len(counties)
+    total = np.zeros(F)
+    for county in counties:
+        total = total + mean_ranks(vectors[county].values)
+    scores = total / (F * C)
+    kth = sorted(scores, reverse=True)[min(top_k, F) - 1]
+    selected = sorted((j for j in range(F) if scores[j] >= kth), key=lambda j: (-scores[j], j))
+    return scores, tuple(selected), len(selected) - min(top_k, F)
 
 
 def kendall_tau(a, b) -> float:

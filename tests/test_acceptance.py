@@ -18,7 +18,6 @@ from hazardlens.importance import (
     PAPER_LITERAL,
     WEIGHTED,
     ImportanceVector,
-    build_rank_matrix,
     forest_importance,
     normalize,
     overall_importance,
@@ -117,10 +116,7 @@ def test_criterion_2_formula_exactness():
     # overall importance bounds: top everywhere = 1, bottom everywhere = 1/F
     F = 35
     spread = np.linspace(1.0, 0.1, F)
-    matrix = build_rank_matrix(
-        {f"c{i}": vec(spread) for i in range(4)}
-    )
-    overall = overall_importance(matrix, top_k=7)
+    overall = overall_importance({f"c{i}": vec(spread) for i in range(4)}, top_k=7)
     close(overall.scores[0], 1.0)
     close(overall.scores[-1], 1.0 / F)
 
@@ -168,7 +164,7 @@ def test_criterion_3_planted_signal_recovery():
             labeled = make_labeled(generate_county(spec), "heat")
             model = train_forest(labeled, TreeParams(), n_trees=40, seed=seed)
             vectors[spec.county_id] = normalize(forest_importance(model))
-        top = set(overall_importance(build_rank_matrix(vectors), top_k=7).top_features)
+        top = set(overall_importance(vectors, top_k=7).top_features)
         hits += len(top & planted) >= 4
     elapsed = time.monotonic() - t0
     report(

@@ -4,7 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import labeled_from_arrays
-from oracles import forest_importance_from_json, kendall_tau, mean_ranks
+from oracles import (
+    forest_importance_from_json,
+    kendall_tau,
+    mean_ranks,
+    overall_importance_brute,
+)
 from hazardlens.cart import Leaf, Split, TreeParams, grow_tree
 from hazardlens.errors import AllZeroImportance
 from hazardlens.forest import ForestModel, forest_to_json, train_forest, tree_rng
@@ -12,7 +17,6 @@ from hazardlens.importance import (
     PAPER_LITERAL,
     WEIGHTED,
     ImportanceVector,
-    build_rank_matrix,
     forest_importance,
     node_importances,
     normalize,
@@ -152,16 +156,12 @@ def test_overall_importance_bounds():
     top = vector([1.0] + [0.0] * (F - 1))
     ranks_top = rank_features(top)
     assert ranks_top[0] == F
-    matrix = build_rank_matrix({f"c{i}": top for i in range(4)})
-    overall = overall_importance(matrix, top_k=7)
+    overall = overall_importance({f"c{i}": top for i in range(4)}, top_k=7)
     assert overall.scores[0] == pytest.approx(1.0, abs=1e-15)
 
     # bottom-ranked everywhere: score C * 1 / (F * C) = 1/F
     bottom_scores = np.linspace(1.0, 0.1, F)  # feature 34 is always least
-    matrix = build_rank_matrix(
-        {f"c{i}": vector(bottom_scores) for i in range(3)}
-    )
-    overall = overall_importance(matrix, top_k=7)
+    overall = overall_importance({f"c{i}": vector(bottom_scores) for i in range(3)}, top_k=7)
     assert overall.scores[-1] == pytest.approx(1.0 / F, abs=1e-15)
     assert np.all(overall.scores >= 1.0 / F - 1e-15)
     assert np.all(overall.scores <= 1.0 + 1e-15)
@@ -169,8 +169,7 @@ def test_overall_importance_bounds():
 
 def test_overall_single_county_monotone_in_ranks(rng):
     values = rng.permutation(10).astype(float)
-    matrix = build_rank_matrix({"only": vector(values)})
-    overall = overall_importance(matrix, top_k=3)
+    overall = overall_importance({"only": vector(values)}, top_k=3)
     order_by_score = np.argsort(-overall.scores)
     order_by_value = np.argsort(-values)
     np.testing.assert_array_equal(order_by_score, order_by_value)
@@ -179,8 +178,7 @@ def test_overall_single_county_monotone_in_ranks(rng):
 def test_overall_boundary_ties_overflow():
     # two features tie exactly at the k-th score: both included
     values = [0.5, 0.3, 0.3, 0.1]
-    matrix = build_rank_matrix({"c": vector(values)})
-    overall = overall_importance(matrix, top_k=2)
+    overall = overall_importance({"c": vector(values)}, top_k=2)
     assert len(overall.top_features) == 3
     assert overall.overflow == 1
 
@@ -190,18 +188,41 @@ def test_rank_sum_conservation(rng):
     vectors = {}
     for i in range(C):
         vectors[f"c{i}"] = vector(rng.permutation(F).astype(float))  # no ties
-    matrix = build_rank_matrix(vectors)
-    assert matrix.ranks.sum() == pytest.approx(C * F * (F + 1) / 2, abs=1e-9)
+    # each county's ranks sum to F(F+1)/2, so the scores sum to (F+1)/2
+    scores = overall_importance(vectors).scores
+    assert scores.sum() == pytest.approx((F + 1) / 2, abs=1e-9 / (C * F))
 
 
 def test_overall_invariant_to_county_relabeling(rng):
     F = 6
     vec_a, vec_b = vector(rng.random(F)), vector(rng.random(F))
-    m1 = build_rank_matrix({"a": vec_a, "b": vec_b})
-    m2 = build_rank_matrix({"zz": vec_a, "aa": vec_b})
     np.testing.assert_allclose(
-        overall_importance(m1).scores, overall_importance(m2).scores, atol=1e-15
+        overall_importance({"a": vec_a, "b": vec_b}).scores,
+        overall_importance({"zz": vec_a, "aa": vec_b}).scores,
+        atol=1e-15,
     )
+
+
+@st.composite
+def _county_vectors_and_k(draw):
+    """1-4 counties over one schema, their values drawn from three levels so
+    that ranks tie within a county and scores tie across features, and a k
+    from 1 to F + 2."""
+    F = draw(st.integers(1, 8))
+    values = st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=F, max_size=F)
+    counties = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=4, unique=True))
+    return {c: vector(draw(values)) for c in counties}, draw(st.integers(1, F + 2))
+
+
+@given(_county_vectors_and_k())
+def test_overall_importance_matches_the_brute_force_ranking(case):
+    vectors, k = case
+    scores, top, overflow = overall_importance_brute(vectors, k)
+    overall = overall_importance(vectors, k)
+    assert overall.scores.tobytes() == scores.tobytes()
+    assert overall.top_features == top
+    assert overall.overflow == overflow
+    assert overall.feature_names == next(iter(vectors.values())).feature_names
 
 
 def test_noise_feature_keeps_overall_order_kendall():
@@ -228,7 +249,7 @@ def test_noise_feature_keeps_overall_order_kendall():
                     data, TreeParams(max_depth=6), n_trees=50, seed=seed * 31 + c
                 )
                 vectors[f"c{c}"] = normalize(forest_importance(model))
-            return overall_importance(build_rank_matrix(vectors)).scores
+            return overall_importance(vectors).scores
 
         taus.append(kendall_tau(overall_scores(False), overall_scores(True)[:F]))
     assert np.median(taus) >= 0.9

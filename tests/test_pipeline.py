@@ -289,6 +289,9 @@ def test_config_validation(tmp_path):
     twice = {"counties": [{"name": "a", "n_tracts": 40}] * 2}
     with pytest.raises(InvalidConfig, match="synth counties lists 'a' more than once"):
         RunConfig(seed=1, out_dir="x", synth=twice)
+    # a model's file name holds its hazard id
+    with pytest.raises(InvalidConfig, match="hazard id 'heat/wave' must not contain '/'"):
+        RunConfig(seed=1, out_dir="x", synth=synth, hazards=["heat/wave"])
 
 
 @pytest.mark.parametrize(
@@ -373,6 +376,19 @@ def test_preset_named_in_a_json_config_supplies_its_grids():
         {"cv": {"forest_grid": {"n_trees": [20], "min_samples_leaf": [float("nan")]}}},
         {"out_dir": 5},
         {"out_dir": ["o"]},
+        # a count or depth that is no integer, or a rate that is a bool: these
+        # trained and then failed, or ran and echoed the value into summary.json
+        {"cv": {"forest_grid": {"n_trees": [20], "features_per_split": [2.5]}}},
+        {"cv": {"gbt_grid": {
+            "n_rounds": [15], "max_depth": [2.5], "learning_rate": [0.3], "l2_reg": [1.0]
+        }}},
+        {"cv": {"gbt_grid": {
+            "n_rounds": [15], "max_depth": [3], "learning_rate": [True], "l2_reg": [1.0]
+        }}},
+        {"cv": {"gbt_grid": {
+            "n_rounds": [15], "max_depth": [3], "learning_rate": [0.3], "l2_reg": [1.0],
+            "min_samples_leaf": [1.5],
+        }}},
     ],
 )
 def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
@@ -784,9 +800,9 @@ def test_cli_importance_literal_mode_partial_exit(tiny_run):
     # and flagged through the partial-failure exit code
     report, out, _ = tiny_run
     from hazardlens.importance import forest_importance
-    from hazardlens.pipeline import load_run_models, load_run_summary
+    from hazardlens.pipeline import load_finished_run, load_run_models
 
-    models = load_run_models(out, load_run_summary(out), "forest")
+    models = load_run_models(out, load_finished_run(out)[0], "forest")
     nonpositive = [
         key
         for key, model in models.items()
@@ -834,8 +850,10 @@ def _drop_kind(path, nested):
 
 
 def _set_field(path, key, value):
+    # a key "params.<name>" sets a field of the model's params
     payload = json.loads(path.read_text("utf-8"))
-    payload[key] = value
+    *section, leaf = key.split(".")
+    (payload[section[0]] if section else payload)[leaf] = value
     path.write_text(json.dumps(payload), "utf-8")
 
 
@@ -905,6 +923,7 @@ def _set_leaf_counts(path, counts_of):
         lambda path: _edit_split(path, lambda node: node.update(samples=node["samples"] + 1)),
         lambda path: _edit_split(path, _move_one_sample),
         _huge_leaf,
+        lambda path: _set_field(path, "params.features_per_split", 2.5),
     ],
     ids=[
         "missing", "truncated", "tree_without_kind", "child_without_kind",
@@ -914,7 +933,7 @@ def _set_leaf_counts(path, counts_of):
         "three_counts", "nan_impurity", "infinite_threshold", "string_seed",
         "feature_names_a_string", "feature_names_not_strings",
         "huge_left_samples", "sides_not_summing_to_samples", "side_not_its_childs_samples",
-        "huge_leaf",
+        "huge_leaf", "float_features_per_split",
     ],
 )
 @pytest.mark.parametrize(
@@ -934,6 +953,17 @@ def test_cli_recompute_rejects_a_missing_or_corrupt_model(
     assert not (run_dir / recomputed).exists()
 
 
+@pytest.mark.parametrize("command", ["transfer", "importance"])
+def test_cli_recompute_of_a_directory_without_summary_exits_2(tmp_path, capsys, command):
+    run_dir = tmp_path / "run"
+    (run_dir / "models").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, "--run", str(run_dir)]) == 2
+    assert f"{run_dir} is not a finished run: no summary.json" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.fixture(scope="module")
 def gbt_only_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("gbt_only") / "run"
@@ -947,6 +977,8 @@ def gbt_only_run(tmp_path_factory):
         ("base_score", "abc"), ("base_score", None), ("base_score", True),
         ("base_score", "0.5"), ("base_score", [1]), ("base_score", float("nan")),
         ("train_loss", "x"), ("train_loss", [0.5, float("inf")]),
+        pytest.param("params.learning_rate", True, id="bool_learning_rate"),
+        pytest.param("params.max_depth", 2.5, id="float_max_depth"),
     ],
 )
 def test_cli_transfer_rejects_a_corrupt_gbt_model(gbt_only_run, tmp_path, capsys, key, value):
@@ -1788,22 +1820,28 @@ SMALL_CV = {"k": 3, "forest_grid": {"n_trees": [4], "max_depth": [3]},
                          "l2_reg": [1.0]}}
 
 
+@pytest.mark.parametrize(
+    "hazard, part", [("heat__wave", "__"), ("heat/wave", "/")], ids=["double_underscore", "slash"]
+)
 @pytest.mark.parametrize("study", ["csv", "synth"])
-def test_hazard_id_holding_the_pair_separator_exits_2(tmp_path, monkeypatch, capsys, study):
-    # a pair is named county__hazard, and recompute splits the name at "__"
+def test_hazard_id_holding_the_pair_separator_exits_2(
+    tmp_path, monkeypatch, capsys, study, hazard, part
+):
+    # a pair is named county__hazard, recompute splits the name at "__", and
+    # a model's file name holds the hazard id
     monkeypatch.chdir(tmp_path)
     if study == "csv":
         path = county_csv(tmp_path / "ash.csv", seed=1)
-        path.write_text(path.read_text().replace("hazard__heat", "hazard__heat__wave"))
+        path.write_text(path.read_text().replace("hazard__heat", f"hazard__{hazard}"))
         inputs = {"counties": ["ash.csv"]}
     else:
-        county = {"name": "ash", "n_tracts": 40, "hazards": ["heat__wave"]}
+        county = {"name": "ash", "n_tracts": 40, "hazards": [hazard]}
         inputs = {"synth": {"counties": [county], "n_features": 4, "informative_count": 2}}
     config = {"seed": 1, "out_dir": "out", "cv": SMALL_CV, **inputs}
     Path("config.json").write_text(json.dumps(config))
     before = sorted(tmp_path.iterdir())
     assert main(["run", "--config", "config.json"]) == 2
-    assert "county 'ash': hazard id 'heat__wave' must not contain '__'" in capsys.readouterr().err
+    assert f"county 'ash': hazard id {hazard!r} must not contain {part!r}" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from hazardlens.errors import NoEntries
-from hazardlens.importance import ImportanceVector, build_rank_matrix, overall_importance
+from hazardlens.importance import ImportanceVector, overall_importance
 from hazardlens.metrics import MetricTable
 from hazardlens.report import (
     file_sha256,
-    group_rollup,
     render_heatmap,
+    write_group_rollup,
     write_performance_table,
 )
 from hazardlens.transfer import TransferMatrix
@@ -90,7 +90,7 @@ def test_performance_table_layout(tmp_path):
     assert lines[3] == "average,70,70,30,30,70.00,70.00,73.00,73.00"
 
 
-def test_group_rollup_counts():
+def test_group_rollup_counts(tmp_path):
     names = tuple(f"f{j}" for j in range(6))
     vectors = {
         "c": ImportanceVector(
@@ -98,11 +98,14 @@ def test_group_rollup_counts():
             values=np.array([0.3, 0.25, 0.2, 0.15, 0.07, 0.03]),
         )
     }
-    overall = overall_importance(build_rank_matrix(vectors), top_k=3)
+    overall = overall_importance(vectors, top_k=3)
     groups = {"f0": "social", "f1": "built", "f2": "social",
               "f3": "land", "f4": "built", "f5": "mobility"}
-    rollup = group_rollup(overall, groups)
-    assert rollup == {"built": 1, "social": 2}
+    path = tmp_path / "rollup.csv"
+    write_group_rollup(path, {"heat": overall}, groups)
+    assert path.read_text("utf-8").splitlines() == [
+        "hazard,group,count,share", "heat,built,1,0.3333", "heat,social,2,0.6667",
+    ]
 
 
 def test_manifest_hashes_and_excludes_itself(tmp_path):
