@@ -108,33 +108,47 @@ def _best_reg_split(
     node's slice of the column block. Nothing is sorted here. That order is
     the one a stable argsort of the node's own rows gives (see the module
     docstring), and the running sums add each row's values in it, so
-    G_l / H_l are the bits a per-feature scan computes. Ties go to the
-    lowest feature, then the lowest threshold. A feature whose admissible
-    gains include a NaN is skipped. Returns None when no admissible split
-    has gain > 0, and when h_sum + l2 <= 0 (the node's score is undefined;
-    it becomes a 0.0 leaf).
+    G_l / H_l are the bits a per-feature scan computes. The sums are taken
+    in place: g_sorted and h_sorted must be the caller's own copies. Ties go
+    to the lowest feature, then the lowest threshold. A feature whose
+    admissible gains include a NaN is skipped. Returns None when no
+    admissible split has gain > 0, and when h_sum + l2 <= 0 (the node's
+    score is undefined; it becomes a 0.0 leaf).
     """
     if h_sum + l2 <= 0.0:
         return None
     n = sv.shape[1]
-    parent_score = g_sum * g_sum / (h_sum + l2)
-    g_l = np.cumsum(g_sorted, axis=1)[:, :-1]
-    h_l = np.cumsum(h_sorted, axis=1)[:, :-1]
-
-    valid = sv[:, 1:] != sv[:, :-1]
-    if min_leaf > 1:
-        pos = np.arange(1, n)  # the left side takes the first pos sorted values
-        valid &= (pos >= min_leaf) & (n - pos >= min_leaf)
-    if not valid.any():
+    invalid = sv[:, 1:] == sv[:, :-1]
+    if min_leaf > 1:  # the left side takes the first r + 1 sorted values
+        invalid[:, :min_leaf - 1] = True
+        invalid[:, max(n - min_leaf, 0):] = True
+    if invalid.all():
         return None
-    g_r = g_sum - g_l
-    h_r = h_sum - h_l
-    gains = 0.5 * (g_l * g_l / (h_l + l2) + g_r * g_r / (h_r + l2) - parent_score)
-    gains[~valid] = -np.inf
-    gains[np.isnan(gains).any(axis=1)] = -np.inf
 
-    # first maximum in feature-major order: lowest feature, then threshold
+    # 0.5 * (g_l^2 / (h_l + l2) + g_r^2 / (h_r + l2) - parent), each element
+    # through the operations and order of that expression, in two buffers:
+    # the running sums overwrite g_sorted / h_sorted, h_l then becomes h_r
+    g_l = np.cumsum(g_sorted, axis=1, out=g_sorted)[:, :-1]
+    h_l = np.cumsum(h_sorted, axis=1, out=h_sorted)[:, :-1]
+    gains = np.multiply(g_l, g_l)
+    right = np.add(h_l, l2)
+    gains /= right
+    np.subtract(g_sum, g_l, out=right)
+    right *= right
+    np.subtract(h_sum, h_l, out=h_l)
+    h_l += l2
+    right /= h_l
+    gains += right
+    gains -= g_sum * g_sum / (h_sum + l2)
+    gains *= 0.5
+    gains[invalid] = -np.inf
+
+    # first maximum in feature-major order: lowest feature, then threshold.
+    # argmax stops at the first NaN, so only then are NaN features masked
     j, r = divmod(int(np.argmax(gains)), n - 1)
+    if math.isnan(gains[j, r]):
+        gains[np.isnan(gains).any(axis=1)] = -np.inf
+        j, r = divmod(int(np.argmax(gains)), n - 1)
     gain = float(gains[j, r])
     if not gain > 0.0:
         return None
@@ -153,10 +167,14 @@ def _grow_reg_tree(
     h: np.ndarray,
     params: BoostParams,
     order: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> RegNode:
     """One regression tree on the gradient/hessian statistics g, h.
 
-    order is column_order(X), which a fit shares across rounds. Each node
+    order is column_order(X), which a fit shares across rounds. If weights
+    is given, each row's leaf weight is written into it as the leaf is made:
+    a row sits in the leaf that x <= threshold routes it to, so these are
+    the values trees_values gives the tree on X. Each node
     keeps its rows twice: idx in increasing row order (for the G / H
     totals, summed as before) and lists, its (features x n) slice of order.
     A split marks the left rows in a flag array and filters the parent's
@@ -173,17 +191,19 @@ def _grow_reg_tree(
         n = idx.shape[0]
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())
-        if depth >= params.max_depth or n < 2 * min_leaf:
-            return RegLeaf(weight=_leaf_weight(g_sum, h_sum, l2), n=n)
-
-        # the gathered blocks are arguments only, so the scan's temporaries
-        # are freed before the children are built
-        best = _best_reg_split(
-            XT.take(lists + offsets), g[lists], h[lists],
-            g_sum, h_sum, l2, min_leaf,
-        )
+        best = None
+        if depth < params.max_depth and n >= 2 * min_leaf:
+            # the gathered blocks are arguments only, so the scan's
+            # temporaries are freed before the children are built
+            best = _best_reg_split(
+                XT.take(lists + offsets), g[lists], h[lists],
+                g_sum, h_sum, l2, min_leaf,
+            )
         if best is None:
-            return RegLeaf(weight=_leaf_weight(g_sum, h_sum, l2), n=n)
+            weight = _leaf_weight(g_sum, h_sum, l2)
+            if weights is not None:
+                weights[idx] = weight
+            return RegLeaf(weight=weight, n=n)
         gain, feature, threshold = best
         go_left = X[idx, feature] <= threshold
         flag[idx] = go_left
@@ -233,13 +253,13 @@ def train_gbt(
     margins = np.full(y.shape[0], base_score, dtype=np.float64)
     losses = [_logloss(margins, y)]
     stages: list[RegNode] = []
+    weights = np.empty_like(margins)  # each row's leaf weight, set by growth
     for _ in range(params.n_rounds):
         p_hat = sigmoid(margins)
         g = p_hat - y
         h = p_hat * (1.0 - p_hat)
-        stage = _grow_reg_tree(X, g, h, params, columns)
-        margins += params.learning_rate * trees_values([stage], X)[0]
-        stages.append(stage)
+        stages.append(_grow_reg_tree(X, g, h, params, columns, weights))
+        margins += params.learning_rate * weights
         losses.append(_logloss(margins, y))
 
     return BoostedModel(

@@ -142,7 +142,7 @@ class RunConfig:
             if not self.hazards:
                 raise InvalidConfig("at least one hazard required")
             for hazard in self.hazards:
-                _check_hazard_id(hazard)
+                _check_id("hazard", hazard)
         if self.synth is not None and not isinstance(self.synth, dict):
             raise InvalidConfig("synth must be a JSON object")
         if self.synth is not None and self.synth.get("preset") not in (None, *PRESETS):
@@ -186,13 +186,18 @@ class RunConfig:
             raise InvalidConfig(str(exc)) from None
         if self.transfer_eval_on not in ("test", "full"):
             raise InvalidConfig("eval_on must be 'test' or 'full'")
-        counties = []
+        specs = []
         if self.synth is not None:
             # only the specs: generation waits for run()
             try:
-                counties = [spec.county_id for spec in scenario_specs(self.synth, self.seed)[0]]
+                specs = scenario_specs(self.synth, self.seed)[0]
             except (TypeError, KeyError, ValueError, AttributeError, HazardLensError) as exc:
                 raise InvalidConfig(f"malformed synth block: {exc!r}") from None
+        for spec in specs:  # each names a generated CSV and its pairs
+            _check_id("county", spec.county_id)
+            for hazard in spec.hazards:
+                _check_id("hazard", hazard, f"county {spec.county_id!r}: ")
+        counties = [spec.county_id for spec in specs]
         for label, ids in (("hazards", self.hazards or []), ("families", self.families),
                            ("synth counties", counties)):
             repeated = sorted({repr(i) for i in ids if ids.count(i) > 1})
@@ -396,29 +401,31 @@ def study_inputs(config: RunConfig, run_dir) -> tuple[list, dict | None]:
     return paths, groups
 
 
-def _check_hazard_id(hazard: str, where: str = "") -> None:
-    """InvalidConfig, prefixed by `where`, when a hazard id holds the '__' a
-    pair's name joins its county and hazard with (recompute splits the name
-    there) or a '/', which a model's file name cannot hold."""
+def _check_id(kind: str, value: str, where: str = "") -> None:
+    """InvalidConfig, prefixed by `where`, when a county or hazard id is no
+    string, or holds the '__' a pair's name joins its county and hazard with
+    (recompute splits the name there) or a '/', which a county CSV's or a
+    model's file name cannot hold."""
+    if not isinstance(value, str):
+        raise InvalidConfig(f"{where}{kind} id must be a string, got {value!r}")
     for part in ("__", "/"):
-        if part in hazard:
-            raise InvalidConfig(f"{where}hazard id {hazard!r} must not contain {part!r}")
+        if part in value:
+            raise InvalidConfig(f"{where}{kind} id {value!r} must not contain {part!r}")
 
 
 def _load_counties(paths, missing_feature_policy: str) -> list[CountyDataset]:
     """Counties sorted by id, schemas aligned to the first one's order. Each
-    file holds its own county, no county id holds '__', and every hazard id
-    passes _check_hazard_id."""
+    file holds its own county, and every county and hazard id passes
+    _check_id."""
     loaded = {}
     for path in paths:
         dataset = load_county_csv(path, missing_feature_policy=missing_feature_policy)
         county = dataset.county_id
         if county in loaded:
             raise InvalidConfig(f"{loaded[county][0]} and {path} are both county {county!r}")
-        if "__" in county:
-            raise InvalidConfig(f"county id {county!r} must not contain '__'")
+        _check_id("county", county)
         for hazard in dataset.hazards:
-            _check_hazard_id(hazard, f"county {county!r}: ")
+            _check_id("hazard", hazard, f"county {county!r}: ")
         loaded[county] = path, dataset
     datasets = [loaded[county][1] for county in sorted(loaded)]
     align_schemas(datasets)

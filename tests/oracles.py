@@ -189,18 +189,25 @@ def best_split_enumeration(X, y, candidates, min_samples_leaf=1):
 
 def reg_split_enumeration(X, g, h, l2, min_leaf=1):
     """Root split of a boosted tree by enumeration; (feature, threshold,
-    gain) or None when no admissible split has positive gain.
+    gain) or None when no admissible split has positive gain or the node's
+    H + l2 is not positive.
 
     G_l / H_l add the left rows one at a time in stable sorted order, as a
     running sum does; G / H are the node totals as the tree grower sums them.
+    A side whose H + l2 is 0 scores inf, or NaN when its G is 0 too, as
+    IEEE division does; a feature with a NaN among its admissible gains is
+    skipped whole.
     """
     n = len(g)
     g_sum = float(g.sum())
     h_sum = float(h.sum())
+    if h_sum + l2 <= 0.0:
+        return None
     parent = g_sum * g_sum / (h_sum + l2)
     best = None
     for j in range(X.shape[1]):
         order = np.argsort(X[:, j], kind="stable")
+        scored = []
         for t in _thresholds(X[:, j]):
             rows = [i for i in order if X[i, j] <= t]
             if len(rows) < min_leaf or n - len(rows) < min_leaf:
@@ -211,7 +218,13 @@ def reg_split_enumeration(X, g, h, l2, min_leaf=1):
                 h_l += float(h[i])
             g_r = g_sum - g_l
             h_r = h_sum - h_l
-            gain = 0.5 * (g_l * g_l / (h_l + l2) + g_r * g_r / (h_r + l2) - parent)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                left = float(np.float64(g_l * g_l) / (h_l + l2))
+                right = float(np.float64(g_r * g_r) / (h_r + l2))
+            scored.append((t, 0.5 * (left + right - parent)))
+        if any(gain != gain for _, gain in scored):
+            continue
+        for t, gain in scored:
             if gain > 0.0 and (best is None or gain > best[2]):
                 best = (j, t, gain)
     return best

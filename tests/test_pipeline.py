@@ -292,6 +292,14 @@ def test_config_validation(tmp_path):
     # a model's file name holds its hazard id
     with pytest.raises(InvalidConfig, match="hazard id 'heat/wave' must not contain '/'"):
         RunConfig(seed=1, out_dir="x", synth=synth, hazards=["heat/wave"])
+    # a synth county's CSV is named by its id, and a pair joins it to a hazard
+    # by '__'; both are caught before anything is generated
+    for name, part in (("a/b", "/"), ("a__b", "__")):
+        county = {"counties": [{"name": name, "n_tracts": 40}]}
+        with pytest.raises(InvalidConfig, match=f"county id '{name}' must not contain '{part}'"):
+            RunConfig(seed=1, out_dir="x", synth=county)
+    with pytest.raises(InvalidConfig, match="county id must be a string, got 5"):
+        RunConfig(seed=1, out_dir="x", synth={"counties": [{"name": 5, "n_tracts": 40}]})
 
 
 @pytest.mark.parametrize(
@@ -361,6 +369,10 @@ def test_preset_named_in_a_json_config_supplies_its_grids():
         {"top_k": 0},
         {"importance_mode": "bogus"},
         {"hazards": ["a__b"]},
+        # a synth county named with a '/' died in the CSV writer; one with
+        # '__' was generated before it was rejected
+        {"synth": {"counties": [{"name": "a/b", "n_tracts": 40}]}},
+        {"synth": {"counties": [{"name": "a__b", "n_tracts": 40}]}},
         {"synth": "x"},
         {"counties": ["x.csv"]},  # next to the synth block
         {"transfer": {"eval_on": "bogus"}},
