@@ -36,7 +36,9 @@ from .importance import (
     overall_importance,
     rank_features,
 )
-from .transfer import TransferMatrix, TransferPolicy, classify, cross_county, cross_hazard
+from .transfer import (
+    TransferMatrix, TransferPolicy, classify, cross_county, cross_hazard, score_table
+)
 from .synth import ScenarioSpec, generate_county, planted_oracle
 from .pipeline import RunConfig, RunReport, run
 

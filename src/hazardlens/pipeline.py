@@ -50,6 +50,7 @@ from .dataset import (
 )
 from .errors import (
     AllZeroImportance,
+    DimensionMismatch,
     HazardAbsent,
     HazardLensError,
     InvalidConfig,
@@ -714,22 +715,23 @@ def write_transfer(
     policy: TransferPolicy,
 ) -> list[TransferMatrix]:
     """Cross-county matrices per hazard, then cross-hazard matrices per
-    county, each as `<stem>.csv` and `<stem>.svg` under out_dir. Both
-    mappings are keyed (county, hazard); an axis with fewer than two
-    entries holding both a model and evaluation data is skipped. Returns
-    the matrices in the order written, all from one score_table."""
+    county, each as `<stem>.csv` and `<stem>.svg` under out_dir, all from
+    one score_table of both mappings, keyed (county, hazard). An axis of
+    fewer than two scored pairs is skipped; one of two feature counts is a
+    DimensionMismatch. Returns the matrices in the order written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     scores = score_table(models, evals, policy.beta)
     scored = sorted({src for src, _ in scores})
     matrices = []
 
-    def axis(kind: str, fixed: str, side: int, registry):
-        es = {key[side]: evals[key] for key in scored if key[1 - side] == fixed}
-        if len(es) < 2:
+    def axis(kind: str, fixed: str, side: int, ids):
+        keys = [key for key in scored if key[1 - side] == fixed]
+        if len(keys) < 2:
             return
+        if len({evals[key].features.shape[1] for key in keys}) > 1:
+            raise DimensionMismatch(f"evaluation sets over {kind[6:]} differ in feature count")
         compute = cross_county if kind == "cross_county" else cross_hazard
-        # given scores, only the keys of the models argument are read
-        outcome = compute(fixed, es, es, policy, registry=registry, scores=scores)
+        outcome = compute(fixed, ids, scores, policy)
         if policy.baseline != BASELINE_BOTH:
             outcome = {None: outcome}
         for name, matrix in sorted(outcome.items()):
@@ -965,8 +967,9 @@ def load_run_models(run_dir, summary: dict, family: str) -> Mapping[tuple[str, s
 
 
 def load_finished_run(run_dir) -> tuple[dict, RunConfig]:
-    """A finished run's summary.json, a JSON object holding its pairs,
-    counties and hazards, and the config it echoed there, checked as any
+    """A finished run's summary.json, an object whose pairs are keyed
+    `<county>__<hazard>` over its lists of distinct counties and hazards (a
+    county the study loads), and the config it echoed there, checked as any
     config is (InvalidConfig when, say, a county file has moved since). The
     echo leaves out out_dir and workers; out_dir becomes the run directory.
 
@@ -982,6 +985,12 @@ def load_finished_run(run_dir) -> tuple[dict, RunConfig]:
         raise InvalidConfig(f"cannot read run summary {path}: {exc}") from None
     if not isinstance(summary, dict) or not {"pairs", "counties", "hazards"} <= summary.keys():
         raise InvalidConfig(f"run summary {path} is not an object with pairs, counties, hazards")
+    counties, hazards, pairs = summary["counties"], summary["hazards"], summary["pairs"]
+    if any(not isinstance(ids, list) or set(map(type, ids)) - {str} or len(set(ids)) < len(ids)
+           for ids in (counties, hazards)):
+        raise InvalidConfig(f"run summary {path}: counties and hazards must be distinct-id lists")
+    if not isinstance(pairs, dict) or not isinstance(summary.get("config", {}), dict):
+        raise InvalidConfig(f"run summary {path}: pairs and config must be JSON objects")
     raw = {**summary.get("config", {}), "out_dir": str(run_dir)}
     run_dir = Path(run_dir).resolve()
     bases = (run_dir, *run_dir.parents)
@@ -989,7 +998,15 @@ def load_finished_run(run_dir) -> tuple[dict, RunConfig]:
         raw["counties"] = [_locate(p, bases, "county file") for p in raw["counties"]]
     if raw.get("feature_groups") is not None:
         raw["feature_groups"] = _locate(raw["feature_groups"], bases, "feature groups file")
-    return summary, RunConfig.from_dict(raw)
+    config = RunConfig.from_dict(raw)
+    loaded = {Path(p).name.removesuffix(".csv") for p in study_inputs(config, run_dir)[0]}
+    for pair in pairs:
+        county, _, hazard = pair.partition("__")
+        if pair.count("__") != 1 or county not in counties or hazard not in hazards:
+            raise InvalidConfig(f"run summary {path}: pair {pair!r} is no listed county__hazard")
+        if county not in loaded:
+            raise InvalidConfig(f"run summary {path}: the study loads no county of pair {pair!r}")
+    return summary, config
 
 
 def _locate(path, bases, label: str):

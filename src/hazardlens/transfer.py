@@ -17,7 +17,7 @@ import numpy as np
 
 from .boosting import BoostedModel, predict_gbt
 from .dataset import LabeledDataset
-from .errors import DimensionMismatch, SchemaMismatch
+from .errors import SchemaMismatch
 from .forest import ForestModel, predict_forest
 from .metrics import confusion, f_beta
 
@@ -86,7 +86,8 @@ def _score(model, evals: list[LabeledDataset], beta: float) -> list[float]:
 def score_table(models, evals, beta: float) -> dict[tuple, float]:
     """F-beta of each (county, hazard) pair's model on the evaluation set of
     each pair sharing its county or hazard and its feature count, keyed
-    (source, target). Each model is fetched once, even one no axis uses."""
+    (source, target). Each model is fetched once, even one no axis uses;
+    write_transfer rejects an axis of two feature counts."""
     present = sorted(set(models) & set(evals))
     scores = {}
     for src in present:
@@ -97,7 +98,7 @@ def score_table(models, evals, beta: float) -> dict[tuple, float]:
                 # named by its id on the first axis built over it, cross-county first
                 label = src[0] if sum(key[1] == src[1] for key in targets) > 1 else src[1]
                 raise SchemaMismatch(f"model and evaluation data disagree on features for {label!r}")
-            width = evals[src].features.shape[1]  # an axis of two widths raises when built
+            width = evals[src].features.shape[1]
             targets = [key for key in targets if evals[key].features.shape[1] == width]
             row = _score(model, [evals[key] for key in targets], beta)
             scores.update(zip([(src, key) for key in targets], row))
@@ -105,34 +106,16 @@ def score_table(models, evals, beta: float) -> dict[tuple, float]:
     return scores
 
 
-def _run_axis(
-    axis: str,
-    fixed_id: str,
-    models: dict[str, object],
-    evals: dict[str, LabeledDataset],
-    policy: TransferPolicy,
-    registry=None,
-    scores=None,
-):
-    present = sorted(set(models) & set(evals))
-    if len(present) < 2:
-        raise ValueError(f"transfer over {axis} needs at least 2 entries, got {len(present)}")
-    ids = tuple(registry) if registry is not None else tuple(present)
-    for key in present:
-        if key not in ids:
-            raise ValueError(f"{key!r} not in the supplied registry")
+def _axis(axis: str, fixed_id: str, ids, scores: dict[tuple, float], policy: TransferPolicy):
+    """The matrix over `ids`, read from `scores`, a score_table: an id
+    whose pair has no self-score stays in it as an absent row and column,
+    never as zeros. With baseline "both" a dict of the two matrices."""
     pair = (lambda key: (key, fixed_id)) if axis == CROSS_COUNTY else (lambda key: (fixed_id, key))
-    if scores is None:
-        scores = score_table({pair(key): models[key] for key in present},
-                             {pair(key): evals[key] for key in present}, policy.beta)
-    if len({evals[key].features.shape[1] for key in present}) > 1:
-        raise DimensionMismatch(f"evaluation sets over {axis} differ in feature count")
+    present = [key for key in ids if (pair(key), pair(key)) in scores]
 
     def build(baseline: str) -> TransferMatrix:
         """Matrix of score differences against `baseline`."""
-        matrix = TransferMatrix(
-            axis=axis, fixed_id=fixed_id, ids=ids, baseline=baseline, threshold=policy.threshold
-        )
+        matrix = TransferMatrix(axis, fixed_id, tuple(ids), baseline, policy.threshold)
         for src in present:
             for tgt in present:
                 if src == tgt:
@@ -149,32 +132,11 @@ def _run_axis(
     return build(policy.baseline)
 
 
-def cross_county(
-    hazard_id: str,
-    models: dict[str, object],
-    evals: dict[str, LabeledDataset],
-    policy: TransferPolicy = TransferPolicy(),
-    registry=None,
-    scores=None,
-):
-    """Transfer matrix across counties for one hazard.
-
-    `models` maps county -> model trained on that county's hazard data;
-    `evals` maps county -> the evaluation split of the same pair. Counties
-    in `registry` (default: those present in both mappings) that miss data
-    stay in the matrix as absent cells, never as zeros. With baseline
-    "both" a dict of two matrices is returned. Given `scores`, a score_table
-    of the pairs, only the keys of `models` are read."""
-    return _run_axis(CROSS_COUNTY, hazard_id, models, evals, policy, registry, scores)
+def cross_county(hazard_id: str, counties, scores: dict[tuple, float], policy: TransferPolicy):
+    """Transfer matrix across `counties` for one hazard from a score_table; see _axis."""
+    return _axis(CROSS_COUNTY, hazard_id, counties, scores, policy)
 
 
-def cross_hazard(
-    county_id: str,
-    models: dict[str, object],
-    evals: dict[str, LabeledDataset],
-    policy: TransferPolicy = TransferPolicy(),
-    registry=None,
-    scores=None,
-):
-    """Transfer matrix across hazards within one county; see cross_county."""
-    return _run_axis(CROSS_HAZARD, county_id, models, evals, policy, registry, scores)
+def cross_hazard(county_id: str, hazards, scores: dict[tuple, float], policy: TransferPolicy):
+    """Transfer matrix across `hazards` within one county; see cross_county."""
+    return _axis(CROSS_HAZARD, county_id, hazards, scores, policy)

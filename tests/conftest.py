@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hazardlens.dataset import FeatureSchema, LabeledDataset
+from hazardlens.transfer import TransferPolicy, cross_county, score_table
 
 
 def labeled_from_arrays(
@@ -21,6 +22,16 @@ def labeled_from_arrays(
         labels=y,
         threshold=threshold,
     )
+
+
+def transfer_axis(builder, fixed, models, evals, policy=TransferPolicy(), ids=None):
+    """`builder` (cross_county or cross_hazard) fixed at `fixed`, over the
+    score_table of `models` and `evals`, both keyed by the axis's ids;
+    `ids` defaults to the ids holding both."""
+    pair = (lambda key: (key, fixed)) if builder is cross_county else (lambda key: (fixed, key))
+    scores = score_table({pair(key): model for key, model in models.items()},
+                         {pair(key): data for key, data in evals.items()}, policy.beta)
+    return builder(fixed, sorted(set(models) & set(evals)) if ids is None else ids, scores, policy)
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import labeled_from_arrays
+from conftest import labeled_from_arrays, transfer_axis
 from oracles import forest_importance_from_json
 from hazardlens.cart import TreeParams
 from hazardlens.dataset import binarize, make_labeled
@@ -220,7 +220,7 @@ def test_criterion_5_transfer_oracle():
                     train, TreeParams(), n_trees=25, seed=seed
                 )
                 evals[spec.county_id] = test
-            matrix = cross_county("heat", models, evals, TransferPolicy())
+            matrix = transfer_axis(cross_county, "heat", models, evals, TransferPolicy())
             for (src, tgt), delta in matrix.delta.items():
                 if src == tgt:
                     diagonals_exact &= delta == 0.0

@@ -63,6 +63,8 @@ def test_benchmark_tracer_installs(tmp_path):
 # serialized inside its unit's pipeline.job span, in a worker, through the
 # pipeline.forest_to_json / gbt_to_json names the tracer replaces, so the
 # pipeline.serialize spans the workers ship account for every byte of models/.
+# write_transfer builds each matrix through pipeline.cross_county /
+# cross_hazard, so there is one transfer.cross span per transfer/*.csv.
 TRACED_POOL_RUN = """
 import json, os, pathlib, sys
 import spans
@@ -89,6 +91,8 @@ print(json.dumps({
     "file_bytes": sum(p.stat().st_size for p in files),
     "inside_jobs": all(s[1] in jobs for s in serialize),
     "in_parent": sum(s[0] >> 32 == os.getpid() for s in serialize),
+    "cross_spans": sum(s[2] == "transfer.cross" for s in tracer.spans),
+    "matrix_files": len(list((work / "run" / "transfer").glob("*.csv"))),
 }))
 """
 
@@ -99,3 +103,4 @@ def test_pool_workers_serialize_under_the_tracer(tmp_path):
     assert counts["span_bytes"] == counts["file_bytes"] > 0
     assert counts["inside_jobs"]
     assert counts["in_parent"] == 0
+    assert counts["cross_spans"] == counts["matrix_files"] == 1

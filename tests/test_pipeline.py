@@ -588,6 +588,14 @@ def test_cli_recompute_missing_run_fails_cleanly(tmp_path, command):
         ("{not json", "cannot read run summary"),
         ("[1]", "is not an object with pairs, counties, hazards"),
         ('{"counties": ["ash"], "hazards": ["heat"]}', "is not an object with pairs"),
+        ('{"pairs": 5, "counties": ["ash"], "hazards": ["heat"]}', "pairs and config must be"),
+        ('{"pairs": {}, "counties": ["ash"], "hazards": ["heat"], "config": [1]}',
+         "pairs and config must be"),
+        ('{"pairs": {}, "counties": 5, "hazards": ["heat"]}', "must be distinct-id lists"),
+        ('{"pairs": {}, "counties": ["ash"], "hazards": "heat"}', "must be distinct-id lists"),
+        ('{"pairs": {}, "counties": ["ash", 1], "hazards": ["heat"]}', "must be distinct-id lists"),
+        ('{"pairs": {}, "counties": ["ash", "ash"], "hazards": ["heat"]}',
+         "must be distinct-id lists"),
     ],
 )
 @pytest.mark.parametrize("command", ["transfer", "importance"])
@@ -962,6 +970,48 @@ def test_cli_recompute_rejects_a_missing_or_corrupt_model(
     capsys.readouterr()
     assert main([command, "--run", str(run_dir)]) == 2
     assert "ash__heat__forest.json" in capsys.readouterr().err
+    assert not (run_dir / recomputed).exists()
+
+
+UNLISTED = "is no listed county__hazard"
+
+
+def _add_zed(run_dir, summary):
+    # a pair with model files and a listed county that the study never loads
+    summary["counties"].append("zed")
+    summary["pairs"]["zed__heat"] = summary["pairs"]["ash__heat"]
+    for family in ("forest", "gbt"):
+        shutil.copy(run_dir / "models" / f"ash__heat__{family}.json",
+                    run_dir / "models" / f"zed__heat__{family}.json")
+
+
+@pytest.mark.parametrize(
+    "edit, pair, reason",
+    [
+        (lambda run_dir, s: s.update(counties=["ash"]), "oak__flood", UNLISTED),
+        (lambda run_dir, s: s.update(hazards=["heat"]), "ash__flood", UNLISTED),
+        (lambda run_dir, s: s["pairs"].update(ash__heat__forest={}), "ash__heat__forest", UNLISTED),
+        (_add_zed, "zed__heat", "the study loads no county of pair"),
+    ],
+    ids=["county_unlisted", "hazard_unlisted", "three_part_pair", "county_not_loaded"],
+)
+@pytest.mark.parametrize(
+    "command, recomputed",
+    [("transfer", "transfer_recomputed"), ("importance", "importance_recomputed")],
+)
+def test_cli_recompute_rejects_a_pair_its_summary_or_study_lacks(
+    tiny_run, tmp_path, capsys, edit, pair, reason, command, recomputed
+):
+    _, out, _ = tiny_run
+    run_dir = tmp_path / "run"
+    shutil.copytree(out, run_dir)
+    summary = json.loads((run_dir / "summary.json").read_text("utf-8"))
+    edit(run_dir, summary)
+    (run_dir / "summary.json").write_text(json.dumps(summary), "utf-8")
+    capsys.readouterr()
+    assert main([command, "--run", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and repr(pair) in err and str(run_dir / "summary.json") in err
     assert not (run_dir / recomputed).exists()
 
 
