@@ -27,8 +27,8 @@ import numpy as np
 
 # the boosted nodes live in cart, the tree module of both families
 from .cart import (
-    RegLeaf, RegNode, RegSplit, check_integer, feature_matrix, read_model, split_threshold,
-    trees_values, write_model,
+    RegLeaf, RegNode, RegSplit, TreeTable, check_integer, feature_matrix, read_model,
+    split_threshold, trees_values, write_model,
 )
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import DegenerateLabels
@@ -61,7 +61,7 @@ class BoostParams:
 
 @dataclass
 class BoostedModel:
-    stages: list[RegNode]
+    stages: list[RegNode] | TreeTable  # a TreeTable routes alike, bit for bit
     params: BoostParams
     base_score: float  # log-odds
     seed: int

@@ -9,8 +9,8 @@ boosting) are defined here too, so one router (trees_values), one preorder
 split walk (iter_splits) and one node codec (tree_to_dict / the decoder of
 read_model) serve forest trees and boosted stages alike.
 The router takes all trees of a model at once: one walk flattens them into
-a node table, a leaf being its own child, and a (trees x rows) matrix of
-node indices moves down one level per numpy step.
+a node table (TreeTable), a leaf being its own child, and a (trees x rows)
+matrix of node indices moves down one level per numpy step.
 """
 
 from __future__ import annotations
@@ -294,39 +294,46 @@ def feature_matrix(X, n_features: int) -> np.ndarray:
     return X
 
 
-def _node_table(trees: list[TreeNode | RegNode]):
-    """Every node of `trees` in one level-order walk (the root of tree i is
-    node i) as arrays of feature, threshold, leaf value and flattened
-    (left, right) child pairs, and the deepest tree's levels below its root.
-    """
-    nodes, depth, table = list(trees), [0] * len(trees), []
-    for i, node in enumerate(nodes):  # also visits the children appended below
-        if isinstance(node, _SPLITS):
-            table.append((node.feature, node.threshold, 0.0, len(nodes), len(nodes) + 1))
-            nodes += (node.left, node.right)
-            depth += (depth[i] + 1,) * 2
-        else:
-            value = node.weight if isinstance(node, RegLeaf) else node.counts[1] / node.n
-            table.append((0, 0.0, value, i, i))
-    feature, threshold, value, left, right = map(np.array, zip(*table))
-    # level order: the last node is a deepest one
-    return feature, threshold, value, np.stack([left, right], axis=1).ravel(), depth[-1]
+class TreeTable:
+    """Trees of either family as routing arrays, built once: every node in
+    one level-order walk (the root of tree i is node i) as feature,
+    threshold, leaf value and flattened (left, right) child pairs, a leaf
+    its own child, and the deepest tree's levels. len() is the tree count."""
+
+    def __init__(self, trees: list[TreeNode | RegNode]):
+        nodes, depth, table = list(trees), [0] * len(trees), []
+        for i, node in enumerate(nodes):  # also visits the children appended below
+            if isinstance(node, _SPLITS):
+                table.append((node.feature, node.threshold, 0.0, len(nodes), len(nodes) + 1))
+                nodes += (node.left, node.right)
+                depth += (depth[i] + 1,) * 2
+            else:
+                value = node.weight if isinstance(node, RegLeaf) else node.counts[1] / node.n
+                table.append((0, 0.0, value, i, i))
+        self.feature, self.threshold, self.value, left, right = map(np.array, zip(*table))
+        self.children = np.stack([left, right], axis=1).ravel()
+        self.levels = depth[-1]  # level order: the last node is a deepest one
+        self.n_trees = len(trees)
+
+    def __len__(self) -> int:
+        return self.n_trees
 
 
-def trees_values(trees: list[TreeNode | RegNode], X: np.ndarray) -> np.ndarray:
+def trees_values(trees: TreeTable | list[TreeNode | RegNode], X: np.ndarray) -> np.ndarray:
     """(trees x rows) leaf values of the rows of X in trees of either
-    family: P(high) of a forest tree, a boosted stage's leaf weight. The
-    index matrix takes as many steps as the deepest tree has levels
-    (Hummingbird's tensorized traversal, Nakandala et al., OSDI 2020)."""
+    family, or in their TreeTable: P(high) of a forest tree, a boosted
+    stage's leaf weight. The index matrix takes as many steps as the deepest
+    tree has levels (Hummingbird's tensorized traversal, Nakandala et al.,
+    OSDI 2020)."""
+    table = trees if isinstance(trees, TreeTable) else TreeTable(trees)
     X = np.asarray(X, dtype=np.float64)
-    feature, threshold, value, children, levels = _node_table(trees)
-    at = np.repeat(np.arange(len(trees)), X.shape[0]).reshape(len(trees), X.shape[0])
+    at = np.repeat(np.arange(len(table)), X.shape[0]).reshape(len(table), X.shape[0])
     cells, row_start = X.ravel(), np.arange(X.shape[0]) * X.shape[1]
-    for _ in range(levels):
+    for _ in range(table.levels):
         # written as x <= threshold (goes left), so that NaN goes right
-        go_right = ~(cells.take(row_start + feature.take(at)) <= threshold.take(at))
-        at = children.take(2 * at + go_right)
-    return value.take(at)
+        go_right = ~(cells.take(row_start + table.feature.take(at)) <= table.threshold.take(at))
+        at = table.children.take(2 * at + go_right)
+    return table.value.take(at)
 
 
 def iter_splits(tree: TreeNode | RegNode):

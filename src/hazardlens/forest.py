@@ -18,6 +18,7 @@ from .cart import (
     Split,
     TreeNode,
     TreeParams,
+    TreeTable,
     feature_matrix,
     grow_tree,
     read_model,
@@ -34,7 +35,7 @@ FOREST_VERSION = 1
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[TreeNode] | TreeTable  # a TreeTable routes alike, bit for bit
     params: TreeParams
     seed: int
     feature_names: tuple[str, ...]

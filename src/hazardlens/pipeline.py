@@ -5,15 +5,14 @@
 1. `_prepare_datasets`: generate a synth study's scenario with
    `write_scenario`, then load the county CSVs that `study_inputs` names;
 2. `_train`: one unit per (county, hazard, model family) - split, CV,
-   refit, test metrics, the model's JSON text and the pair's transfer
-   evaluation set - inline or in a process pool;
-3. `_write_models`: the model texts of every pair whose families all
-   succeeded, into `models/`;
-4. `_write_reports`: performance table, metric CSVs, model comparison,
+   refit, test metrics, the model's JSON text, a forest's importance and
+   the pair's transfer evaluation set - inline or in a process pool, each
+   pair's model texts written into `models/` once all its families succeed;
+3. `_write_reports`: performance table, metric CSVs, model comparison,
    dispersion and the CV audit table;
-5. `importance_vectors`, `write_importance`: forest importance, rankings;
-6. `write_transfer`: cross-county and cross-hazard transfer matrices;
-7. `_write_summary`, then the manifest: every file of the run's stage.
+4. `group_importance`, `write_importance`: forest importance, rankings;
+5. `write_transfer`: cross-county and cross-hazard transfer matrices;
+6. `_write_summary`, then the manifest: every file of the run's stage.
 
 `write_scenario`, `importance_vectors`, `write_importance` and
 `write_transfer` are also the whole implementation of the CLI's `synth`,
@@ -27,18 +26,20 @@ any worker count produces byte-identical output for the same seed.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import os
 import shutil
 import tempfile
 from collections.abc import Callable, Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import report as rpt
+from .cart import TreeTable
 from .dataset import (
     MISSING_FEATURE_POLICIES,
     CountyDataset,
@@ -450,8 +451,9 @@ class FamilyOutcome:
     f1: float
     fbeta: float
     cells: tuple[int, int, int, int]  # tp, fp, fn, tn
-    model: object  # ForestModel or BoostedModel
-    model_json: str  # the model's file, serialized by the unit that trained it
+    model: object  # the canonical family's model routed by a TreeTable, else None
+    model_json: str | None  # the model's file, serialized by the unit; None once written
+    importance: ImportanceVector | str | None  # pair_importance of a forest
 
 
 @dataclass
@@ -479,7 +481,9 @@ def execute_job(
     dataset: CountyDataset, hazard: str, config: RunConfig, family: str, job_seed: int
 ) -> JobResult:
     """Split, cross-validate, refit, score and serialize one family on one
-    (county, hazard) pair; every family of a pair replays the same split."""
+    (county, hazard) pair, with a forest's importance; every family of a
+    pair replays the same split. The trees are routed by a TreeTable, built
+    once, and no node tree is returned."""
     labeled = make_labeled(dataset, hazard)
     train, test = _pair_split(labeled, config, job_seed)
     grid = config.forest_grid if family == "forest" else config.gbt_grid
@@ -491,7 +495,9 @@ def execute_job(
     )
     train_fn, predict_fn, _ = FAMILIES[family]
     model = train_fn(train, best, child_seed(job_seed, "fit", family))
-    cells = confusion(test.labels, predict_fn(model, test.features))
+    nodes = "trees" if family == "forest" else "stages"
+    routed = replace(model, **{nodes: TreeTable(getattr(model, nodes))})
+    cells = confusion(test.labels, predict_fn(routed, test.features))
     # serialized in the unit, so the parent only writes the text; the names
     # are looked up per call because perfbench/spans.py replaces them
     to_json = forest_to_json if family == "forest" else gbt_to_json
@@ -507,8 +513,10 @@ def execute_job(
                 f1=f_beta(cells, 1.0),
                 fbeta=f_beta(cells, config.beta),
                 cells=(cells.tp, cells.fp, cells.fn, cells.tn),
-                model=model,
+                model=routed if family == canonical_family(config.families) else None,
                 model_json=to_json(model),
+                importance=pair_importance(model, config.importance_mode)
+                if family == "forest" else None,
             )
         },
         evaluation=labeled if config.transfer_eval_on == "full" else test,
@@ -533,9 +541,11 @@ def _execute_unit(args):
 
 
 def _train(
-    config: RunConfig, datasets: list[CountyDataset], hazards: tuple[str, ...]
+    config: RunConfig, datasets: list[CountyDataset], hazards: tuple[str, ...], models_dir: Path
 ) -> tuple[dict[tuple[str, str], JobResult], list[tuple[str, str]], list[dict]]:
-    """Results by (county, hazard), absent pairs and failures, all sorted."""
+    """Results by (county, hazard), absent pairs and failures, all sorted. The
+    model texts of each pair whose families all succeed go into models_dir as
+    the pair finishes, and its outcomes then drop them."""
     pairs = []
     absent: list[tuple[str, str]] = []
     for dataset in datasets:
@@ -544,7 +554,7 @@ def _train(
             (pairs if hazard in dataset.hazards else absent).append(key)
 
     # The unit of work is one (pair, family), so even a single pair keeps
-    # two workers busy. Results come back in unit order.
+    # two workers busy. Results come back lazily, in unit order.
     by_county = {d.county_id: d for d in datasets}
     families = config.families
     units = [
@@ -553,55 +563,44 @@ def _train(
         for county, hazard in pairs
         for family in families
     ]
+    pool = None
     if config.workers > 1 and len(units) > 1:
         from concurrent.futures import ProcessPoolExecutor  # 2 MiB: only pool runs load it
         # a fork pool starts all max_workers processes at its first submit
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(units))) as pool:
-            done = list(pool.map(_execute_unit, units))
-    else:
-        done = list(map(_execute_unit, units))
+        pool = ProcessPoolExecutor(max_workers=min(config.workers, len(units)))
 
+    models_dir.mkdir(parents=True, exist_ok=True)
     results: dict[tuple[str, str], JobResult] = {}
     failures: list[dict] = []
-    for i, (county, hazard) in enumerate(pairs):
-        parts = done[i * len(families):(i + 1) * len(families)]
-        # a pair fails with its first failing family in config order
-        failed = next((p for p in parts if not isinstance(p, JobResult)), None)
-        if failed is None:
-            # the pair's outcomes are the union of its units', in config order
-            for part in parts[1:]:
-                parts[0].outcomes.update(part.outcomes)
-            results[(county, hazard)] = parts[0]
-        elif isinstance(failed, HazardAbsent):
-            absent.append((county, hazard))
-        else:
-            failures.append(
-                {
-                    "county": county,
-                    "hazard": hazard,
-                    "error": type(failed).__name__,
-                    "message": str(failed),
-                }
-            )
+    with pool or contextlib.nullcontext():
+        done = (pool.map if pool else map)(_execute_unit, units)
+        for county, hazard in pairs:
+            parts = [next(done) for _ in families]
+            # a pair fails with its first failing family in config order
+            failed = next((p for p in parts if not isinstance(p, JobResult)), None)
+            if failed is None:
+                # the pair's outcomes are the union of its units', in config order
+                for part in parts[1:]:
+                    parts[0].outcomes.update(part.outcomes)
+                for family, outcome in parts[0].outcomes.items():
+                    path = models_dir / f"{county}__{hazard}__{family}.json"
+                    path.write_text(outcome.model_json, "utf-8")
+                    outcome.model_json = None
+                results[(county, hazard)] = parts[0]
+            elif isinstance(failed, HazardAbsent):
+                absent.append((county, hazard))
+            else:
+                failures.append({"county": county, "hazard": hazard,
+                                 "error": type(failed).__name__, "message": str(failed)})
     failures.sort(key=lambda f: (f["county"], f["hazard"]))
     return dict(sorted(results.items())), sorted(set(absent)), failures
 
 
-# -- stages 3 and 4: models and per-pair reports ------------------------------------
+# -- stage 3: per-pair reports ---------------------------------------------------
 
 def canonical_family(families) -> str:
     """The family behind the performance table, dispersion and transfer."""
     return CANONICAL_FAMILY if CANONICAL_FAMILY in families else families[0]
-
-
-def _write_models(models_dir: Path, results: dict) -> None:
-    """The model texts of every pair in `results`, i.e. of every pair whose
-    families all succeeded."""
-    models_dir.mkdir(parents=True, exist_ok=True)
-    for (county, hazard), res in results.items():
-        for family, outcome in res.outcomes.items():
-            path = models_dir / f"{county}__{hazard}__{family}.json"
-            path.write_text(outcome.model_json, "utf-8")
 
 
 def compare_models(
@@ -669,21 +668,32 @@ def _write_reports(reports_dir: Path, config: RunConfig, counties, hazards, resu
     return f1_tables, fbeta_tables, comparison, dispersion
 
 
-# -- stages 5 and 6: importance and transfer (shared with the CLI) ---------------
+# -- stages 4 and 5: importance and transfer (shared with the CLI) ---------------
 
-def importance_vectors(forests: dict[tuple[str, str], object], mode: str) -> tuple[dict, dict]:
-    """Normalized importance of forests keyed (county, hazard), as hazard ->
-    county -> vector in that order, and by pair the AllZeroImportance text
-    of each forest left out."""
+def pair_importance(forest, mode: str) -> ImportanceVector | str:
+    """A node forest's normalized importance, or the AllZeroImportance text
+    saying why it has none."""
+    try:
+        return normalize(forest_importance(forest, mode))
+    except AllZeroImportance as exc:
+        return str(exc)
+
+
+def group_importance(found: dict[tuple[str, str], ImportanceVector | str]) -> tuple[dict, dict]:
+    """pair_importance results keyed (county, hazard) as hazard -> county ->
+    vector in that order, and by pair the text of each forest left out."""
     vectors, notes = {}, {}
-    for county, hazard in sorted(forests, key=lambda pair: pair[::-1]):
-        try:
-            vector = normalize(forest_importance(forests[county, hazard], mode))
-        except AllZeroImportance as exc:
-            notes[county, hazard] = str(exc)
+    for county, hazard in sorted(found, key=lambda pair: pair[::-1]):
+        if isinstance(found[county, hazard], str):
+            notes[county, hazard] = found[county, hazard]
         else:
-            vectors.setdefault(hazard, {})[county] = vector
+            vectors.setdefault(hazard, {})[county] = found[county, hazard]
     return vectors, notes
+
+
+def importance_vectors(forests: Mapping[tuple[str, str], object], mode: str) -> tuple[dict, dict]:
+    """group_importance of forests keyed (county, hazard), taken one at a time."""
+    return group_importance({key: pair_importance(forests[key], mode) for key in forests})
 
 
 def write_importance(
@@ -747,7 +757,7 @@ def write_transfer(
     return matrices
 
 
-# -- stage 7 and the run ------------------------------------------------------------
+# -- stage 6 and the run ------------------------------------------------------------
 
 @dataclass
 class RunReport:
@@ -890,16 +900,14 @@ def _run_stages(config: RunConfig, out_dir: Path) -> RunReport:
     else:
         hazards = tuple(sorted({h for d in datasets for h in d.hazards}))
 
-    results, absent, failures = _train(config, datasets, hazards)
-    _write_models(out_dir / "models", results)
+    results, absent, failures = _train(config, datasets, hazards, out_dir / "models")
     f1_tables, fbeta_tables, comparison, dispersion = _write_reports(
         out_dir / "reports", config, counties, hazards, results
     )
 
-    # importance (forest) and transfer (canonical family) from the trained models
-    forests = {key: res.outcomes["forest"].model for key, res in results.items()
-               if "forest" in res.outcomes}
-    vectors, notes = importance_vectors(forests, config.importance_mode)
+    # importance (forest) from the units, transfer (canonical family) by their tables
+    vectors, notes = group_importance({key: res.outcomes["forest"].importance
+                                       for key, res in results.items() if "forest" in res.outcomes})
     overall_by_hazard = write_importance(out_dir / "reports", vectors, config.top_k, groups)
     canonical = canonical_family(config.families)
     matrices = write_transfer(

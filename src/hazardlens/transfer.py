@@ -17,7 +17,7 @@ import numpy as np
 
 from .boosting import BoostedModel, predict_gbt
 from .dataset import LabeledDataset
-from .errors import SchemaMismatch
+from .errors import NoPositives, SchemaMismatch
 from .forest import ForestModel, predict_forest
 from .metrics import confusion, f_beta
 
@@ -67,8 +67,8 @@ class TransferMatrix:
         return self.delta.get((source, target))
 
 
-def _score(model, evals: list[LabeledDataset], beta: float) -> list[float]:
-    """F-beta of one model on each evaluation set.
+def _score(model, evals: list[LabeledDataset], beta: float) -> list[float | None]:
+    """F-beta of one model on each evaluation set, None where f_beta is undefined.
 
     The model predicts once, over the sets' feature rows stacked; rows are
     predicted independently, so each slice equals the labels of predicting
@@ -80,14 +80,21 @@ def _score(model, evals: list[LabeledDataset], beta: float) -> list[float]:
     predict = predict_forest if isinstance(model, ForestModel) else predict_gbt
     preds = predict(model, np.concatenate([data.features for data in evals]))
     parts = np.split(preds, np.cumsum([data.n for data in evals])[:-1])
-    return [f_beta(confusion(data.labels, part), beta) for data, part in zip(evals, parts)]
+    scores = []
+    for data, part in zip(evals, parts):
+        try:
+            scores.append(f_beta(confusion(data.labels, part), beta))
+        except NoPositives:
+            scores.append(None)
+    return scores
 
 
 def score_table(models, evals, beta: float) -> dict[tuple, float]:
     """F-beta of each (county, hazard) pair's model on the evaluation set of
     each pair sharing its county or hazard and its feature count, keyed
-    (source, target). Each model is fetched once, even one no axis uses;
-    write_transfer rejects an axis of two feature counts."""
+    (source, target); an undefined score is left out, as cross_validate
+    leaves out an undefined fold. Each model is fetched once, even one no
+    axis uses; write_transfer rejects an axis of two feature counts."""
     present = sorted(set(models) & set(evals))
     scores = {}
     for src in present:
@@ -101,7 +108,7 @@ def score_table(models, evals, beta: float) -> dict[tuple, float]:
             width = evals[src].features.shape[1]
             targets = [key for key in targets if evals[key].features.shape[1] == width]
             row = _score(model, [evals[key] for key in targets], beta)
-            scores.update(zip([(src, key) for key in targets], row))
+            scores.update(((src, key), s) for key, s in zip(targets, row) if s is not None)
         del model  # so that no model is alive at the next fetch
     return scores
 
@@ -109,7 +116,8 @@ def score_table(models, evals, beta: float) -> dict[tuple, float]:
 def _axis(axis: str, fixed_id: str, ids, scores: dict[tuple, float], policy: TransferPolicy):
     """The matrix over `ids`, read from `scores`, a score_table: an id
     whose pair has no self-score stays in it as an absent row and column,
-    never as zeros. With baseline "both" a dict of the two matrices."""
+    and a cell with no score as an absent cell, never as zeros. With
+    baseline "both" a dict of the two matrices."""
     pair = (lambda key: (key, fixed_id)) if axis == CROSS_COUNTY else (lambda key: (fixed_id, key))
     present = [key for key in ids if (pair(key), pair(key)) in scores]
 
@@ -118,13 +126,12 @@ def _axis(axis: str, fixed_id: str, ids, scores: dict[tuple, float], policy: Tra
         matrix = TransferMatrix(axis, fixed_id, tuple(ids), baseline, policy.threshold)
         for src in present:
             for tgt in present:
-                if src == tgt:
-                    delta = 0.0
-                else:
+                if (pair(src), pair(tgt)) in scores:  # else undefined: an absent cell
                     home = tgt if baseline == BASELINE_TARGET else src
+                    # a finite score minus itself is 0.0, so the diagonal reads 0.0
                     delta = (scores[pair(src), pair(tgt)] - scores[pair(home), pair(home)]) * 100.0
-                matrix.delta[(src, tgt)] = delta
-                matrix.transferable[(src, tgt)] = classify(delta, policy)
+                    matrix.delta[(src, tgt)] = delta
+                    matrix.transferable[(src, tgt)] = classify(delta, policy)
         return matrix
 
     if policy.baseline == BASELINE_BOTH:

@@ -1,14 +1,17 @@
 import json
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import labeled_from_arrays
 from oracles import best_split_enumeration, route_row, subtree_counts
 from hazardlens.boosting import (
     BoostedModel, BoostParams, _best_reg_split, column_order, gbt_from_json, gbt_to_json,
-    staged_margin_gbt,
+    predict_gbt, predict_margin_gbt, staged_margin_gbt, train_gbt,
 )
 from hazardlens.cart import (
     Leaf,
@@ -16,6 +19,7 @@ from hazardlens.cart import (
     RegSplit,
     Split,
     TreeParams,
+    TreeTable,
     best_split,
     gini_impurity,
     grow_tree,
@@ -26,7 +30,10 @@ from hazardlens.cart import (
 )
 from hazardlens.errors import NoEntries
 from hazardlens.importance import PAPER_LITERAL, WEIGHTED, node_importances
-from hazardlens.forest import ForestModel, forest_from_json, forest_to_json, staged_proba_forest
+from hazardlens.forest import (
+    ForestModel, forest_from_json, forest_to_json, predict_forest, predict_proba_forest,
+    staged_proba_forest, train_forest,
+)
 
 
 def test_gini_hand_values():
@@ -364,6 +371,29 @@ def test_trees_values_bit_equal_to_row_by_row_walk(family, data):
     got = trees_values(trees, X)
     assert got.shape == (len(trees), len(rows))
     assert got.tobytes() == want.tobytes()
+    table = TreeTable(trees)
+    assert len(table) == len(trees)
+    assert trees_values(table, X).tobytes() == want.tobytes()
+
+
+def test_a_pickled_routed_model_predicts_as_its_trees():
+    # a training unit returns its model with a TreeTable in place of the
+    # trees, pickled across the pool; every prediction keeps its bits
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 3))
+    y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(np.int64)
+    data = labeled_from_arrays(X, y)
+    rows = np.vstack([rng.normal(size=(20, 3)), [[np.nan, 0.0, 1.0], [np.inf, -np.inf, 0.0]]])
+    forest = train_forest(data, TreeParams(max_depth=5), n_trees=7, seed=3)
+    gbt = train_gbt(data, BoostParams(n_rounds=4, max_depth=3), seed=3)
+    for model, nodes, predictors in (
+        (forest, "trees", (staged_proba_forest, predict_proba_forest, predict_forest)),
+        (gbt, "stages", (staged_margin_gbt, predict_margin_gbt, predict_gbt)),
+    ):
+        routed = pickle.loads(pickle.dumps(replace(model, **{nodes: TreeTable(getattr(model, nodes))})))
+        assert len(getattr(routed, nodes)) == len(getattr(model, nodes))
+        for predict in predictors:
+            assert predict(routed, rows).tobytes() == predict(model, rows).tobytes()
 
 
 def test_trees_values_sends_ties_and_minus_inf_left_nan_and_inf_right():

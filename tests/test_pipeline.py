@@ -1292,18 +1292,14 @@ def test_cli_synth_writes_the_run_scenario(tmp_path):
 
 def test_job_seed_independent_of_other_pairs(tiny_run):
     report, out, config = tiny_run
-    from hazardlens.boosting import gbt_to_json
     from hazardlens.dataset import load_county_csv
-    from hazardlens.forest import forest_to_json
 
     ds = load_county_csv(out / "data" / "ash.csv")
     job_seed = child_seed(config.seed, "job", "ash", "heat")
     full = report.results[("ash", "heat")]
-    for family, to_json in (("forest", forest_to_json), ("gbt", gbt_to_json)):
+    for family in ("forest", "gbt"):
         solo = execute_job(ds, "heat", config, family, job_seed).outcomes[family]
-        text = to_json(solo.model)
-        assert text == to_json(full.outcomes[family].model)
-        assert text == (out / f"models/ash__heat__{family}.json").read_text()
+        assert solo.model_json == (out / f"models/ash__heat__{family}.json").read_text()
         assert solo.fbeta == full.outcomes[family].fbeta
 
 
@@ -1778,6 +1774,85 @@ def test_a_run_at_one_worker_never_loads_the_pool_module(tmp_path):
     assert "concurrent.futures.process" not in _modules_loaded_by(run_it, config)
     assert (tmp_path / "out" / "manifest.json").is_file()
 
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_finished_run_holds_no_trees(tmp_path, workers):
+    # units return their models routed by a TreeTable, for transfer's family
+    # only, and the parent writes each model's text and drops it
+    paths = [str(county_csv(tmp_path / f"{c}.csv", seed=s)) for c, s in (("ash", 1), ("oak", 3))]
+    config = _small_csv_run_config(out_dir=str(tmp_path / "out"), workers=workers, counties=paths)
+    probe = (
+        "import gc, json, sys; from hazardlens.cart import Leaf, RegLeaf, RegSplit, Split; "
+        "from hazardlens.pipeline import RunConfig, run; "
+        "report = run(RunConfig.from_dict(json.loads(sys.argv[1]))); gc.collect(); "
+        "nodes = (Leaf, Split, RegLeaf, RegSplit); "
+        "outcomes = [(f, o) for r in report.results.values() for f, o in r.outcomes.items()]; "
+        "print(sum(isinstance(o, nodes) for o in gc.get_objects()), len(outcomes), "
+        "sorted({(f, type(o.model).__name__, type(getattr(o.model, 'trees', None)).__name__, "
+        "o.model_json) for f, o in outcomes}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", probe, config],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out == (
+        "0 4 [('forest', 'ForestModel', 'TreeTable', None), ('gbt', 'NoneType', 'NoneType', None)]\n"
+    )
+    assert len(list((tmp_path / "out" / "models").iterdir())) == 4
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_the_pool_writes_the_one_worker_bytes_under_other_start_methods(tmp_path, method):
+    # forkserver is the Linux default from Python 3.14 on; a unit's result,
+    # arrays included, crosses the pool by pickle under every start method
+    paths = [str(county_csv(tmp_path / f"{c}.csv", seed=s)) for c, s in (("ash", 1), ("oak", 3))]
+    run(RunConfig.from_dict(json.loads(_small_csv_run_config(
+        out_dir=str(tmp_path / "w1"), workers=1, counties=paths
+    ))))
+    config = _small_csv_run_config(out_dir=str(tmp_path / "w2"), workers=2, counties=paths)
+    code = (
+        "import json, multiprocessing, sys; from hazardlens.pipeline import RunConfig, run; "
+        f"multiprocessing.set_start_method({method!r}); "
+        "run(RunConfig.from_dict(json.loads(sys.argv[1])))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    subprocess.run([sys.executable, "-c", code, config], env=env, timeout=120, check=True)
+    assert (tmp_path / "w2/manifest.json").read_bytes() == (tmp_path / "w1/manifest.json").read_bytes()
+
+
+def write_undefined_transfer_study(base):
+    """Two county CSVs in which county b's forest calls county a's one test
+    tract low, as a's labels have it, at seeds 2, 4, 7 and 14: a's four
+    high tracts all go to training (round(0.9 * 4) = 4)."""
+    for name, rows in (
+        ("a", [(1, 10 if i < 4 else 0) if i < 6 else (0, 0) for i in range(10)]),
+        ("b", [(0, 10) if i < 10 else (1, 0) for i in range(20)]),
+    ):
+        lines = ["tract_id,x1,x2,hazard__heat"]
+        lines += [f"t{i:02d},{x1},{7 * i % 5},{heat}" for i, (x1, heat) in enumerate(rows)]
+        (base / f"{name}.csv").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("seed", [2, 4, 7, 14])
+def test_an_undefined_transfer_cell_is_absent_not_a_failed_run(tmp_path, seed):
+    # no positive truth and no positive prediction: the b->a F-score is
+    # undefined, which used to end `run` with exit 2 and nothing written
+    write_undefined_transfer_study(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({
+        "seed": seed, "out_dir": str(tmp_path / "out"),
+        "counties": [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")],
+        "families": ["forest"], "split": {"train_fraction": 0.9},
+        "cv": {"k": 2, "forest_grid": {"n_trees": [5]}},
+    }))
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+    assert main(["transfer", "--run", str(tmp_path / "out")]) == 0
+    written = (tmp_path / "out/transfer/cross_county_heat.csv").read_text()
+    assert "b,a,,absent\n" in written
+    assert (tmp_path / "out/transfer_recomputed/cross_county_heat.csv").read_text() == written
+    summary = json.loads((tmp_path / "out/summary.json").read_text())
+    assert "b->a" not in summary["transfer"][0]["delta"]
 
 def write_pinned_csv_study(base):
     """Two county CSVs of more than one loader block each (150 and 140 rows,

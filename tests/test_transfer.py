@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from conftest import labeled_from_arrays, transfer_axis
 from oracles import transfer_csvs_brute
 from hazardlens.boosting import BoostParams, predict_gbt, predict_margin_gbt, train_gbt
-from hazardlens.cart import TreeParams
+from hazardlens.cart import Leaf, TreeParams
 from hazardlens.dataset import make_labeled
 from hazardlens.errors import DimensionMismatch, SchemaMismatch
-from hazardlens.forest import predict_forest, predict_proba_forest, train_forest
+from hazardlens.forest import ForestModel, predict_forest, predict_proba_forest, train_forest
 from hazardlens.pipeline import write_transfer
 from hazardlens.selection import FAMILIES, SplitSpec, stratified_split
 from hazardlens.synth import CountyPlan, ScenarioSpec, build_scenario, generate_county
@@ -25,6 +25,7 @@ from hazardlens.transfer import (
     classify,
     cross_county,
     cross_hazard,
+    score_table,
 )
 
 
@@ -108,6 +109,28 @@ def test_registry_marks_absent_cells():
     assert all(matrix.cell("ghost", c) is None and matrix.cell(c, "ghost") is None
                for c in registry)
     assert set(matrix.delta) == {(s, t) for s in registry[:3] for t in registry[:3]}
+
+
+def test_an_undefined_score_is_left_out_and_its_cell_absent(tmp_path):
+    # b's model calls a's one tract low, as it is: no positive truth and no
+    # positive prediction leave F undefined, and a zero would be a fake score
+    def forest(low, high):
+        tree = Leaf(counts=[low, high], n=low + high)
+        return ForestModel(trees=[tree], params=TreeParams(), seed=0, feature_names=("f00", "f01"))
+
+    a, b = ("a", "heat"), ("b", "heat")
+    models = {a: forest(0, 1), b: forest(1, 0)}
+    evals = {a: labeled_from_arrays([[0.0, 1.0]], [0], county="a"),
+             b: labeled_from_arrays([[0.0, 1.0], [1.0, 0.0]], [0, 1], county="b")}
+    scores = score_table(models, evals, 1.5)
+    assert sorted(scores) == [(a, a), (a, b), (b, b)]
+    for policy in (TransferPolicy(), TransferPolicy(baseline=BASELINE_SOURCE)):
+        matrix = cross_county("heat", ("a", "b"), scores, policy)
+        assert matrix.cell("b", "a") is None
+        assert set(matrix.delta) == set(matrix.transferable) == {("a", "a"), ("a", "b"), ("b", "b")}
+    write_transfer(tmp_path, models, evals, ("a", "b"), ("heat",), TransferPolicy())
+    with (tmp_path / "cross_county_heat.csv").open(newline="") as handle:
+        assert ["b", "a", "", "absent"] in list(csv.reader(handle))
 
 
 def test_source_native_and_both_baselines():
