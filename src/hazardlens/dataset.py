@@ -82,9 +82,8 @@ class CountyDataset:
         n = len(self.tract_ids)
         if self.features.shape != (n, self.schema.feature_count):
             raise SchemaMismatch(
-                f"feature matrix shape {self.features.shape} does not match "
-                f"{n} tracts x {self.schema.feature_count} features",
-                county=self.county_id,
+                f"county {self.county_id!r}: feature matrix shape {self.features.shape} "
+                f"does not match {n} tracts x {self.schema.feature_count} features"
             )
         if len(set(self.tract_ids)) != n:
             raise DuplicateTract(f"duplicate tract_id in county {self.county_id!r}")
@@ -92,8 +91,8 @@ class CountyDataset:
             values = np.asarray(values, dtype=np.float64)
             if values.shape != (n,):
                 raise SchemaMismatch(
-                    f"hazard {hazard_id!r} has {values.shape[0]} values for {n} tracts",
-                    county=self.county_id,
+                    f"county {self.county_id!r}: hazard {hazard_id!r} has "
+                    f"{values.shape[0]} values for {n} tracts"
                 )
             self.hazards[hazard_id] = values
 
@@ -208,24 +207,6 @@ def make_labeled(dataset: CountyDataset, hazard_id: str) -> LabeledDataset:
     )
 
 
-def _parse_cell(raw: str, row: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise NonNumericCell(
-            f"cell {raw!r} at row {row}, column {column!r} is not numeric",
-            row=row,
-            column=column,
-        ) from None
-    if math.isnan(value) or math.isinf(value):
-        raise NonNumericCell(
-            f"cell {raw!r} at row {row}, column {column!r} is not finite",
-            row=row,
-            column=column,
-        )
-    return value
-
-
 def _parse_columns(rows, width, feature_cols, hazard_cols, missing_feature_policy):
     """(features, hazards), each column parsed with one float() list; a
     blank hazard cell is NaN, and so is a blank feature cell under the
@@ -262,15 +243,19 @@ def _raise_first_bad_cell(path, rows, first, header, feature_cols, hazard_cols, 
             )
         for name, pos, blank_is_bad in columns:
             raw = row[pos].strip()
-            if raw:
-                _parse_cell(raw, r, name)
-            elif blank_is_bad:
-                raise NonNumericCell(
-                    f"empty feature cell at row {r}, column {name!r} "
-                    "(strict missing-value policy)",
-                    row=r,
-                    column=name,
-                )
+            if not raw:
+                if blank_is_bad:
+                    raise NonNumericCell(
+                        f"empty feature cell at row {r}, column {name!r} "
+                        "(strict missing-value policy)"
+                    )
+                continue
+            try:
+                problem = None if math.isfinite(float(raw)) else "not finite"
+            except ValueError:
+                problem = "not numeric"
+            if problem:
+                raise NonNumericCell(f"cell {raw!r} at row {r}, column {name!r} is {problem}")
 
 
 def load_county_csv(path, missing_feature_policy: str = "error") -> CountyDataset:
@@ -302,7 +287,7 @@ def load_county_csv(path, missing_feature_policy: str = "error") -> CountyDatase
                 raise MissingColumn(f"{path}: file is empty, no header row") from None
             repeated = next((name for i, name in enumerate(header) if name in header[:i]), None)
             if repeated is not None:
-                raise SchemaMismatch(f"{path}: column {repeated!r} is named twice", column=repeated)
+                raise SchemaMismatch(f"{path}: column {repeated!r} is named twice")
             if TRACT_COLUMN not in header:
                 raise MissingColumn(f"{path}: mandatory column {TRACT_COLUMN!r} missing")
             tract_pos = header.index(TRACT_COLUMN)
@@ -350,8 +335,7 @@ def load_county_csv(path, missing_feature_policy: str = "error") -> CountyDatase
                 if finite.size == 0:
                     raise NonNumericCell(
                         f"feature column {feature_cols[j][0]!r} has no values to "
-                        "impute from",
-                        column=feature_cols[j][0],
+                        "impute from"
                     )
                 with np.errstate(over="ignore", invalid="ignore"):
                     median = np.median(finite)
@@ -415,17 +399,13 @@ def align_schemas(datasets: list[CountyDataset]) -> FeatureSchema:
         if missing:
             raise SchemaMismatch(
                 f"county {dataset.county_id!r} lacks feature "
-                f"{sorted(missing)[0]!r}",
-                county=dataset.county_id,
-                column=sorted(missing)[0],
+                f"{sorted(missing)[0]!r}"
             )
         extra = name_set - canon_set
         if extra:
             raise SchemaMismatch(
                 f"county {dataset.county_id!r} has unknown feature "
-                f"{sorted(extra)[0]!r}",
-                county=dataset.county_id,
-                column=sorted(extra)[0],
+                f"{sorted(extra)[0]!r}"
             )
         order = [names.index(name) for name in canon_names]
         dataset.features = dataset.features[:, order]

@@ -18,11 +18,6 @@ class MissingColumn(HazardLensError):
 class NonNumericCell(HazardLensError):
     """A cell could not be parsed as a finite real number."""
 
-    def __init__(self, message, row=None, column=None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
-
 
 class DuplicateTract(HazardLensError):
     """The same tract_id appears more than once in a file."""
@@ -42,11 +37,6 @@ class DegenerateLabels(HazardLensError):
 
 class SchemaMismatch(HazardLensError):
     """County feature schemas cannot be reconciled."""
-
-    def __init__(self, message, county=None, column=None):
-        super().__init__(message)
-        self.county = county
-        self.column = column
 
 
 # -- any stage ----------------------------------------------------------------

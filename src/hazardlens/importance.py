@@ -112,7 +112,7 @@ def overall_importance(vectors: dict[str, ImportanceVector], top_k: int = 7) -> 
     names = vectors[counties[0]].feature_names
     for county in counties:
         if vectors[county].feature_names != names:
-            raise SchemaMismatch(f"county {county!r} has a different schema", county=county)
+            raise SchemaMismatch(f"county {county!r} has a different schema")
     ranks = np.vstack([rank_features(vectors[c]) for c in counties])
     C, F = ranks.shape
     scores = ranks.sum(axis=0) / (F * C)

@@ -405,14 +405,16 @@ def study_inputs(config: RunConfig, run_dir) -> tuple[list, dict | None]:
 
 def _check_id(kind: str, value: str, where: str = "") -> None:
     """InvalidConfig, prefixed by `where`, when a county or hazard id is no
-    string, or holds the '__' a pair's name joins its county and hazard with
-    (recompute splits the name there) or a '/', which a county CSV's or a
-    model's file name cannot hold."""
+    string, holds a '/' (a county CSV's or a model's file name cannot), or
+    could make two pairs share a name and model file: an id holding the '__'
+    that joins a pair's county and hazard, or a hazard id starting with '_'."""
     if not isinstance(value, str):
         raise InvalidConfig(f"{where}{kind} id must be a string, got {value!r}")
     for part in ("__", "/"):
         if part in value:
             raise InvalidConfig(f"{where}{kind} id {value!r} must not contain {part!r}")
+    if kind == "hazard" and value.startswith("_"):
+        raise InvalidConfig(f"{where}hazard id {value!r} must not start with '_'")
 
 
 def _load_counties(paths, missing_feature_policy: str) -> list[CountyDataset]:
@@ -966,8 +968,8 @@ def load_run_models(run_dir, summary: dict, family: str) -> Mapping[tuple[str, s
     every pair in its summary, parsed on each access, so a reader taking one
     at a time holds one. InvalidConfig names a missing file at once, and one
     that is not a model of the family on access."""
-    paths = {tuple(pair.split("__")): Path(run_dir, "models", f"{pair}__{family}.json")
-             for pair in summary["pairs"]}
+    paths = {(c, h): Path(run_dir, "models", f"{c}__{h}__{family}.json")
+             for c, h in summary["pairs"]}
     for path in paths.values():
         if not path.is_file():
             raise InvalidConfig(f"cannot read model {path}: no such file")
@@ -975,11 +977,12 @@ def load_run_models(run_dir, summary: dict, family: str) -> Mapping[tuple[str, s
 
 
 def load_finished_run(run_dir) -> tuple[dict, RunConfig]:
-    """A finished run's summary.json, an object whose pairs are keyed
+    """A finished run's summary.json, an object whose pairs, named
     `<county>__<hazard>` over its lists of distinct counties and hazards (a
-    county the study loads), and the config it echoed there, checked as any
-    config is (InvalidConfig when, say, a county file has moved since). The
-    echo leaves out out_dir and workers; out_dir becomes the run directory.
+    county the study loads), come back keyed (county, hazard); and the config
+    it echoed there, checked as any config is (InvalidConfig when, say, a
+    county file has moved since). The echo leaves out out_dir and workers;
+    out_dir becomes the run directory.
 
     A relative county or feature groups path that is missing from the
     current directory is looked up against the run directory and then each
@@ -1008,13 +1011,13 @@ def load_finished_run(run_dir) -> tuple[dict, RunConfig]:
         raw["feature_groups"] = _locate(raw["feature_groups"], bases, "feature groups file")
     config = RunConfig.from_dict(raw)
     loaded = {Path(p).name.removesuffix(".csv") for p in study_inputs(config, run_dir)[0]}
+    keys = {f"{c}__{h}": (c, h) for c in counties for h in hazards}
     for pair in pairs:
-        county, _, hazard = pair.partition("__")
-        if pair.count("__") != 1 or county not in counties or hazard not in hazards:
+        if pair not in keys:
             raise InvalidConfig(f"run summary {path}: pair {pair!r} is no listed county__hazard")
-        if county not in loaded:
+        if keys[pair][0] not in loaded:
             raise InvalidConfig(f"run summary {path}: the study loads no county of pair {pair!r}")
-    return summary, config
+    return {**summary, "pairs": {keys[pair]: record for pair, record in pairs.items()}}, config
 
 
 def _locate(path, bases, label: str):
@@ -1041,8 +1044,7 @@ def rebuild_eval_splits(
         d.county_id: d for d in _load_counties(paths, config.missing_feature_policy)
     }
     splits = {}
-    for key in summary["pairs"]:
-        county, hazard = key.split("__")
+    for county, hazard in summary["pairs"]:
         labeled = make_labeled(by_county[county], hazard)
         if config.transfer_eval_on == "full":
             splits[(county, hazard)] = labeled

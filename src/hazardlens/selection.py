@@ -301,9 +301,7 @@ def cross_validate(
             if (n, f) in fold_scores:
                 scores.append(fold_scores[n, f])
                 table.append(CvRecord(params=dict(point), fold=f, score=fold_scores[n, f]))
-        if not scores:
-            raise NoPositives("every fold had an undefined F-score")
-        mean = float(np.mean(scores))
+        mean = float(np.mean(scores))  # fold 0 validates on a high row: never empty
         if mean > best_score or (mean == best_score and key < best_key):
             best_key = key
             best_score = mean

@@ -272,7 +272,7 @@ def subtree_counts(node):
 
 def load_county_whole_file(path, missing_feature_policy):
     """(tract_ids, features, hazards) of a county CSV, with every error
-    type, message, row and column of dataset.load_county_csv: all rows read
+    type and message of dataset.load_county_csv: all rows read
     first, then every cell parsed on its own, row by row, a row's feature
     columns before its hazard columns."""
     with open(path, encoding="utf-8", newline="") as handle:
@@ -282,7 +282,7 @@ def load_county_whole_file(path, missing_feature_policy):
     header, rows = rows[0], rows[1:]
     for i, name in enumerate(header):
         if name in header[:i]:
-            raise SchemaMismatch(f"{path}: column {name!r} is named twice", column=name)
+            raise SchemaMismatch(f"{path}: column {name!r} is named twice")
     if "tract_id" not in header:
         raise MissingColumn(f"{path}: mandatory column 'tract_id' missing")
     tract_pos = header.index("tract_id")
@@ -301,7 +301,7 @@ def load_county_whole_file(path, missing_feature_policy):
                     if blank_is_bad:
                         raise NonNumericCell(
                             f"empty feature cell at row {r}, column {name!r} "
-                            "(strict missing-value policy)", row=r, column=name,
+                            "(strict missing-value policy)"
                         )
                     out[r, j] = float("nan")
                     continue
@@ -309,13 +309,11 @@ def load_county_whole_file(path, missing_feature_policy):
                     value = float(raw)
                 except ValueError:
                     raise NonNumericCell(
-                        f"cell {raw!r} at row {r}, column {name!r} is not numeric",
-                        row=r, column=name,
+                        f"cell {raw!r} at row {r}, column {name!r} is not numeric"
                     ) from None
                 if not np.isfinite(value):
                     raise NonNumericCell(
-                        f"cell {raw!r} at row {r}, column {name!r} is not finite",
-                        row=r, column=name,
+                        f"cell {raw!r} at row {r}, column {name!r} is not finite"
                     )
                 out[r, j] = value
     tract_ids = [row[tract_pos] for row in rows]
@@ -328,8 +326,7 @@ def load_county_whole_file(path, missing_feature_policy):
         if blank.any():
             if blank.all():
                 raise NonNumericCell(
-                    f"feature column {header[pos]!r} has no values to impute from",
-                    column=header[pos],
+                    f"feature column {header[pos]!r} has no values to impute from"
                 )
             column[blank] = float(np.median(column[~blank]))
     return tuple(tract_ids), features, {

@@ -128,10 +128,8 @@ def test_load_non_numeric_cell_reports_location(tmp_path):
         tmp_path / "a.csv",
         "tract_id,Income,Density,hazard__heat\nt1,50.0,N/A,2.0\n",
     )
-    with pytest.raises(NonNumericCell) as err:
+    with pytest.raises(NonNumericCell, match="'N/A' at row 0, column 'Density' is not numeric"):
         load_county_csv(path)
-    assert err.value.row == 0
-    assert err.value.column == "Density"
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", " -Infinity "])
@@ -140,9 +138,14 @@ def test_load_non_finite_cell_reports_location(tmp_path, cell, column):
     header = ["tract_id", "Income", "Density", "hazard__heat"]
     row = {"tract_id": "t2", "Income": "3.0", "Density": "4.0", "hazard__heat": "7.0", column: cell}
     text = ",".join(header) + "\nt1,1.0,2.0,5.0\n" + ",".join(row[h] for h in header) + "\n"
-    with pytest.raises(NonNumericCell, match="not finite") as err:
+    with pytest.raises(NonNumericCell, match=f"at row 1, column '{column}' is not finite"):
         load_county_csv(write_csv(tmp_path / "a.csv", text))
-    assert (err.value.row, err.value.column) == (1, column)
+
+
+def test_load_empty_file(tmp_path):
+    path = write_csv(tmp_path / "a.csv", "")
+    with pytest.raises(MissingColumn, match="file is empty, no header row"):
+        load_county_csv(path)
 
 
 def test_load_short_row(tmp_path):
@@ -157,9 +160,8 @@ def test_load_reports_first_bad_cell_in_row_major_order(tmp_path):
     path = write_csv(
         tmp_path / "a.csv", "tract_id,Income,Density\nt1,1.0,inf\nt2,x,2.0\n"
     )
-    with pytest.raises(NonNumericCell, match="not finite") as err:
+    with pytest.raises(NonNumericCell, match="'inf' at row 0, column 'Density' is not finite"):
         load_county_csv(path)
-    assert (err.value.row, err.value.column) == (0, "Density")
 
 
 def test_load_cells_with_surrounding_spaces(tmp_path):
@@ -209,9 +211,8 @@ def test_load_column_named_twice(tmp_path, header, column):
     # unchecked, the last hazard__heat column would win silently, and a second
     # tract_id column of numbers would train as a feature named tract_id
     path = write_csv(tmp_path / "a.csv", header + "\nt1,1.0,2.0,3.0,4.0\nt2,3.0,4.0,5.0,6.0\n")
-    with pytest.raises(SchemaMismatch, match=f"column '{column}' is named twice") as err:
+    with pytest.raises(SchemaMismatch, match=f"column '{column}' is named twice"):
         load_county_csv(path)
-    assert err.value.column == column
 
 
 def test_load_empty_feature_cell_strict(tmp_path):
@@ -355,8 +356,6 @@ def test_block_parse_matches_the_whole_file_parse(tmp_path, case):
     got = _outcome(lambda: load_county_csv(path, missing_feature_policy=policy))
     if isinstance(expected, Exception):
         assert type(got) is type(expected) and str(got) == str(expected)
-        for attr in ("row", "column"):
-            assert getattr(got, attr, None) == getattr(expected, attr, None)
         return
     tract_ids, features, hazards = expected
     assert not isinstance(got, Exception), got
@@ -372,9 +371,8 @@ def test_block_parse_matches_the_whole_file_parse(tmp_path, case):
 def test_a_bad_cell_in_a_later_block_reports_its_file_row(tmp_path, row):
     lines = ["tract_id,a,b"] + [f"t{r},{r}.5,1" for r in range(2 * BLOCK_ROWS + 3)]
     lines[row + 1] = f"t{row},oops,1"
-    with pytest.raises(NonNumericCell, match=f"'oops' at row {row}, column 'a'") as err:
+    with pytest.raises(NonNumericCell, match=f"'oops' at row {row}, column 'a' is not numeric"):
         load_county_csv(write_csv(tmp_path / "c.csv", "\n".join(lines) + "\n"))
-    assert (err.value.row, err.value.column) == (row, "a")
 
 
 def test_loading_a_county_peaks_below_four_times_its_arrays(tmp_path):
@@ -469,7 +467,5 @@ def test_align_schemas_reorders_columns(rng):
 def test_align_schemas_missing_feature():
     a = make_county("a", ("x", "y", "z"), [[1, 2, 3]])
     b = make_county("shorttown", ("x", "y"), [[1, 2]])
-    with pytest.raises(SchemaMismatch) as err:
+    with pytest.raises(SchemaMismatch, match="county 'shorttown' lacks feature 'z'"):
         align_schemas([a, b])
-    assert err.value.county == "shorttown"
-    assert err.value.column == "z"

@@ -677,6 +677,86 @@ def test_cli_transfer_recomputes_impute_median_run(tmp_path):
         ).read_bytes()
 
 
+def id_study(tmp_path):
+    """Three county CSVs whose ids end in '_' or hold '&': x1 drives heat,
+    x2 drives flood."""
+    gen = np.random.default_rng(3)
+    paths = []
+    for name, n in (("a_", 80), ("b", 90), ("c&d", 85)):
+        X = gen.normal(size=(n, 4))
+        heat = X[:, 0] + 0.3 * gen.normal(size=n)
+        flood = X[:, 1] + 0.3 * gen.normal(size=n)
+        path = tmp_path / f"{name}.csv"
+        with path.open("w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["tract_id", "x1", "x2", "x3", "x4", "hazard__heat", "hazard__flood"])
+            for i in range(n):
+                writer.writerow([f"t{i:03d}", *map(repr, [*X[i].tolist(), heat[i].item(), flood[i].item()])])
+        paths.append(str(path))
+    return paths
+
+
+def test_cli_recomputes_a_run_whose_ids_end_in_underscore_or_hold_markup(tmp_path):
+    # recompute matches each pair name against the run's own county and
+    # hazard lists, so 'a___flood' is ('a_', 'flood'), not ('a', '_flood');
+    # and every heatmap escapes the ids it writes as text
+    from xml.dom import minidom
+
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "seed": 3,
+        "out_dir": str(out),
+        "counties": id_study(tmp_path),
+        "cv": {
+            "k": 2,
+            "forest_grid": {"n_trees": [3]},
+            "gbt_grid": {"n_rounds": [2], "max_depth": [2], "learning_rate": [0.3], "l2_reg": [1.0]},
+        },
+    }))
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert "a___flood" in json.loads((out / "summary.json").read_text())["pairs"]
+    assert main(["transfer", "--run", str(out)]) == 0
+    assert main(["importance", "--run", str(out)]) == 0
+    written = sorted(p.name for p in (out / "transfer").iterdir())
+    assert "cross_hazard_c&d.svg" in written
+    assert sorted(p.name for p in (out / "transfer_recomputed").iterdir()) == written
+    for name in written:
+        assert (out / "transfer_recomputed" / name).read_bytes() == (out / "transfer" / name).read_bytes()
+    svgs = [*(out / "transfer").glob("*.svg"), *(out / "transfer_recomputed").glob("*.svg")]
+    assert len(svgs) == 2 * 5  # cross_county per hazard, cross_hazard per county
+    for svg in svgs:
+        minidom.parse(str(svg))
+
+
+def test_hazard_id_starting_with_underscore_exits_2(tmp_path, capsys):
+    # county 'a' with hazard '_heat' and county 'a_' with hazard 'heat' would
+    # both be pair 'a___heat', one model file written over the other
+    a = county_csv(tmp_path / "a.csv", seed=1)
+    a.write_text(a.read_text().replace("hazard__heat", "hazard___heat"))
+    a_ = county_csv(tmp_path / "a_.csv", seed=3)
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"seed": 1, "out_dir": str(out), "counties": [str(a), str(a_)]}))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "county 'a': hazard id '_heat' must not start with '_'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_over_an_empty_county_file_fails_cleanly(tmp_path, capsys):
+    other = county_csv(tmp_path / "other.csv", seed=3)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {"seed": 1, "out_dir": str(out), "counties": [str(empty), str(other)]}
+    ))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"{empty}: file is empty, no header row" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_transfer_on_a_run_whose_county_file_moved_fails_cleanly(tmp_path, capsys):
     good = county_csv(tmp_path / "good.csv", seed=1)
     other = county_csv(tmp_path / "other.csv", seed=3)
@@ -1964,8 +2044,8 @@ SMALL_CV = {"k": 3, "forest_grid": {"n_trees": [4], "max_depth": [3]},
 def test_hazard_id_holding_the_pair_separator_exits_2(
     tmp_path, monkeypatch, capsys, study, hazard, part
 ):
-    # a pair is named county__hazard, recompute splits the name at "__", and
-    # a model's file name holds the hazard id
+    # a pair is named county__hazard, and a model's file name holds the
+    # hazard id
     monkeypatch.chdir(tmp_path)
     if study == "csv":
         path = county_csv(tmp_path / "ash.csv", seed=1)

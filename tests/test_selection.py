@@ -145,6 +145,20 @@ def test_cv_selects_deep_tree_for_interaction_signal():
     assert best["max_depth"] == 8  # depth 1 cannot express the interaction
 
 
+@pytest.mark.parametrize("family, grid", [
+    ("forest", {"n_trees": [3]}),
+    ("gbt", {"n_rounds": [3], "max_depth": [2], "learning_rate": [0.3], "l2_reg": [1.0]}),
+])
+def test_cv_leaves_out_folds_whose_fbeta_is_undefined(family, grid):
+    # the three high rows (x >= 17) go to folds 0-2; folds 3 and 4 hold low
+    # rows only, predicted low, so their F-beta is undefined
+    x = np.arange(20.0)
+    data = labeled_from_arrays(np.column_stack([x, np.zeros(20)]), (x >= 17).astype(np.int64))
+    best, table = cross_validate(data, family, CvSpec(k=5, grid=grid), seed=1)
+    assert best == {key: values[0] for key, values in grid.items()}
+    assert [record.fold for record in table] == [0, 1, 2]
+
+
 def test_cv_too_few_samples(rng):
     X = rng.normal(size=(6, 2))
     y = np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
