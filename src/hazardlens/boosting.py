@@ -243,7 +243,7 @@ def train_gbt(
         raise DegenerateLabels(
             f"cannot boost on single-class data ({data.county_id}/{data.hazard_id})"
         )
-    X, labels = data.in_tract_order()
+    X, labels = data.features, data.labels
     y = labels.astype(np.float64)
     columns = column_order(X)  # GBT samples no rows: every round shares it
 

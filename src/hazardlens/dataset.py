@@ -106,7 +106,8 @@ class CountyDataset:
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix plus high/low labels for one (county, hazard) pair."""
+    """Feature matrix plus high/low labels for one (county, hazard) pair,
+    its rows in tract id order whatever order they are given in."""
 
     county_id: str
     hazard_id: str
@@ -117,11 +118,15 @@ class LabeledDataset:
     threshold: float
 
     def __post_init__(self):
-        self.tract_ids = tuple(self.tract_ids)
+        ids = self.tract_ids = tuple(self.tract_ids)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.shape[0] != self.features.shape[0]:
-            raise SchemaMismatch("labels and features disagree on row count")
+        if not len(ids) == self.labels.shape[0] == self.features.shape[0]:
+            raise SchemaMismatch("tract ids, labels and features disagree on row count")
+        if list(ids) != sorted(ids):  # rows already in order stay uncopied
+            order = np.argsort(np.asarray(ids, dtype=object), kind="stable")
+            self.tract_ids = tuple(ids[i] for i in order)
+            self.features, self.labels = self.features[order], self.labels[order]
 
     @property
     def n(self) -> int:
@@ -132,13 +137,8 @@ class LabeledDataset:
         high = int(np.sum(self.labels == HIGH))
         return self.n - high, high
 
-    def in_tract_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """(features, labels) in tract id order, whatever order rows came in."""
-        order = np.argsort(np.asarray(self.tract_ids, dtype=object), kind="stable")
-        return np.ascontiguousarray(self.features[order]), self.labels[order]
-
     def take(self, indices: np.ndarray) -> "LabeledDataset":
-        """Row subset preserving the given index order."""
+        """Row subset, in tract id order whatever the order of `indices`."""
         indices = np.asarray(indices, dtype=np.intp)
         return LabeledDataset(
             county_id=self.county_id,
@@ -183,7 +183,9 @@ def make_labeled(dataset: CountyDataset, hazard_id: str) -> LabeledDataset:
             f"hazard {hazard_id!r} absent in county {dataset.county_id!r}"
         )
     exposure = dataset.hazards[hazard_id]
-    idx = np.flatnonzero(np.isfinite(exposure))
+    # binarize in the LabeledDataset's tract id order: np.mean's sum depends on order
+    idx = np.argsort(np.asarray(dataset.tract_ids, dtype=object), kind="stable")
+    idx = idx[np.isfinite(exposure[idx])]
     if idx.size == 0:
         raise HazardAbsent(
             f"hazard {hazard_id!r} has no recorded values in county "

@@ -1,9 +1,8 @@
 """Random forest: bagging plus per-node feature subsampling over CART trees.
 
 Per-tree RNG streams are derived from (seed, tree_index), never from build
-order, so parallel and sequential training produce identical forests. Rows
-are canonicalized by tract_id before any bootstrap draw, making training
-invariant to the row order of the input.
+order, so parallel and sequential training produce identical forests; the
+rows they draw from come in tract id order, as LabeledDataset keeps them.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ def train_forest(
         raise DegenerateLabels(
             f"cannot train on single-class data ({data.county_id}/{data.hazard_id})"
         )
-    X, y = data.in_tract_order()
+    X, y = data.features, data.labels
 
     if params.features_per_split is None:
         params = replace(

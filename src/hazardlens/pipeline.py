@@ -319,14 +319,6 @@ PRESETS = {
 }
 
 
-def synth6x3_config(seed: int, out_dir: str, workers: int = 1) -> RunConfig:
-    """Desk-scale configuration for the six-county benchmark scenario: the
-    synth6x3 preset, as `hazardlens run --preset synth6x3` builds it."""
-    return RunConfig.from_dict(
-        {"seed": seed, "out_dir": out_dir, "workers": workers, "synth": {"preset": "synth6x3"}}
-    )
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", "utf-8")
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boosting import BoostParams, predict_gbt, sigmoid, staged_margin_gbt, train_gbt
-from .cart import TreeParams
+from .cart import TreeParams, check_integer
 from .dataset import HIGH, LOW, LabeledDataset
 from .errors import DegenerateLabels, NoPositives, TooFewSamples
 from .forest import predict_forest, staged_proba_forest, train_forest
@@ -78,8 +78,8 @@ def stratified_split(
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Partition into (train, test) with per-class proportional allocation.
 
-    Row order inside each part follows the original dataset order, so
-    identical seeds reproduce identical partitions byte for byte.
+    Each part keeps its rows in tract id order, so identical seeds
+    reproduce identical partitions byte for byte.
     """
     labels = data.labels
     n_high = int(np.sum(labels == HIGH))
@@ -203,11 +203,7 @@ def check_grid(model_family: str, grid) -> None:
         if not isinstance(values, (list, tuple)) or not values:
             raise ValueError(f"{model_family} grid {name!r} needs a non-empty list")
     for size in grid.get(SIZE_KEYS[model_family], ()):
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise ValueError(
-                f"{model_family} grid {SIZE_KEYS[model_family]!r} values must be "
-                f"integers >= 1, got {size!r}"
-            )
+        check_integer(f"{model_family} grid {SIZE_KEYS[model_family]!r} value", size, 1)
     for _, point in _grid_points(grid):
         try:
             if model_family == "forest":

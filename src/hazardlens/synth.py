@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cart import check_integer
 from .dataset import CountyDataset, FeatureSchema
 from .errors import InvalidSpec
 from .seeds import child_seed
@@ -61,10 +62,11 @@ class ScenarioSpec:
     law_seed: int | None = None
 
     def __post_init__(self):
-        if self.n_tracts < 1:
-            raise InvalidSpec("n_tracts must be >= 1")
-        if self.n_features < 2:
-            raise InvalidSpec("n_features must be >= 2")
+        try:  # a float or bool would fail only in generation, mid-run
+            check_integer("n_tracts", self.n_tracts, 1)
+            check_integer("n_features", self.n_features, 2)
+        except ValueError as exc:
+            raise InvalidSpec(str(exc)) from None
         s = tuple(int(i) for i in self.informative)
         object.__setattr__(self, "informative", s)
         if not s:

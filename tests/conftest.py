@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hazardlens.dataset import FeatureSchema, LabeledDataset
+from hazardlens.pipeline import RunConfig
 from hazardlens.transfer import TransferPolicy, cross_county, score_table
 
 
@@ -21,6 +22,14 @@ def labeled_from_arrays(
         features=X,
         labels=y,
         threshold=threshold,
+    )
+
+
+def synth6x3_config(seed: int, out_dir: str, workers: int = 1) -> RunConfig:
+    """Desk-scale configuration for the six-county benchmark scenario: the
+    synth6x3 preset, as `hazardlens run --preset synth6x3` builds it."""
+    return RunConfig.from_dict(
+        {"seed": seed, "out_dir": out_dir, "workers": workers, "synth": {"preset": "synth6x3"}}
     )
 
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import labeled_from_arrays, transfer_axis
+from conftest import labeled_from_arrays, synth6x3_config, transfer_axis
 from oracles import forest_importance_from_json
 from hazardlens.cart import TreeParams
 from hazardlens.dataset import binarize, make_labeled
@@ -30,7 +30,7 @@ from hazardlens.metrics import (
     f_beta,
 )
 from hazardlens.cart import gini_impurity
-from hazardlens.pipeline import run, synth6x3_config
+from hazardlens.pipeline import run
 from hazardlens.report import file_sha256
 from hazardlens.selection import SplitSpec, stratified_split
 from hazardlens.synth import CountyPlan, build_scenario, generate_county

@@ -13,6 +13,7 @@ from hazardlens.dataset import (
     LOW,
     CountyDataset,
     FeatureSchema,
+    LabeledDataset,
     align_schemas,
     binarize,
     load_county_csv,
@@ -433,6 +434,30 @@ def test_make_labeled_drops_missing_exposure():
     labeled = make_labeled(ds, "flood")
     assert labeled.n == 3
     assert labeled.tract_ids == ("gapville-0", "gapville-2", "gapville-3")
+
+
+def test_labeled_dataset_row_order_is_tract_id_order(rng):
+    ids = tuple(f"t{i}" for i in range(1, 13))  # "t10" sorts before "t2"
+    X, y = rng.normal(size=(12, 3)), rng.integers(0, 2, size=12)
+
+    def labeled(order):
+        return LabeledDataset("c", "heat", FeatureSchema(("a", "b", "c")),
+                              tuple(ids[i] for i in order), X[order], y[order], 0.0)
+
+    in_order = labeled(sorted(range(12), key=ids.__getitem__))
+    shuffled = labeled(rng.permutation(12))
+    assert shuffled.tract_ids == in_order.tract_ids == tuple(sorted(ids))
+    np.testing.assert_array_equal(shuffled.features, in_order.features)
+    np.testing.assert_array_equal(shuffled.labels, in_order.labels)
+    assert in_order.take(np.arange(12)[::-1]).tract_ids == in_order.tract_ids
+    # rows already in order are kept, not copied
+    kept = LabeledDataset("c", "heat", in_order.schema, in_order.tract_ids,
+                          in_order.features, in_order.labels, 0.0)
+    assert np.shares_memory(kept.features, in_order.features)
+    assert np.shares_memory(kept.labels, in_order.labels)
+    # an id too few would have dropped a row in the sort
+    with pytest.raises(SchemaMismatch, match="disagree on row count"):
+        LabeledDataset("c", "heat", in_order.schema, ids[:11], X, y, 0.0)
 
 
 def test_schema_invariants():

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import synth6x3_config
 from hazardlens import pipeline
 from hazardlens.cli import main
-from hazardlens.dataset import make_labeled
+from hazardlens.dataset import CountyDataset, load_county_csv, make_labeled
 from hazardlens.errors import InvalidConfig
 from hazardlens.metrics import MetricTable
-from hazardlens.pipeline import RunConfig, compare_models, execute_job, run, synth6x3_config
+from hazardlens.pipeline import RunConfig, compare_models, execute_job, run
 from hazardlens.report import file_sha256
 from hazardlens.seeds import child_seed
 from hazardlens.selection import SplitSpec, stratified_split
@@ -417,6 +418,21 @@ def test_cli_bad_settings_rejected_before_anything_is_written(tmp_path, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_tracts", [5.5, 1e3, True])
+def test_cli_synth_tract_count_that_is_no_integer_exits_2(tmp_path, capsys, n_tracts):
+    # it used to pass the config checks and end the run in a TypeError
+    out = tmp_path / "out"
+    counties = [{"name": "a", "n_tracts": n_tracts}, {"name": "b", "n_tracts": 60}]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {"seed": 1, "out_dir": str(out), "synth": {"counties": counties}, "cv": SMALL_CV}
+    ))
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "malformed synth block" in err
+    assert not out.exists()
+
+
 def test_cli_beta_nan_rejected_before_anything_is_written(tmp_path, capsys):
     out = tmp_path / "out"
     args = ["run", "--preset", "synth6x3", "--seed", "1", "--out", str(out), "--beta", "nan"]
@@ -539,20 +555,23 @@ def csv_studies(draw):
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(study=csv_studies())
-def test_cli_run_over_generated_csv_studies_exits_0_or_2(tmp_path_factory, study):
+@given(study=csv_studies(), shuffler=st.randoms(use_true_random=False))
+def test_cli_run_over_generated_csv_studies_exits_0_or_2(tmp_path_factory, study, shuffler):
     # 0 with the same manifest at workers 1 and 2, or 2 with nothing written;
-    # never a traceback, and no numpy overflow warning from the loader
+    # never a traceback, and no numpy overflow warning from the loader. The
+    # workers=2 leg reads the same rows in a drawn order: the same study
     counties, policy, damage = study
     base = tmp_path_factory.mktemp("fuzz")
-    paths = []
-    for county, text in counties.items():
-        paths.append(base / f"{county}.csv")
-        paths[-1].write_text(text, "utf-8")
-    if damage:
-        damage_county(paths[0], damage)
+    paths = [base / f"{county}.csv" for county in counties]
     codes, manifests = [], []
     for workers in (1, 2):
+        for path, text in zip(paths, counties.values()):
+            header, *rows = text.splitlines()
+            if workers == 2:
+                shuffler.shuffle(rows)
+            path.write_text("\n".join([header, *rows]) + "\n", "utf-8")
+        if damage:
+            damage_county(paths[0], damage)
         out = base / f"w{workers}"
         config_path = base / f"config{workers}.json"
         config_path.write_text(json.dumps({
@@ -2021,6 +2040,50 @@ def test_pinned_csv_study_keeps_its_bytes(tmp_path, monkeypatch):
         for path in sorted((out / recomputed).iterdir()):
             digests[f"{recomputed}/{path.name}"] = file_sha256(path)
     assert digests == PINNED_CSV_STUDY_SHA256
+
+
+def test_make_labeled_threshold_ignores_row_order(tmp_path):
+    # np.mean's sum depends on the order it adds in: ash's rows reversed
+    # used to move a threshold in its last bits
+    write_pinned_csv_study(tmp_path)
+    county = load_county_csv(tmp_path / "inputs" / "ash.csv")
+    reversed_rows = CountyDataset(
+        county.county_id, county.schema, county.tract_ids[::-1], county.features[::-1],
+        {hazard: values[::-1] for hazard, values in county.hazards.items()},
+    )
+    for hazard in county.hazard_ids():
+        assert (make_labeled(reversed_rows, hazard).threshold.hex()
+                == make_labeled(county, hazard).threshold.hex())
+
+
+def test_pinned_csv_study_ignores_row_order(tmp_path, monkeypatch):
+    # the pinned study with its data rows reversed is the same study: the
+    # same manifest, and recompute rebuilds the same files as the run wrote
+    monkeypatch.chdir(tmp_path)  # the summary echoes the county paths
+    write_pinned_csv_study(tmp_path)
+    for county in ("ash", "oak"):
+        path = tmp_path / "inputs" / f"{county}.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    Path("config.json").write_text(json.dumps({
+        "seed": 11, "out_dir": "out", "workers": 1,
+        "counties": ["inputs/ash.csv", "inputs/oak.csv"],
+        "feature_groups": "inputs/groups.json",
+        "cv": {"k": 3, "forest_grid": {"n_trees": [4, 8], "max_depth": [3, None]},
+               "gbt_grid": {"n_rounds": [3], "max_depth": [2], "learning_rate": [0.3],
+                            "l2_reg": [1.0]}},
+        "top_k": 3,
+    }))
+    assert main(["run", "--config", "config.json"]) == 0
+    assert main(["transfer", "--run", "out"]) == 0
+    assert main(["importance", "--run", "out"]) == 0
+    out = tmp_path / "out"
+    assert file_sha256(out / "manifest.json") == PINNED_CSV_STUDY_SHA256["manifest.json"]
+    for recomputed, written in (("transfer_recomputed", "transfer"),
+                                ("importance_recomputed", "reports")):
+        for path in sorted((out / recomputed).iterdir()):
+            assert PINNED_CSV_STUDY_SHA256[f"{recomputed}/{path.name}"] == file_sha256(path)
+            assert path.read_bytes() == (out / written / path.name).read_bytes()
 
 
 def test_readme_library_imports_resolve():

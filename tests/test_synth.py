@@ -102,6 +102,15 @@ def test_invalid_specs():
                      seed=0)
 
 
+@pytest.mark.parametrize(
+    "counts", [{"n_tracts": 5.5}, {"n_tracts": True}, {"n_tracts": 5, "n_features": 35.0}]
+)
+def test_count_that_is_no_integer_is_an_invalid_spec(counts):
+    # generate_county would take it, and fail mid-run
+    with pytest.raises(InvalidSpec, match="must be an integer"):
+        ScenarioSpec(county_id="x", informative=(0,), seed=0, **counts)
+
+
 def test_tree_rule_law_generates_varied_exposure():
     spec = ScenarioSpec(county_id="t", n_tracts=100, n_features=8,
                         informative=(0, 1, 2), law=LAW_TREE_RULE, noise=0.1,
